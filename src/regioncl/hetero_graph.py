@@ -6,18 +6,21 @@ region nodes built from trip records. Fusion places everything on one node
 index (base nodes first, then slot nodes in region-major order), adds a
 temporal self-discrimination edge between each base node and each of its
 slot nodes, and precomputes one symmetric normalized adjacency with
-self-loops per relation: A_hat = D^{-1/2} (A + Id) D^{-1/2}.
+self-loops per relation: A_hat = D^{-1/2} (A + Id) D^{-1/2}, stored sparse
+(CSR), since the graphs are far from dense.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .numcore import CsrMatrix
 from .region_data import DistanceMatrix, TrajectoryRecord
 
 
@@ -91,13 +94,7 @@ def build_poi_graph(E: np.ndarray, eps_p: float) -> ViewGraph:
     E = np.asarray(E, dtype=np.float64)
     if not np.all(np.isfinite(E)):
         raise DataError("POI embeddings contain non-finite values")
-    I = E.shape[0]
-    sim = cosine_matrix(E)
-    edges = {_edge(base(i), base(j))
-             for i in range(I) for j in range(i + 1, I)
-             if sim[i, j] > eps_p}
-    return ViewGraph(nodes=[base(i) for i in range(I)],
-                     edges=frozenset(edges))
+    return _base_graph(E.shape[0], cosine_matrix(E) > eps_p)
 
 
 def build_mobility_graph(trajectories: list[TrajectoryRecord], I: int,
@@ -123,24 +120,46 @@ def build_distance_graph(dist: DistanceMatrix, eps_d: float) -> ViewGraph:
     """Edge (i, j) on base nodes iff km[i][j] < eps_d, i != j."""
     if eps_d <= 0.0:
         raise ConfigError(f"distance threshold must be positive, got {eps_d}")
-    I = dist.km.shape[0]
-    edges = {_edge(base(i), base(j))
-             for i in range(I) for j in range(i + 1, I)
-             if dist.km[i, j] < eps_d}
-    return ViewGraph(nodes=[base(i) for i in range(I)],
-                     edges=frozenset(edges))
+    return _base_graph(dist.km.shape[0], dist.km < eps_d)
 
 
-def normalized_adjacency(n_nodes: int,
-                         edges: frozenset | set) -> np.ndarray:
-    """A_hat = D^{-1/2} (A + Id) D^{-1/2}; D counts the self-loop."""
-    A = np.eye(n_nodes)
-    for u, v in edges:
-        A[u, v] = 1.0
-        A[v, u] = 1.0
-    d = A.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    return A * inv_sqrt[:, None] * inv_sqrt[None, :]
+def _base_graph(I: int, linked: np.ndarray) -> ViewGraph:
+    """Base-node graph with edge (i, j), i < j, wherever linked[i, j]."""
+    nodes = [base(i) for i in range(I)]
+    iu, ju = np.triu_indices(I, k=1)
+    keep = linked[iu, ju]
+    return ViewGraph(nodes=nodes, edges=frozenset(
+        (nodes[i], nodes[j])
+        for i, j in zip(iu[keep].tolist(), ju[keep].tolist())))
+
+
+def edge_array(edges) -> np.ndarray:
+    """An (E, 2) int64 array from a collection of (u, v) pairs."""
+    if isinstance(edges, np.ndarray):
+        return edges.astype(np.int64, copy=False).reshape(-1, 2)
+    return np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64,
+                       count=2 * len(edges)).reshape(-1, 2)
+
+
+def normalized_adjacency(n_nodes: int, edges) -> CsrMatrix:
+    """A_hat = D^{-1/2} (A + Id) D^{-1/2} as a symmetric CSR matrix.
+
+    ``edges`` is a collection of (u, v) pairs or an (E, 2) integer array;
+    pairs may come in either orientation or both, and self-pairs add
+    nothing. D counts the self-loop, so no row is empty.
+    """
+    e = edge_array(edges)
+    if e.size and (e.min() < 0 or e.max() >= n_nodes):
+        raise DataError(f"edge endpoint out of range for {n_nodes} nodes")
+    loops = np.arange(n_nodes, dtype=np.int64)
+    keys = np.unique(np.concatenate([e[:, 0] * n_nodes + e[:, 1],
+                                     e[:, 1] * n_nodes + e[:, 0],
+                                     loops * (n_nodes + 1)]))
+    rows, cols = np.divmod(keys, max(n_nodes, 1))
+    degree = np.bincount(rows, minlength=n_nodes)
+    inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
+    return CsrMatrix(np.concatenate([[0], np.cumsum(degree)]), cols,
+                     inv_sqrt[rows] * inv_sqrt[cols], (n_nodes, n_nodes))
 
 
 @dataclass
@@ -148,7 +167,7 @@ class HeteroGraph:
     I: int
     T: int
     edges: dict                      # RelationType -> frozenset[(int, int)]
-    adj: dict                        # RelationType -> (n, n) ndarray A_hat
+    adj: dict                        # RelationType -> CsrMatrix A_hat
 
     @property
     def n_nodes(self) -> int:

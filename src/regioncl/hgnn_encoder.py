@@ -4,7 +4,8 @@ Layer rule: H^(l) = ReLU(sum_gamma A_hat_gamma H^(l-1) W_gamma^(l-1)^T),
 with a separate weight matrix per relation per layer. The encoder output
 aggregates all orders, H = sum_{l=0}^{L} H^(l), so raw features survive
 alongside smoothed ones. Everything runs on numcore tensors and is fully
-differentiable; adjacencies enter as constants.
+differentiable; adjacencies enter as constant sparse matrices (CsrMatrix),
+so a layer costs O(|E| d) per relation and no gradient is formed for them.
 
 The same code encodes both the fused multi-relation graph and the sampled
 single-relation contrastive views (the caller picks which weight bank, and
@@ -75,8 +76,7 @@ def encode(adj: dict, H0: Tensor, params: EncoderParams) -> Tensor:
     for layer in params.layers:
         msg = None
         for rel, A in adj.items():
-            term = nc.matmul(nc.matmul(Tensor(A), H),
-                             nc.transpose(layer[rel]))
+            term = nc.matmul(nc.spmm(A, H), nc.transpose(layer[rel]))
             msg = term if msg is None else nc.add(msg, term)
         if msg is None:
             raise ShapeError("encode: empty adjacency dict")

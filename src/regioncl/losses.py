@@ -65,8 +65,7 @@ def _nce_sum(A: Tensor, B: Tensor, tau: float) -> Tensor:
     """Sum over rows i of -log softmax_j(cos(A_i, B_j)/tau) at j = i."""
     sims = nc.matmul(nc.normalize_rows(A),
                      nc.transpose(nc.normalize_rows(B)))
-    probs = nc.softmax_rows(nc.scale(sims, 1.0 / tau))
-    return nc.neg(nc.tsum(nc.log(nc.diag_part(probs))))
+    return nc.diag_cross_entropy(sims, 1.0 / tau)
 
 
 def info_nce(views: ViewEmbeddings, tau: float) -> Tensor:

@@ -11,6 +11,9 @@ Conventions fixed here because tests depend on them:
   * relu's derivative at exactly 0 is 0;
   * softmax subtracts the row max before exponentiating;
   * cosine similarity involving a zero vector is 0 (with zero gradient).
+
+Sparse operands are CsrMatrix constants; ``spmm`` multiplies one into a
+dense tensor and differentiates only through the dense side.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import numpy as np
 from .errors import ContractError, ShapeError, TrainingAborted
 
 __all__ = [
-    "Tensor", "GradientTape", "AdamState", "backward", "adam_step",
-    "constant", "matmul", "add", "sub", "mul", "scale", "neg", "relu",
-    "sigmoid", "softplus", "softmax_rows", "log", "exp", "tsum", "tmean",
-    "concat_cols", "transpose", "reshape", "rows", "diag_part",
-    "normalize_rows", "cosine_rows", "cosine_similarity",
+    "Tensor", "CsrMatrix", "GradientTape", "AdamState", "backward",
+    "adam_step", "constant", "matmul", "spmm", "add", "sub", "mul", "scale",
+    "neg", "relu", "sigmoid", "softplus", "softmax_rows",
+    "diag_cross_entropy", "log", "exp", "tsum", "tmean", "concat_cols",
+    "transpose", "reshape", "rows", "normalize_rows", "cosine_rows",
+    "cosine_similarity",
 ]
 
 
@@ -80,6 +84,55 @@ class Tensor:
         return neg(self)
 
 
+class CsrMatrix:
+    """A constant sparse matrix in compressed-row form.
+
+    Row i holds ``values[indptr[i]:indptr[i+1]]`` at the columns
+    ``indices[indptr[i]:indptr[i+1]]``, ascending within the row.
+    """
+
+    __slots__ = ("indptr", "indices", "values", "shape", "_starts",
+                 "_nonempty")
+
+    def __init__(self, indptr, indices, values, shape):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.float64)
+        self.shape = tuple(int(k) for k in shape)
+        if (self.indptr.shape != (self.shape[0] + 1,)
+                or self.indices.shape != self.values.shape
+                or self.indptr[-1] != self.values.size):
+            raise ShapeError(f"CsrMatrix: inconsistent arrays for shape "
+                             f"{self.shape}")
+        starts = self.indptr[:-1]
+        self._nonempty = starts < self.indptr[1:]
+        self._starts = starts[self._nonempty]
+
+    @property
+    def nnz(self) -> int:
+        return int(self.values.size)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[np.repeat(np.arange(self.shape[0]), np.diff(self.indptr)),
+            self.indices] = self.values
+        return out
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """self @ x for a dense 2-d x, as segment sums of the gathered terms.
+
+        The terms are laid out column-major, (d, nnz), because reduceat
+        sums long contiguous segments about twice as fast as short rows.
+        """
+        out = np.zeros((x.shape[1], self.shape[0]))
+        if self.values.size:
+            terms = np.take(np.ascontiguousarray(x.T), self.indices, axis=1)
+            terms *= self.values
+            out[:, self._nonempty] = np.add.reduceat(terms, self._starts,
+                                                     axis=1)
+        return np.ascontiguousarray(out.T)
+
+
 def constant(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -102,6 +155,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return g @ b.data.T, a.data.T @ g
 
     return Tensor(a.data @ b.data, (a, b), vjp)
+
+
+def spmm(A: CsrMatrix, h: Tensor) -> Tensor:
+    """A @ h for a constant *symmetric* sparse A.
+
+    Since A = A^T, the gradient to h is A @ g; A itself gets none.
+    """
+    h = constant(h)
+    if h.data.ndim != 2 or A.shape[1] != h.data.shape[0]:
+        raise ShapeError(f"spmm: shape {A.shape} vs {h.data.shape}")
+    return Tensor(A.dot(h.data), (h,), lambda g: (A.dot(g),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -192,6 +256,37 @@ def softmax_rows(a: Tensor) -> Tensor:
     return Tensor(s, (a,), vjp)
 
 
+def diag_cross_entropy(a: Tensor, scale: float = 1.0) -> Tensor:
+    """Sum over rows i of logsumexp_j(c a_ij) - c a_ii, with c = ``scale``.
+
+    The softmax cross-entropy of each row against its diagonal entry as one
+    scalar op: the row max is shifted out before exponentiating, and the
+    backward pass turns the cached exponentials into g c (softmax - Id) in
+    place, so no other (n, n) array is made.
+    """
+    a = constant(a)
+    if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
+        raise ShapeError(f"diag_cross_entropy: need square, got {a.data.shape}")
+    c = float(scale)
+    z = a.data * c
+    z -= z.max(axis=1, keepdims=True)
+    shifted_diag = np.diagonal(z).copy()
+    np.exp(z, out=z)
+    s = z.sum(axis=1, keepdims=True)
+    cache = [z]
+
+    def vjp(g):
+        if not cache:
+            raise ContractError("diag_cross_entropy: gradient taken twice")
+        grad = cache.pop()
+        gc = float(g) * c
+        grad *= gc / s
+        np.fill_diagonal(grad, np.diagonal(grad) - gc)
+        return (grad,)
+
+    return Tensor((np.log(s[:, 0]) - shifted_diag).sum(), (a,), vjp)
+
+
 def log(a: Tensor) -> Tensor:
     a = constant(a)
     return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
@@ -262,20 +357,6 @@ def rows(a: Tensor, idx) -> Tensor:
         return (out,)
 
     return Tensor(a.data[idx], (a,), vjp)
-
-
-def diag_part(a: Tensor) -> Tensor:
-    a = constant(a)
-    if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
-        raise ShapeError(f"diag_part: need square, got {a.data.shape}")
-    n = a.data.shape[0]
-
-    def vjp(g):
-        out = np.zeros((n, n))
-        np.fill_diagonal(out, g)
-        return (out,)
-
-    return Tensor(np.diagonal(a.data).copy(), (a,), vjp)
 
 
 def normalize_rows(a: Tensor) -> Tensor:

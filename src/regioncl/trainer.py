@@ -37,7 +37,8 @@ from . import numcore as nc
 from .errors import ConfigError, DataError, TrainingAborted
 from .hetero_graph import (HeteroGraph, RelationType, ViewGraph,
                            build_distance_graph, build_mobility_graph,
-                           build_poi_graph, fuse, normalized_adjacency)
+                           build_poi_graph, edge_array, fuse,
+                           normalized_adjacency)
 from .hgnn_encoder import EncoderParams, encode, init_encoder, init_features
 from .losses import (LossConfig, ViewEmbeddings, combined_reward, drop_edges,
                      info_bn, info_nce, overall_loss, reward_r1, reward_r2,
@@ -48,7 +49,7 @@ from .poi_embedding import (SkipgramConfig, init_attention, init_mlp,
                             train_skipgram)
 from .region_data import Dataset
 from .view_generator import (ContrastiveView, ViewGenConfig, init_vgae,
-                             generate_views, reconstruction_loss)
+                             generate_views, reconstruction_loss, seed_count)
 
 VARIANTS = ("FULL", "NO_GP", "NO_GD", "NO_INFOMIN", "RANDOM_AUG")
 RANDOM_AUG_DROP = 0.2
@@ -158,8 +159,8 @@ def _checksums(params: dict) -> dict:
 def _encode_view(nodes, edges: frozenset, H0: Tensor,
                  params: EncoderParams) -> Tensor:
     """Encode a relation-agnostic subgraph with the mobility weight bank."""
-    pos = {g: k for k, g in enumerate(nodes)}
-    local = frozenset((pos[u], pos[v]) for u, v in edges)
+    # view nodes are sorted graph indices, so a node's row is its rank
+    local = np.searchsorted(np.asarray(nodes), edge_array(edges))
     A = normalized_adjacency(len(nodes), local)
     sub_params = EncoderParams(layers=[
         {RelationType.MOBILITY: layer[RelationType.MOBILITY]}
@@ -182,6 +183,15 @@ def _random_aug_views(graph: HeteroGraph, rng: np.random.Generator):
 def train(dataset: Dataset, cfg: TrainConfig,
           table: np.ndarray | None = None) -> TrainedModel:
     """Run the full alternating optimization; deterministic given cfg.seed."""
+    n_nodes = dataset.n_regions * (1 + dataset.T)
+    # both views contain every seed node, or every node under RANDOM_AUG
+    shared = (n_nodes if cfg.variant == "RANDOM_AUG"
+              else seed_count(cfg.view, n_nodes))
+    if shared < 2:
+        raise ConfigError(
+            f"views would share {shared} node(s) of {n_nodes}, InfoNCE needs "
+            f">= 2: raise view.seed_frac (now {cfg.view.seed_frac}) or use "
+            f"a larger city")
     if table is None:
         table = train_skipgram(dataset.poi, cfg.skipgram)
     graph = build_graph(dataset, table, cfg)

@@ -171,6 +171,11 @@ class ViewGenConfig:
             raise ConfigError("walk/negative counts must be non-negative")
 
 
+def seed_count(cfg: ViewGenConfig, n_nodes: int) -> int:
+    """Walk seeds per view: round(seed_frac * n), at least 1."""
+    return max(1, int(round(cfg.seed_frac * n_nodes)))
+
+
 def candidate_pairs(graph: HeteroGraph,
                     rng: np.random.Generator,
                     neg_per_node: int) -> list:
@@ -204,9 +209,8 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
     """Full twin pipeline; both walks start from one shared seed set."""
     cands = candidate_pairs(graph, rng, cfg.neg_per_node)
     n = graph.n_nodes
-    n_seeds = max(1, int(round(cfg.seed_frac * n)))
     seed_nodes = tuple(int(s) for s in
-                       rng.choice(n, size=n_seeds, replace=False))
+                       rng.choice(n, size=seed_count(cfg, n), replace=False))
     walk_cfg = WalkConfig(walk_len=cfg.walk_len,
                           walks_per_seed=cfg.walks_per_seed)
 

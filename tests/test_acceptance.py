@@ -334,7 +334,8 @@ def test_criterion_9_invariants():
         all_pairs = list(combinations(range(n), 2))
         pick = rng.choice(len(all_pairs), size=min(n_edges, len(all_pairs)),
                           replace=False)
-        A = normalized_adjacency(n, frozenset(all_pairs[i] for i in pick))
+        A = normalized_adjacency(n, frozenset(all_pairs[i] for i in pick)
+                                 ).toarray()
         sym &= bool(np.allclose(A, A.T)
                     and A.min() >= 0.0 and A.max() <= 1.0)
     checks["A_hat symmetric, entries in [0,1]"] = sym

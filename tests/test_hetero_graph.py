@@ -1,8 +1,9 @@
 """Tests for view-graph construction and heterogeneous fusion.
 
 Derived oracles: brute-force all-pairs cosine and distance thresholding,
-a set-comprehension dedup pass for mobility edges, and the hand-evaluated
-d_i^{-1/2} d_j^{-1/2} normalization of a 3-node path.
+a set-comprehension dedup pass for mobility edges, the hand-evaluated
+d_i^{-1/2} d_j^{-1/2} normalization of a 3-node path, and a dense
+per-edge construction of A_hat that the sparse one must equal bit for bit.
 """
 
 import numpy as np
@@ -20,6 +21,13 @@ RNG = np.random.default_rng
 
 def edge_pairs(view):
     return {(u.region, u.slot, v.region, v.slot) for u, v in view.edges}
+
+
+def loop_base_edges(I, linked):
+    """Pair-loop oracle for the base-node graphs: (i, j), i < j, if linked."""
+    return frozenset((hg.base(i), hg.base(j))
+                     for i in range(I) for j in range(i + 1, I)
+                     if linked(i, j))
 
 
 class TestPoiGraph:
@@ -43,6 +51,17 @@ class TestPoiGraph:
                 if c > 0.3:
                     want.add((hg.base(i), hg.base(j)))
         assert g.edges == frozenset(want)
+
+    def test_random_inputs_match_pair_loop(self):
+        for seed in range(8):
+            rng = RNG(40 + seed)
+            I = int(rng.integers(1, 30))
+            E = rng.normal(size=(I, 5))
+            E[rng.random(I) < 0.1] = 0.0
+            eps = float(rng.uniform(-0.5, 0.9))
+            sim = hg.cosine_matrix(E)
+            want = loop_base_edges(I, lambda i, j: sim[i, j] > eps)
+            assert hg.build_poi_graph(E, eps).edges == want
 
     def test_zero_row_uses_cosine_zero_convention(self):
         E = np.vstack([np.zeros(3), np.ones(3)])
@@ -114,19 +133,41 @@ class TestDistanceGraph:
             with pytest.raises(ConfigError):
                 hg.build_distance_graph(grid_distance_matrix(3, 1.0), eps)
 
+    def test_random_inputs_match_pair_loop(self):
+        for seed in range(8):
+            rng = RNG(60 + seed)
+            I = int(rng.integers(1, 30))
+            km = rng.uniform(0.0, 5.0, size=(I, I))
+            km = (km + km.T) / 2
+            dm = DistanceMatrix(km=km, centroids=np.zeros((I, 2)))
+            eps = float(rng.uniform(0.5, 4.0))
+            want = loop_base_edges(I, lambda i, j: km[i, j] < eps)
+            assert hg.build_distance_graph(dm, eps).edges == want
+
     def test_strict_inequality_at_boundary(self):
         g = hg.build_distance_graph(grid_distance_matrix(3, 1.0), 1.0)
         assert g.edges == frozenset()
 
 
+def dense_adjacency(n, edges):
+    """The dense per-edge construction of D^{-1/2} (A + Id) D^{-1/2}."""
+    A = np.eye(n)
+    for u, v in edges:
+        A[u, v] = 1.0
+        A[v, u] = 1.0
+    inv_sqrt = 1.0 / np.sqrt(A.sum(axis=1))
+    return A * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
 class TestNormalizedAdjacency:
     def test_isolated_node_diagonal_one(self):
-        A_hat = hg.normalized_adjacency(1, frozenset())
+        A_hat = hg.normalized_adjacency(1, frozenset()).toarray()
         assert_allclose(A_hat, [[1.0]])
 
     def test_three_node_path_hand_oracle(self):
         """Path 0-1-2 with self-loops: degrees (2, 3, 2)."""
-        A_hat = hg.normalized_adjacency(3, frozenset({(0, 1), (1, 2)}))
+        A_hat = hg.normalized_adjacency(3, frozenset({(0, 1),
+                                                      (1, 2)})).toarray()
         s6 = 1.0 / np.sqrt(6.0)
         want = np.array([[0.5, s6, 0.0],
                          [s6, 1.0 / 3.0, s6],
@@ -138,10 +179,47 @@ class TestNormalizedAdjacency:
         n = 8
         edges = {(int(a), int(b)) for a, b in
                  rng.integers(0, n, size=(12, 2)) if a != b}
-        A_hat = hg.normalized_adjacency(n, edges)
+        A_hat = hg.normalized_adjacency(n, edges).toarray()
         assert np.max(np.abs(A_hat - A_hat.T)) == 0.0
         assert A_hat.min() >= 0.0
         assert A_hat.max() <= 1.0
+
+    @pytest.mark.parametrize("n, edges", [
+        (1, set()),
+        (1, {(0, 0)}),
+        (4, set()),
+        (5, {(0, 1), (1, 0), (3, 1)}),          # both orientations of (0, 1)
+        (6, {(2, 3), (3, 2), (4, 4), (0, 5)}),  # nodes 1 isolated, self-pair
+    ])
+    def test_equals_dense_construction_bit_for_bit(self, n, edges):
+        got = hg.normalized_adjacency(n, edges).toarray()
+        assert got.tobytes() == dense_adjacency(n, edges).tobytes()
+
+    def test_random_graphs_equal_dense_construction_bit_for_bit(self):
+        for seed in range(10):
+            rng = RNG(80 + seed)
+            n = int(rng.integers(1, 40))
+            edges = {(int(a), int(b)) for a, b in
+                     rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))}
+            A = hg.normalized_adjacency(n, edges)
+            assert A.toarray().tobytes() == dense_adjacency(n, edges).tobytes()
+            # an (E, 2) array gives the same matrix as the set of pairs
+            arr = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+            B = hg.normalized_adjacency(n, arr)
+            for field in ("indptr", "indices", "values"):
+                assert np.array_equal(getattr(A, field), getattr(B, field))
+
+    def test_csr_rows_sorted_and_every_row_has_its_self_loop(self):
+        A = hg.normalized_adjacency(6, {(5, 0), (2, 3), (0, 2)})
+        for i in range(6):
+            cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
+            assert list(cols) == sorted(set(cols))
+            assert i in cols
+
+    def test_out_of_range_endpoint_rejected(self):
+        for bad in ({(0, 3)}, {(-1, 1)}):
+            with pytest.raises(DataError, match="out of range"):
+                hg.normalized_adjacency(3, bad)
 
 
 def tiny_fused(I=2, T=2, seed=4):
@@ -183,7 +261,7 @@ class TestFuse:
         g = tiny_fused()
         n = g.n_nodes
         for rel in hg.RelationType:
-            A_hat = g.adj[rel]
+            A_hat = g.adj[rel].toarray()
             assert A_hat.shape == (n, n)
             assert np.max(np.abs(A_hat - A_hat.T)) == 0.0
             assert A_hat.min() >= 0.0 and A_hat.max() <= 1.0
@@ -192,7 +270,8 @@ class TestFuse:
         g1, g2 = tiny_fused(), tiny_fused()
         for rel in hg.RelationType:
             assert g1.edges[rel] == g2.edges[rel]
-            assert np.array_equal(g1.adj[rel], g2.adj[rel])
+            assert np.array_equal(g1.adj[rel].toarray(),
+                                  g2.adj[rel].toarray())
 
     def test_mobility_edge_lands_on_slot_indices(self):
         g = tiny_fused(I=2, T=2)

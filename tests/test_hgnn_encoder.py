@@ -2,8 +2,11 @@
 
 The oracle is an explicit per-node message-passing loop (neighbor summation
 with the same symmetric normalization), written here independently of the
-matrix-form implementation.
+matrix-form implementation. It reads the adjacencies densely, through
+``toarray()``, except at scale, where it walks neighbor lists instead.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -44,8 +47,12 @@ def constant_params(weight_layers):
         for layer in weight_layers])
 
 
-def random_connected_adjacency(n, rng):
-    """Random spanning tree plus extra edges, normalized."""
+def dense(adj):
+    return {rel: A.toarray() for rel, A in adj.items()}
+
+
+def random_connected_edges(n, rng):
+    """Random spanning tree plus extra edges."""
     edges = set()
     order = rng.permutation(n)
     for a, b in zip(order[:-1], order[1:]):
@@ -54,8 +61,11 @@ def random_connected_adjacency(n, rng):
         a, b = rng.integers(0, n, size=2)
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    return normalized_adjacency(n, frozenset((int(a), int(b))
-                                             for a, b in edges))
+    return frozenset((int(a), int(b)) for a, b in edges)
+
+
+def random_connected_adjacency(n, rng):
+    return normalized_adjacency(n, random_connected_edges(n, rng))
 
 
 class TestInitFeatures:
@@ -109,7 +119,7 @@ class TestEncode:
         A = normalized_adjacency(3, frozenset({(0, 1), (1, 2)}))
         H0 = rng.normal(size=(3, 4))
         layers = [{"r": rng.normal(scale=0.3, size=(4, 4))} for _ in range(2)]
-        want = per_node_encode({"r": A}, H0, layers)
+        want = per_node_encode(dense({"r": A}), H0, layers)
         out = enc.encode({"r": A}, nc.Tensor(H0), constant_params(layers))
         assert_allclose(out.data, want, atol=1e-10)
 
@@ -122,22 +132,27 @@ class TestEncode:
             H0 = rng.normal(size=(n, 3))
             layers = [{k: rng.normal(scale=0.4, size=(3, 3)) for k in adj}
                       for _ in range(3)]
-            want = per_node_encode(adj, H0, layers)
+            want = per_node_encode(dense(adj), H0, layers)
             out = enc.encode(adj, nc.Tensor(H0), constant_params(layers))
             assert_allclose(out.data, want, atol=1e-9)
 
     def test_permutation_equivariance(self):
         rng = RNG(3)
         n = 6
-        A = random_connected_adjacency(n, rng)
+        edges = random_connected_edges(n, rng)
+        A = normalized_adjacency(n, edges)
         H0 = rng.normal(size=(n, 4))
         layers = [{"r": rng.normal(scale=0.3, size=(4, 4))} for _ in range(2)]
         params = constant_params(layers)
         out = enc.encode({"r": A}, nc.Tensor(H0), params).data
 
         p = rng.permutation(n)
-        out_p = enc.encode({"r": A[np.ix_(p, p)]}, nc.Tensor(H0[p]),
-                           params).data
+        # node p[i] becomes node i, so A_p = A[np.ix_(p, p)]
+        inv = np.argsort(p)
+        A_p = normalized_adjacency(n, {(int(inv[u]), int(inv[v]))
+                                       for u, v in edges})
+        assert np.array_equal(A_p.toarray(), A.toarray()[np.ix_(p, p)])
+        out_p = enc.encode({"r": A_p}, nc.Tensor(H0[p]), params).data
         assert_allclose(out_p, out[p], atol=1e-10)
 
     def test_missing_relation_weight_rejected(self):
@@ -183,3 +198,81 @@ class TestEncode:
         grads = nc.backward(tape, nc.tsum(out))
         assert grads["E"].shape == (3, 2)
         assert np.any(grads["E"] != 0.0)
+
+
+class TestScale:
+    """A graph whose dense A_hat would need 3.2 GB per relation."""
+
+    N = 20_000
+    ROWS = (0, 1, 4_999, N // 2, N - 1)
+
+    def test_encode_and_backward_match_per_node_oracle(self):
+        n, d, n_layers = self.N, 4, 2
+        rng = RNG(9)
+        ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+        chords = rng.integers(0, n, size=(n // 2, 2))
+        edges = {"ring": ring, "chord": chords[chords[:, 0] != chords[:, 1]]}
+        adj = {rel: normalized_adjacency(n, e) for rel, e in edges.items()}
+        H0 = rng.normal(size=(n, d))
+        layers = [{rel: rng.normal(scale=0.5, size=(d, d)) for rel in adj}
+                  for _ in range(n_layers)]
+        # the loss reads a few rows only, so the oracle visits their
+        # receptive fields, not the whole graph
+        proj = np.zeros((n, d))
+        proj[list(self.ROWS)] = rng.normal(size=(len(self.ROWS), d))
+
+        nbrs = {rel: [{i} for i in range(n)] for rel in edges}
+        for rel, e in edges.items():
+            for u, v in e.tolist():
+                nbrs[rel][u].add(v)
+                nbrs[rel][v].add(u)
+
+        def oracle_rows(H0, layers):
+            @lru_cache(maxsize=None)
+            def h(layer, i):
+                if layer == 0:
+                    return H0[i]
+                acc = np.zeros(d)
+                for rel, W in layers[layer - 1].items():
+                    for j in nbrs[rel][i]:
+                        weight = 1.0 / np.sqrt(len(nbrs[rel][i])
+                                               * len(nbrs[rel][j]))
+                        acc = acc + weight * (W @ h(layer - 1, j))
+                return np.maximum(acc, 0.0)
+
+            return {i: sum(h(layer, i) for layer in range(n_layers + 1))
+                    for i in self.ROWS}
+
+        def oracle_loss(H0, layers):
+            return sum(float(row @ proj[i])
+                       for i, row in oracle_rows(H0, layers).items())
+
+        tape = nc.GradientTape()
+        params = enc.EncoderParams(layers=[
+            {rel: tape.parameter(f"l{k}.{rel}", W) for rel, W in layer.items()}
+            for k, layer in enumerate(layers)])
+        out = enc.encode(adj, tape.parameter("H0", H0), params)
+        for i, want in oracle_rows(H0, layers).items():
+            assert_allclose(out.data[i], want, atol=1e-10)
+
+        grads = nc.backward(tape, nc.tsum(nc.mul(out, nc.Tensor(proj))))
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+        # directional derivatives against central differences of the
+        # oracle: one along H0, one shifting every weight matrix by U
+        step = 1e-6
+        V = rng.normal(size=(n, d))
+        numeric = (oracle_loss(H0 + step * V, layers)
+                   - oracle_loss(H0 - step * V, layers)) / (2 * step)
+        assert_allclose(float((grads["H0"] * V).sum()), numeric, rtol=1e-6)
+
+        U = rng.normal(size=(d, d))
+
+        def shifted(c):
+            return [{rel: W + c * U for rel, W in layer.items()}
+                    for layer in layers]
+
+        numeric = (oracle_loss(H0, shifted(step))
+                   - oracle_loss(H0, shifted(-step))) / (2 * step)
+        analytic = sum(float((g * U).sum()) for name, g in grads.items()
+                       if name != "H0")
+        assert_allclose(analytic, numeric, rtol=1e-6)

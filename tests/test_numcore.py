@@ -2,6 +2,8 @@
 
 Oracles used here:
   * matmul against an explicit triple loop;
+  * spmm against the dense product of the same matrix;
+  * diag_cross_entropy against the composed -sum log diag softmax;
   * every op's gradient against central finite differences;
   * Adam against an independent reference implementation of the published
     update rule (bias-corrected moments, decoupled weight decay).
@@ -18,6 +20,20 @@ from regioncl.errors import ContractError, ShapeError, TrainingAborted
 from regioncl.gradcheck import check_tape_gradients, numeric_gradient, relative_error
 
 RNG = np.random.default_rng
+
+
+def csr(dense):
+    """The CsrMatrix holding the nonzeros of a dense 2-d array."""
+    rows, cols = np.nonzero(dense)
+    counts = np.bincount(rows, minlength=dense.shape[0])
+    return nc.CsrMatrix(np.concatenate([[0], np.cumsum(counts)]), cols,
+                        dense[rows, cols], dense.shape)
+
+
+# symmetric, with an all-zero row and a zero diagonal entry
+SYM = np.array([[1.0, 0.0, 2.0],
+                [0.0, 0.0, 0.0],
+                [2.0, 0.0, -1.5]])
 
 
 def scalar_loss(t):
@@ -108,9 +124,60 @@ class TestForward:
         assert out.shape == (2, 5)
         assert_allclose(out[:, :2], a)
 
-    def test_diag_part(self):
-        x = np.arange(9.0).reshape(3, 3)
-        assert_allclose(nc.diag_part(nc.Tensor(x)).data, [0.0, 4.0, 8.0])
+    def test_csr_toarray_round_trips(self):
+        assert np.array_equal(csr(SYM).toarray(), SYM)
+        assert csr(SYM).nnz == 4
+
+    def test_spmm_matches_dense_product(self):
+        rng = RNG(3)
+        dense = rng.normal(size=(7, 7)) * (rng.random((7, 7)) < 0.4)
+        dense = dense + dense.T
+        dense[4] = dense[:, 4] = 0.0
+        H = rng.normal(size=(7, 5))
+        got = nc.spmm(csr(dense), nc.Tensor(H)).data
+        assert_allclose(got, dense @ H, rtol=0, atol=1e-12)
+
+    def test_spmm_shape_mismatch(self):
+        with pytest.raises(ShapeError):
+            nc.spmm(csr(SYM), nc.Tensor(np.ones((4, 2))))
+
+    def test_spmm_differentiates_only_the_dense_operand(self):
+        tape = nc.GradientTape()
+        h = tape.parameter("h", RNG(4).normal(size=(3, 2)))
+        out = nc.spmm(csr(SYM), h)
+        assert out.parents == (h,)
+        grads = nc.backward(tape, nc.tsum(out))
+        assert_allclose(grads["h"], SYM.T @ np.ones((3, 2)), atol=1e-12)
+
+    def test_diag_cross_entropy_matches_softmax_composition(self):
+        for seed in range(5):
+            S = RNG(20 + seed).normal(size=(6, 6)) * 3.0
+            tape = nc.GradientTape()
+            a = tape.parameter("a", S)
+            fused = nc.diag_cross_entropy(a, 2.0)
+            g_fused = nc.backward(tape, fused)["a"]
+            probs = nc.softmax_rows(nc.scale(a, 2.0))
+            composed = nc.neg(nc.tsum(nc.mul(nc.log(probs),
+                                             nc.Tensor(np.eye(6)))))
+            g_composed = nc.backward(tape, composed)["a"]
+            assert abs(fused.item() - composed.item()) < 1e-12
+            assert_allclose(g_fused, g_composed, rtol=0, atol=1e-12)
+
+    def test_diag_cross_entropy_large_logits_stay_finite(self):
+        S = np.array([[800.0, -800.0], [0.0, 900.0]])
+        loss = nc.diag_cross_entropy(nc.Tensor(S))
+        # each row's own logit dominates its row by >= 900: loss ~ 0
+        assert_allclose(loss.item(), 0.0, atol=1e-12)
+
+    def test_diag_cross_entropy_rejects_non_square(self):
+        with pytest.raises(ShapeError):
+            nc.diag_cross_entropy(nc.Tensor(np.ones((2, 3))))
+
+    def test_diag_cross_entropy_gradient_is_single_use(self):
+        loss = nc.diag_cross_entropy(nc.Tensor(np.eye(3)))
+        loss.vjp(np.ones(()))
+        with pytest.raises(ContractError):
+            loss.vjp(np.ones(()))
 
 
 def _away_from_kinks(x, margin=0.05):
@@ -151,8 +218,10 @@ GRAD_CASES = {
         nc.reshape(tape.parameter("a", c["a"]), (c["a"].size,))),
     "rows": lambda tape, c: scalar_loss(
         nc.rows(tape.parameter("a", c["a"]), [1, 0, 1, 2])),
-    "diag_part": lambda tape, c: scalar_loss(
-        nc.diag_part(tape.parameter("sq", c["sq"]))),
+    "spmm": lambda tape, c: scalar_loss(
+        nc.spmm(csr(SYM), tape.parameter("a", c["a"]))),
+    "diag_cross_entropy": lambda tape, c: nc.diag_cross_entropy(
+        tape.parameter("sq", c["sq"]), 2.0),
     "concat_cols": lambda tape, c: scalar_loss(
         nc.concat_cols([tape.parameter("a", c["a"]), tape.parameter("a2", c["a2"])])),
     "normalize_rows": lambda tape, c: scalar_loss(

@@ -14,6 +14,7 @@ from regioncl.trainer import (TrainConfig, TrainedModel, config_hash,
                               export_embeddings, load_checkpoint,
                               load_embeddings, region_embeddings, train,
                               write_loss_csv)
+from regioncl.view_generator import ViewGenConfig
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,27 @@ class TestConfigValidation:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="variant"):
             TrainConfig(variant="BOGUS")
+
+    def test_fewer_than_two_view_seeds_rejected_before_any_work(
+            self, monkeypatch):
+        # n = 2 * (1 + 2) = 6 nodes: round(0.1 * 6) = 1 shared seed
+        ds = synth_dataset(SynthConfig(n_regions=2, n_categories=4,
+                                       n_slots=2, n_trips=30, n_clusters=2,
+                                       seed=2))
+        few = small_cfg(epochs=1, view=ViewGenConfig(seed_frac=0.1))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        with monkeypatch.context() as m:
+            m.setattr("regioncl.trainer.train_skipgram", no_work)
+            m.setattr("regioncl.trainer.build_graph", no_work)
+            with pytest.raises(ConfigError, match="seed_frac"):
+                train(ds, few)
+        # RANDOM_AUG views share every node, so seed_frac does not matter
+        aug = small_cfg(epochs=1, view=ViewGenConfig(seed_frac=0.1),
+                        variant="RANDOM_AUG")
+        assert len(train(ds, aug).history) == 1
 
 
 class TestTrainLoop:
