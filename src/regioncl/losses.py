@@ -90,16 +90,6 @@ def drop_edges(edges: frozenset, drop_rate: float,
     return frozenset(e for i, e in enumerate(ordered) if i not in dropped)
 
 
-def infobn_augment(edges: frozenset, encode_fn, drop_rate: float,
-                   rng: np.random.Generator) -> Tensor:
-    """Re-encode a view after dropping a fraction of its edges.
-
-    ``encode_fn`` maps an edge set to node embeddings for the view; the
-    caller closes it over the initial features and encoder weights.
-    """
-    return encode_fn(drop_edges(edges, drop_rate, rng))
-
-
 def info_bn(h1: Tensor, h1_aug: Tensor, h2: Tensor, h2_aug: Tensor,
             tau: float) -> Tensor:
     """Per-view information bottleneck: each view against its own re-encode."""

@@ -192,6 +192,14 @@ def train(dataset: Dataset, cfg: TrainConfig,
             f"views would share {shared} node(s) of {n_nodes}, InfoNCE needs "
             f">= 2: raise view.seed_frac (now {cfg.view.seed_frac}) or use "
             f"a larger city")
+    # every view is encoded with the mobility weights, which exist only
+    # when some trip changes region or slot
+    if not any((rec.source, rec.t_start) != (rec.dest, rec.t_end)
+               for rec in dataset.trajectories):
+        raise DataError(
+            f"the mobility relation has no edges: none of the "
+            f"{len(dataset.trajectories)} trips changes region or slot, and "
+            f"contrastive views are encoded with the mobility weights")
     if table is None:
         table = train_skipgram(dataset.poi, cfg.skipgram)
     graph = build_graph(dataset, table, cfg)

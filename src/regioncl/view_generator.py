@@ -69,10 +69,6 @@ class SamplingMatrix:
     scores: Tensor           # shape (len(pairs),)
     n_nodes: int
 
-    def score_of(self, u: int, v: int) -> float:
-        key = (u, v) if u < v else (v, u)
-        return float(self.scores.data[self.pairs.index(key)])
-
 
 def score_edges(H_tilde: Tensor, params: VgaeParams,
                 candidates: list) -> SamplingMatrix:

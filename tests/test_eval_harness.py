@@ -95,6 +95,100 @@ class TestLassoFit:
         assert model.weights[1] == pytest.approx(2.0, abs=1e-7)
 
 
+def reference_lasso(X, y, lam, max_sweeps=10_000, tol=1e-8):
+    """Per-row coordinate descent: (weights, objective, sweeps).
+
+    Each coordinate update reads its centered column against the n-row
+    residual, and sweeps stop once the largest update is below ``tol``.
+    """
+    n, d = X.shape
+    Xc = X - X.mean(axis=0)
+    resid = y - y.mean()
+    col_sq = (Xc * Xc).mean(axis=0)
+    w = np.zeros(d)
+    for sweep in range(1, max_sweeps + 1):
+        largest = 0.0
+        for j in range(d):
+            if col_sq[j] <= 0.0:
+                continue
+            rho = (Xc[:, j] @ resid) / n + col_sq[j] * w[j]
+            new = np.sign(rho) * max(abs(rho) - lam, 0.0) / col_sq[j]
+            if new != w[j]:
+                resid += Xc[:, j] * (w[j] - new)
+                largest = max(largest, abs(new - w[j]))
+                w[j] = new
+        if largest < tol:
+            break
+    return w, float(resid @ resid / (2 * n) + lam * np.abs(w).sum()), sweep
+
+
+def lasso_design(kind, seed):
+    """Correlated columns (one shared factor) with a sparse true signal."""
+    rng = np.random.default_rng(seed)
+    n, d = {"correlated": (160, 32), "wide": (20, 32),
+            "constant": (40, 8)}[kind]
+    X = rng.normal(size=(n, d)) + 1.5 * rng.normal(size=(n, 1))
+    if kind == "constant":
+        # 40 rows of 0.1 sum to a mean that is not exactly 0.1
+        X[:, 3] = 0.1
+    beta = rng.normal(size=d) * (rng.random(d) < 0.5)
+    return X, X @ beta + 0.5 * rng.normal(size=n) + 3.0
+
+
+def kkt_violation(X, y, w, lam):
+    """Largest breach of q_j = lam*sign(w_j) on the support and |q_j| <= lam
+    off it, with q = Xc'(yc - Xc w)/n, over non-constant columns."""
+    Xc = X - X.mean(axis=0)
+    q = Xc.T @ (y - y.mean() - Xc @ w) / X.shape[0]
+    on = w != 0.0
+    varying = np.ptp(X, axis=0) > 0.0
+    return max(np.abs(q[on] - lam * np.sign(w[on])).max(initial=0.0),
+               (np.abs(q[~on & varying]) - lam).max(initial=0.0))
+
+
+class TestLassoSolver:
+    CASES = [("correlated", 0), ("correlated", 1), ("wide", 2),
+             ("constant", 3)]
+
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 0.5])
+    @pytest.mark.parametrize("kind,seed", CASES)
+    def test_matches_reference_and_satisfies_kkt(self, kind, seed, lam):
+        X, y = lasso_design(kind, seed)
+        model = lasso_fit(X, y, lam)
+        w_ref, f_ref, _ = reference_lasso(X, y, lam)
+        f = model.objective_history[-1]
+        w = model.weights
+        resid = y - model.predict(X)
+        assert f == pytest.approx(
+            float(resid @ resid) / (2 * len(y)) + lam * np.abs(w).sum(),
+            rel=1e-12)
+        if kind == "wide" and lam == 0.0:
+            # n < d without a penalty: every interpolant is a minimizer and
+            # the minimum is 0, so compare against the null objective and
+            # hold KKT to the coordinate-descent stop
+            null = float(np.var(y)) / 2
+            assert abs(f - f_ref) <= 1e-9 * null and f <= 1e-9 * null
+            assert kkt_violation(X, y, w, lam) < 1e-6
+        else:
+            assert f == pytest.approx(f_ref, rel=1e-9)
+            assert kkt_violation(X, y, w, lam) <= 1e-9
+        if kind == "constant":
+            assert w[3] == 0.0
+
+    def test_exact_finish_cuts_sweeps(self):
+        X, y = lasso_design("correlated", 0)
+        model = lasso_fit(X, y, 0.01)
+        assert len(model.objective_history) \
+            < reference_lasso(X, y, 0.01)[2]
+
+    def test_max_sweeps_caps_history(self):
+        X, y = lasso_design("correlated", 0)
+        full = lasso_fit(X, y, 0.01).objective_history
+        assert len(full) > 3
+        capped = lasso_fit(X, y, 0.01, max_sweeps=3).objective_history
+        assert capped == full[:3]
+
+
 class TestMetrics:
     def test_perfect_prediction_is_zero(self):
         m = metrics(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
@@ -311,6 +405,34 @@ class TestPairSimilarity:
     def test_out_of_range_rejected(self):
         with pytest.raises(ContractError):
             pair_similarity(np.ones((3, 2)), [(0, 3)])
+
+    def test_matches_per_pair_loop(self):
+        rng = np.random.default_rng(1)
+        E = rng.normal(size=(7, 5))
+        E[4] = 0.0
+        pairs = [(i, j) for i in range(7) for j in range(7)]
+        expected = []
+        for i, j in pairs:
+            na, nb = np.linalg.norm(E[i]), np.linalg.norm(E[j])
+            expected.append(E[i] @ E[j] / (na * nb)
+                            if na > 0 and nb > 0 else 0.0)
+        got = pair_similarity(E, pairs)
+        assert got.shape == (len(pairs),)
+        assert np.max(np.abs(got - np.array(expected))) < 1e-12
+        assert np.all(got[[k for k, p in enumerate(pairs) if 4 in p]] == 0.0)
+
+    def test_out_of_range_anywhere_rejected(self):
+        E = np.ones((3, 2))
+        for bad in ([(0, 1), (2, 3)], [(-1, 0)], [(1, 1), (5, 0)]):
+            with pytest.raises(ContractError, match="out of range"):
+                pair_similarity(E, bad)
+
+    def test_non_integer_pairs_rejected(self):
+        with pytest.raises(ContractError, match="integers"):
+            pair_similarity(np.ones((3, 2)), [(0, 1.5)])
+
+    def test_no_pairs(self):
+        assert pair_similarity(np.ones((3, 2)), []).shape == (0,)
 
 
 class TestCsv:

@@ -113,17 +113,6 @@ class TestDropEdges:
         with pytest.raises(ConfigError):
             ls.drop_edges(self.EDGES, 1.0, RNG(0))
 
-    def test_augment_identity_at_zero_rate(self):
-        calls = []
-
-        def encode_fn(edges):
-            calls.append(edges)
-            return nc.Tensor(np.ones((2, 2)))
-
-        out = ls.infobn_augment(self.EDGES, encode_fn, 0.0, RNG(0))
-        assert calls == [self.EDGES]
-        assert_allclose(out.data, np.ones((2, 2)))
-
 
 class TestInfoBn:
     def test_uniform_case_closed_form(self):

@@ -1,12 +1,13 @@
 """Training loop: determinism, variants, export format, checkpoints."""
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from regioncl.errors import ConfigError, DataError, TrainingAborted
-from regioncl.hetero_graph import RelationType
+from regioncl.hetero_graph import RelationType, build_mobility_graph
 from regioncl.numcore import Tensor
 from regioncl.poi_embedding import SkipgramConfig
 from regioncl.region_data import SynthConfig, synth_dataset
@@ -68,6 +69,27 @@ class TestConfigValidation:
         aug = small_cfg(epochs=1, view=ViewGenConfig(seed_frac=0.1),
                         variant="RANDOM_AUG")
         assert len(train(ds, aug).history) == 1
+
+    def test_city_without_mobility_edges_rejected_before_any_work(
+            self, monkeypatch):
+        # one slot and every trip inside its region: no mobility edge, while
+        # round(0.5 * 4) = 2 shared seeds pass the view check
+        ds = synth_dataset(SynthConfig(n_regions=2, n_categories=4,
+                                       n_slots=1, n_trips=30, n_clusters=2,
+                                       seed=2))
+        graph = build_mobility_graph(ds.trajectories, ds.n_regions, ds.T)
+        assert ds.trajectories and not graph.edges
+        cfg = small_cfg(epochs=1, view=ViewGenConfig(seed_frac=0.5))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        with monkeypatch.context() as m:
+            m.setattr("regioncl.trainer.train_skipgram", no_work)
+            m.setattr("regioncl.trainer.build_graph", no_work)
+            for variant in ("FULL", "RANDOM_AUG"):
+                with pytest.raises(DataError, match="mobility"):
+                    train(ds, replace(cfg, variant=variant))
 
 
 class TestTrainLoop:
