@@ -4,9 +4,9 @@ Commands are pure functions of config plus input files to output files:
 ``synth``, ``ingest``, ``build-graph``, ``train``, ``embed``, ``eval``,
 ``ablate``, ``robustness``, ``case``, ``gradcheck``, ``sweep``. Every
 command exits 0 on success and 1 with a single ``error: ...`` line on
-stderr otherwise. ``--config FILE``, ``--set key=value``, ``--seed``,
-``--out`` and ``--jobs`` are accepted everywhere; the master ``--seed``
-overrides both ``train.seed`` and ``synth.seed``.
+stderr otherwise. ``--config FILE``, ``--set key=value``, ``--seed`` and
+``--out`` are accepted everywhere; the master ``--seed`` overrides both
+``train.seed`` and ``synth.seed``.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def cmd_ablate(args) -> int:
     variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
     seeds = _parse_int_list(args.seeds, "--seeds")
     rows = run_arms(ds, variants, seeds, cfgmod.build_train_config(values),
-                    cfgmod.build_eval_config(values), jobs=args.jobs)
+                    cfgmod.build_eval_config(values))
     os.makedirs(out, exist_ok=True)
     write_ablation_csv(rows, os.path.join(out, "ablation.csv"))
     _write_run_record(out, "ablate", values,
@@ -267,8 +267,7 @@ def cmd_sweep(args) -> int:
         point = dict(values)
         point[args.param] = value
         arm_rows = run_arms(ds, ("FULL",), seeds,
-                            cfgmod.build_train_config(point), eval_cfg,
-                            jobs=args.jobs)
+                            cfgmod.build_train_config(point), eval_cfg)
         picked = [r for r in arm_rows if r.task == args.task]
         if not picked:
             raise DataError(f"task {args.task!r} absent from dataset targets")
@@ -299,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="master seed (sets train.seed and synth.seed)")
     common.add_argument("--out", default=None, help="output directory/file")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for multi-arm commands")
 
     parser = argparse.ArgumentParser(
         prog="regioncl",

@@ -13,7 +13,6 @@ a bare percentage error is undefined there.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -314,33 +313,24 @@ class AblationRow:
 
 
 def run_arms(dataset: Dataset, variants, seeds, train_cfg: TrainConfig,
-             eval_cfg: EvalConfig = EvalConfig(), jobs: int = 1) -> list:
+             eval_cfg: EvalConfig = EvalConfig()) -> list:
     """All (variant, seed) arms as sorted AblationRows.
 
-    Arms are independent; ``jobs`` > 1 runs them on a thread pool. The
-    skip-gram table depends only on the POI corpus, so it is shared.
+    The skip-gram table depends only on the POI corpus, so it is shared.
     """
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}")
     table = train_skipgram(dataset.poi, train_cfg.skipgram)
-    arms = [(v, s) for v in variants for s in seeds]
-
-    def one(arm):
-        variant, seed = arm
-        per_task = run_ablation(dataset, variant,
-                                replace(train_cfg, seed=seed),
-                                eval_cfg, table=table)
-        return [AblationRow(variant=variant, task=task, seed=seed,
-                            mae=m.mae, mape=m.mape, rmse=m.rmse)
-                for task, m in sorted(per_task.items())]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(one, arms))
-    else:
-        chunks = [one(arm) for arm in arms]
-    rows = [row for chunk in chunks for row in chunk]
+    rows = []
+    for variant in variants:
+        for seed in seeds:
+            per_task = run_ablation(dataset, variant,
+                                    replace(train_cfg, seed=seed),
+                                    eval_cfg, table=table)
+            rows += [AblationRow(variant=variant, task=task, seed=seed,
+                                 mae=m.mae, mape=m.mape, rmse=m.rmse)
+                     for task, m in per_task.items()]
     rows.sort(key=lambda r: (r.variant, r.task, r.seed))
     return rows
 

@@ -49,16 +49,14 @@ class LossConfig:
 class ViewEmbeddings:
     """Per-view encoder outputs with their node-id alignment."""
     h1: Tensor
-    nodes1: tuple
+    nodes1: np.ndarray       # unique graph indices, one per row of h1
     h2: Tensor
-    nodes2: tuple
+    nodes2: np.ndarray
 
     def shared(self):
-        """Shared node ids with their row positions in each view."""
-        pos1 = {node: k for k, node in enumerate(self.nodes1)}
-        pos2 = {node: k for k, node in enumerate(self.nodes2)}
-        ids = sorted(set(pos1) & set(pos2))
-        return ids, [pos1[i] for i in ids], [pos2[i] for i in ids]
+        """Sorted shared node ids with their row positions in each view."""
+        return np.intersect1d(self.nodes1, self.nodes2, assume_unique=True,
+                              return_indices=True)
 
 
 def _nce_sum(A: Tensor, B: Tensor, tau: float) -> Tensor:
@@ -77,17 +75,21 @@ def info_nce(views: ViewEmbeddings, tau: float) -> Tensor:
     return _nce_sum(nc.rows(views.h1, idx1), nc.rows(views.h2, idx2), tau)
 
 
-def drop_edges(edges: frozenset, drop_rate: float,
-               rng: np.random.Generator) -> frozenset:
-    """Remove round(drop_rate * |E|) edges uniformly without replacement."""
+def drop_edges(edges: np.ndarray, drop_rate: float,
+               rng: np.random.Generator) -> np.ndarray:
+    """Remove round(drop_rate * |E|) rows uniformly without replacement.
+
+    ``edges`` is a canonical (E, 2) array, so row k is the k-th edge in
+    sorted order; the kept rows stay canonical.
+    """
     if not 0.0 <= drop_rate < 1.0:
         raise ConfigError(f"drop rate must be in [0,1), got {drop_rate}")
-    ordered = sorted(edges)
-    k = int(round(drop_rate * len(ordered)))
+    k = int(round(drop_rate * len(edges)))
     if k == 0:
-        return frozenset(ordered)
-    dropped = set(rng.choice(len(ordered), size=k, replace=False).tolist())
-    return frozenset(e for i, e in enumerate(ordered) if i not in dropped)
+        return edges
+    keep = np.ones(len(edges), dtype=bool)
+    keep[rng.choice(len(edges), size=k, replace=False)] = False
+    return edges[keep]
 
 
 def info_bn(h1: Tensor, h1_aug: Tensor, h2: Tensor, h2_aug: Tensor,
@@ -120,7 +122,7 @@ def reward_r1(loss_value: float, eps_prime: float, xi: float) -> float:
 def reward_r2(views: ViewEmbeddings) -> float:
     """One minus the mean cosine of aligned shared rows (constant, no grad)."""
     ids, idx1, idx2 = views.shared()
-    if not ids:
+    if not len(ids):
         raise DegenerateBatchError("alignment reward needs >= 1 shared node")
     a = views.h1.data[idx1]
     b = views.h2.data[idx2]

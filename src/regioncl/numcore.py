@@ -10,7 +10,7 @@ Conventions fixed here because tests depend on them:
   * everything is float64, row-major;
   * relu's derivative at exactly 0 is 0;
   * softmax subtracts the row max before exponentiating;
-  * cosine similarity involving a zero vector is 0 (with zero gradient).
+  * normalize_rows keeps an all-zero row at zero (with zero gradient).
 
 Sparse operands are CsrMatrix constants; ``spmm`` multiplies one into a
 dense tensor and differentiates only through the dense side.
@@ -25,10 +25,9 @@ from .errors import ContractError, ShapeError, TrainingAborted
 __all__ = [
     "Tensor", "CsrMatrix", "GradientTape", "AdamState", "backward",
     "adam_step", "constant", "matmul", "spmm", "add", "sub", "mul", "scale",
-    "neg", "relu", "sigmoid", "softplus", "softmax_rows",
+    "neg", "relu", "expit", "sigmoid", "softplus", "softmax_rows",
     "diag_cross_entropy", "log", "exp", "tsum", "tmean", "concat_cols",
-    "transpose", "reshape", "rows", "normalize_rows", "cosine_rows",
-    "cosine_similarity",
+    "transpose", "reshape", "rows", "normalize_rows",
 ]
 
 
@@ -217,7 +216,8 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.where(mask, a.data, 0.0), (a,), vjp)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def expit(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid of a plain array, without overflow for any sign."""
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -228,7 +228,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     a = constant(a)
-    s = _sigmoid(a.data)
+    s = expit(a.data)
     return Tensor(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -237,7 +237,7 @@ def softplus(a: Tensor) -> Tensor:
     a = constant(a)
     x = a.data
     out = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-    s = _sigmoid(x)
+    s = expit(x)
     return Tensor(out, (a,), lambda g: (g * s,))
 
 
@@ -374,24 +374,6 @@ def normalize_rows(a: Tensor) -> Tensor:
         return (np.where(nonzero, (g - y * dot) / safe, 0.0),)
 
     return Tensor(np.where(nonzero, y, 0.0), (a,), vjp)
-
-
-def cosine_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Per-row cosine similarity of two equally shaped matrices, as a vector."""
-    a, b = constant(a), constant(b)
-    _same_shape(a, b, "cosine_rows")
-    return tsum(mul(normalize_rows(a), normalize_rows(b)), axis=1)
-
-
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Scalar cosine of two vectors (0 when either vector is zero)."""
-    u, v = constant(u), constant(v)
-    if u.data.ndim != 1 or v.data.ndim != 1:
-        raise ShapeError(f"cosine_similarity: need vectors, got "
-                         f"{u.data.shape} vs {v.data.shape}")
-    _same_shape(u, v, "cosine_similarity")
-    d = u.data.shape[0]
-    return reshape(cosine_rows(reshape(u, (1, d)), reshape(v, (1, d))), ())
 
 
 # ---------------------------------------------------------------------------

@@ -76,26 +76,18 @@ def train_skipgram(poi: PoiMatrix, cfg: SkipgramConfig) -> np.ndarray:
         raise DataError("empty POI corpus")
     noise = noise / noise.sum()
 
-    def sigmoid(x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
     for _ in range(cfg.epochs):
         # positive pairs, full batch weighted by corpus frequency
         u = center[a_idx]
         v = context[b_idx]
-        s = sigmoid((u * v).sum(axis=1))
+        s = nc.expit((u * v).sum(axis=1))
         coef = (w * (s - 1.0))[:, None]
         gu = coef * v
         gv = coef * u
         # negatives: fresh draws each epoch from the unigram^0.75 table
         negs = rng.choice(C, size=(a_idx.size, cfg.negatives), p=noise)
         vn = context[negs]                                # (P, N, d)
-        sn = sigmoid(np.einsum("pd,pnd->pn", u, vn))
+        sn = nc.expit(np.einsum("pd,pnd->pn", u, vn))
         coef_n = w[:, None] * sn / cfg.negatives
         gu += np.einsum("pn,pnd->pd", coef_n, vn)
         gvn = coef_n[:, :, None] * u[:, None, :]

@@ -62,10 +62,11 @@ def _poi_fixture(rng, I: int, C: int) -> PoiMatrix:
                      category_names=tuple(f"c{k}" for k in range(C)))
 
 
-def _random_edges(rng, nodes, p: float) -> frozenset:
-    nodes = list(nodes)
-    return frozenset((u, v) for i, u in enumerate(nodes)
-                     for v in nodes[i + 1:] if rng.random() < p)
+def _random_edges(rng, nodes, p: float) -> np.ndarray:
+    """Each pair of the sorted ``nodes`` linked with probability p."""
+    nodes = np.asarray(nodes)
+    pairs = nodes[np.stack(np.triu_indices(len(nodes), k=1), axis=1)]
+    return pairs[rng.random(len(pairs)) < p]
 
 
 def _projection_loss(out: Tensor, P: np.ndarray) -> Tensor:
@@ -123,7 +124,7 @@ def stage_vgae_encode(rng):
 
 def stage_reconstruction(rng):
     n, d = 6, 4
-    candidates = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    candidates = np.stack(np.triu_indices(n, k=1), axis=1)
     true_edges = _random_edges(rng, range(n), 0.4)
     scratch = GradientTape()
     init_vgae(scratch, "vg", d, rng)
@@ -175,9 +176,7 @@ def stage_overall(rng):
     nodes1, nodes2 = (0, 1, 2, 3, 4), (1, 2, 3, 4, 5)
 
     def local_adj(nodes, edges):
-        pos = {g: k for k, g in enumerate(nodes)}
-        local = frozenset((pos[u], pos[v]) for u, v in edges)
-        return normalized_adjacency(len(nodes), local)
+        return normalized_adjacency(len(nodes), np.searchsorted(nodes, edges))
 
     edges1 = _random_edges(rng, nodes1, 0.6)
     edges2 = _random_edges(rng, nodes2, 0.6)

@@ -35,9 +35,8 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ConfigError, DataError, TrainingAborted
-from .hetero_graph import (HeteroGraph, RelationType, ViewGraph,
-                           build_distance_graph, build_mobility_graph,
-                           build_poi_graph, edge_array, fuse,
+from .hetero_graph import (HeteroGraph, RelationType, build_distance_graph,
+                           build_mobility_graph, build_poi_graph, fuse,
                            normalized_adjacency)
 from .hgnn_encoder import EncoderParams, encode, init_encoder, init_features
 from .losses import (LossConfig, ViewEmbeddings, combined_reward, drop_edges,
@@ -140,9 +139,9 @@ def build_graph(dataset: Dataset, table: np.ndarray,
                                dataset.n_regions, dataset.T)
     g_d = build_distance_graph(dataset.dist, cfg.eps_d)
     if cfg.variant == "NO_GP":
-        g_p = ViewGraph(nodes=g_p.nodes, edges=frozenset())
+        g_p = g_p[:0]
     if cfg.variant == "NO_GD":
-        g_d = ViewGraph(nodes=g_d.nodes, edges=frozenset())
+        g_d = g_d[:0]
     return fuse(g_p, g_m, g_d, dataset.n_regions, dataset.T)
 
 
@@ -156,23 +155,21 @@ def _checksums(params: dict) -> dict:
             for name, t in params.items()}
 
 
-def _encode_view(nodes, edges: frozenset, H0: Tensor,
+def _encode_view(nodes: np.ndarray, edges: np.ndarray, H0: Tensor,
                  params: EncoderParams) -> Tensor:
     """Encode a relation-agnostic subgraph with the mobility weight bank."""
     # view nodes are sorted graph indices, so a node's row is its rank
-    local = np.searchsorted(np.asarray(nodes), edge_array(edges))
-    A = normalized_adjacency(len(nodes), local)
+    A = normalized_adjacency(len(nodes), np.searchsorted(nodes, edges))
     sub_params = EncoderParams(layers=[
         {RelationType.MOBILITY: layer[RelationType.MOBILITY]}
         for layer in params.layers])
-    return encode({RelationType.MOBILITY: A}, nc.rows(H0, list(nodes)),
-                  sub_params)
+    return encode({RelationType.MOBILITY: A}, nc.rows(H0, nodes), sub_params)
 
 
 def _random_aug_views(graph: HeteroGraph, rng: np.random.Generator):
     """Comparison arm: full node set, uniform edge drops, no samplers."""
     union = graph.union_edges()
-    nodes = tuple(range(graph.n_nodes))
+    nodes = np.arange(graph.n_nodes)
     views = []
     for _ in range(2):
         kept = drop_edges(union, RANDOM_AUG_DROP, rng)
@@ -208,7 +205,7 @@ def train(dataset: Dataset, cfg: TrainConfig,
     # carrying no data; skipping it also makes ablations of already-empty
     # relations exact no-ops (same parameter set, same init draws)
     relations = [rel for rel in active_relations(cfg.variant)
-                 if graph.edges[rel]]
+                 if len(graph.edges[rel])]
     adjacencies = {rel: graph.adj[rel] for rel in relations}
 
     seq = np.random.SeedSequence(cfg.seed)
@@ -260,7 +257,7 @@ def train(dataset: Dataset, cfg: TrainConfig,
             views = _random_aug_views(graph, streams["views"])
 
         for v in views:
-            assert set(v.seeds) <= set(v.nodes)
+            assert np.isin(v.seeds, v.nodes).all()
 
         bn_drops = tuple(drop_edges(v.edges, cfg.loss.infobn_drop,
                                     streams["infobn"]) for v in views)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import ConfigError, ContractError
-from .hetero_graph import HeteroGraph
+from .hetero_graph import HeteroGraph, canonical_edges
 from .numcore import GradientTape, Tensor
 from .poi_embedding import MlpParams, init_mlp, mlp_forward
 
@@ -65,38 +65,34 @@ def vgae_encode(H: Tensor, params: VgaeParams, noise: NoiseConfig) -> Tensor:
 @dataclass
 class SamplingMatrix:
     """Raw edge scores for the candidate pairs (one score per unordered pair)."""
-    pairs: list              # [(u, v), ...] with u < v
-    scores: Tensor           # shape (len(pairs),)
+    pairs: np.ndarray        # canonical (E, 2) int64 array
+    scores: Tensor           # shape (E,)
     n_nodes: int
 
 
 def score_edges(H_tilde: Tensor, params: VgaeParams,
-                candidates: list) -> SamplingMatrix:
+                candidates) -> SamplingMatrix:
     """p_{u,v} = score-MLP(h_u * h_v), scored once per unordered pair."""
     n = H_tilde.data.shape[0]
-    pairs = []
-    for u, v in candidates:
-        if u == v or not (0 <= u < n and 0 <= v < n):
-            raise ContractError(f"bad candidate pair ({u}, {v}) for "
-                                f"{n} nodes")
-        pairs.append((u, v) if u < v else (v, u))
-    if not pairs:
-        return SamplingMatrix(pairs=[], scores=Tensor(np.zeros(0)), n_nodes=n)
-    us = [u for u, _ in pairs]
-    vs = [v for _, v in pairs]
-    prod = nc.mul(nc.rows(H_tilde, us), nc.rows(H_tilde, vs))
+    cands = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    bad = (cands[:, 0] == cands[:, 1]) | ((cands < 0) | (cands >= n)).any(1)
+    if bad.any():
+        u, v = cands[bad][0]
+        raise ContractError(f"bad candidate pair ({u}, {v}) for {n} nodes")
+    pairs = canonical_edges(cands, n)
+    if not len(pairs):
+        return SamplingMatrix(pairs=pairs, scores=Tensor(np.zeros(0)),
+                              n_nodes=n)
+    prod = nc.mul(nc.rows(H_tilde, pairs[:, 0]), nc.rows(H_tilde, pairs[:, 1]))
     scores = nc.reshape(mlp_forward(prod, params.score_mlp), (len(pairs),))
     return SamplingMatrix(pairs=pairs, scores=scores, n_nodes=n)
 
 
-def sparsify(P: SamplingMatrix, eps: float) -> frozenset:
-    """Keep pair (u, v) iff sigmoid(p_{u,v}) >= eps; returns the edge set."""
+def sparsify(P: SamplingMatrix, eps: float) -> np.ndarray:
+    """Keep pair (u, v) iff sigmoid(p_{u,v}) >= eps; returns the kept rows."""
     if not 0.0 < eps < 1.0:
         raise ConfigError(f"sparsify threshold must be in (0,1), got {eps}")
-    if not P.pairs:
-        return frozenset()
-    probs = 1.0 / (1.0 + np.exp(-P.scores.data))
-    return frozenset(pair for pair, p in zip(P.pairs, probs) if p >= eps)
+    return P.pairs[nc.expit(P.scores.data) >= eps]
 
 
 @dataclass(frozen=True)
@@ -105,47 +101,48 @@ class WalkConfig:
     walks_per_seed: int = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContrastiveView:
     """Subgraph cut by random walks; nodes are HeteroGraph indices."""
-    nodes: tuple             # sorted graph indices
-    edges: frozenset         # canonical (u, v) pairs, graph indices
-    seeds: tuple
+    nodes: np.ndarray        # sorted unique graph indices
+    edges: np.ndarray        # canonical (E, 2) array, graph indices
+    seeds: np.ndarray        # walk start nodes, in draw order
 
 
-def adjacency_lists(n_nodes: int, edges) -> list:
-    nbrs = [[] for _ in range(n_nodes)]
-    for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    return [sorted(x) for x in nbrs]
-
-
-def random_walk_sample(n_nodes: int, edges: frozenset, seeds,
+def random_walk_sample(n_nodes: int, edges: np.ndarray, seeds,
                        cfg: WalkConfig,
                        rng: np.random.Generator) -> ContrastiveView:
-    """Union of uniform random walks from each seed; induced edge set."""
-    seeds = list(seeds)
-    if not seeds:
+    """Union of uniform random walks from each seed; induced edge set.
+
+    Each step draws one scalar index into the current node's neighbours,
+    sorted ascending.
+    """
+    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
+    if not seeds.size:
         raise ContractError("random_walk_sample: empty seed list")
-    for s in seeds:
-        if not 0 <= s < n_nodes:
-            raise ContractError(f"seed {s} out of range for {n_nodes} nodes")
-    nbrs = adjacency_lists(n_nodes, edges)
-    visited = set(seeds)
-    for s in seeds:
+    bad = seeds[(seeds < 0) | (seeds >= n_nodes)]
+    if bad.size:
+        raise ContractError(f"seed {bad[0]} out of range for {n_nodes} nodes")
+    # neighbour lists in CSR form: node u's are nbrs[start[u]:start[u + 1]]
+    both = np.concatenate([edges, edges[:, ::-1]])
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    start = np.searchsorted(both[:, 0], np.arange(n_nodes + 1)).tolist()
+    nbrs = both[:, 1].tolist()
+    visited = set(seeds.tolist())
+    for s in seeds.tolist():
         for _ in range(cfg.walks_per_seed):
             cur = s
             for _ in range(cfg.walk_len):
-                options = nbrs[cur]
-                if not options:
+                lo, hi = start[cur], start[cur + 1]
+                if lo == hi:
                     break
-                cur = options[rng.integers(0, len(options))]
+                cur = nbrs[lo + rng.integers(0, hi - lo)]
                 visited.add(cur)
-    nodes = tuple(sorted(visited))
-    keep = frozenset((u, v) for u, v in edges
-                     if u in visited and v in visited)
-    return ContrastiveView(nodes=nodes, edges=keep, seeds=tuple(seeds))
+    nodes = np.array(sorted(visited), dtype=np.int64)
+    inside = np.zeros(n_nodes, dtype=bool)
+    inside[nodes] = True
+    keep = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
+    return ContrastiveView(nodes=nodes, edges=keep, seeds=seeds)
 
 
 @dataclass(frozen=True)
@@ -174,28 +171,25 @@ def seed_count(cfg: ViewGenConfig, n_nodes: int) -> int:
 
 def candidate_pairs(graph: HeteroGraph,
                     rng: np.random.Generator,
-                    neg_per_node: int) -> list:
-    """Existing edges (relation-agnostic union) plus sampled non-edges."""
-    existing = set(graph.union_edges())
+                    neg_per_node: int) -> np.ndarray:
+    """Existing edges (relation-agnostic union) plus sampled non-edges.
+
+    Row u of one (n, neg_per_node) draw holds node u's partners; a draw
+    of u itself adds nothing.
+    """
     n = graph.n_nodes
-    pairs = set(existing)
-    for u in range(n):
-        for _ in range(neg_per_node):
-            v = int(rng.integers(0, n))
-            if v == u:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key not in existing:
-                pairs.add(key)
-    return sorted(pairs)
+    partners = rng.integers(0, n, size=(n, neg_per_node))
+    drawn = np.stack([np.repeat(np.arange(n), neg_per_node),
+                      partners.reshape(-1)], axis=1)
+    return canonical_edges(np.concatenate([graph.union_edges(), drawn]), n)
 
 
 @dataclass
 class GeneratedViews:
     views: tuple             # (ContrastiveView, ContrastiveView)
     sampling: tuple          # (SamplingMatrix, SamplingMatrix)
-    candidates: list
-    seeds: tuple
+    candidates: np.ndarray   # canonical (E, 2) array
+    seeds: np.ndarray
     noise: tuple             # (NoiseConfig, NoiseConfig) actually used
 
 
@@ -205,8 +199,7 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
     """Full twin pipeline; both walks start from one shared seed set."""
     cands = candidate_pairs(graph, rng, cfg.neg_per_node)
     n = graph.n_nodes
-    seed_nodes = tuple(int(s) for s in
-                       rng.choice(n, size=seed_count(cfg, n), replace=False))
+    seed_nodes = rng.choice(n, size=seed_count(cfg, n), replace=False)
     walk_cfg = WalkConfig(walk_len=cfg.walk_len,
                           walks_per_seed=cfg.walks_per_seed)
 
@@ -225,14 +218,16 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
                           noise=tuple(noises))
 
 
-def reconstruction_loss(P: SamplingMatrix, true_edges: frozenset) -> Tensor:
+def reconstruction_loss(P: SamplingMatrix, true_edges: np.ndarray) -> Tensor:
     """Edge BCE over candidates: -log sig(p) on edges, -log(1-sig(p)) off.
 
     Written with softplus for stability: -log sig(p) = softplus(-p) and
     -log(1 - sig(p)) = softplus(p).
     """
-    if not P.pairs:
+    if not len(P.pairs):
         return Tensor(0.0)
-    sign = np.array([-1.0 if pair in true_edges else 1.0
-                     for pair in P.pairs])
+    n = P.n_nodes
+    is_edge = np.isin(P.pairs[:, 0] * n + P.pairs[:, 1],
+                      true_edges[:, 0] * n + true_edges[:, 1])
+    sign = np.where(is_edge, -1.0, 1.0)
     return nc.tsum(nc.softplus(nc.mul(Tensor(sign), P.scores)))

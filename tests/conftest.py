@@ -34,6 +34,20 @@ NOISY_SYNTH = SynthConfig(n_regions=60, n_categories=12, n_slots=4,
 ABLATION_VARIANTS = ("FULL", "RANDOM_AUG", "NO_INFOMIN")
 
 
+def edge_rows(pairs) -> np.ndarray:
+    """A collection of (u, v) pairs as the (E, 2) int64 array the library
+    takes, rows in sorted order and each pair oriented as given."""
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def assert_edges(got, want_pairs) -> None:
+    """``got`` is the canonical int64 (E, 2) array of the (u, v), u < v,
+    pairs in ``want_pairs``: every row unique, rows sorted."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.int64
+    assert got.shape == (len(want_pairs), 2)
+    assert got.tolist() == [list(p) for p in sorted(want_pairs)]
+
+
 def accept_cfg(seed: int, epochs: int, variant: str = "FULL") -> TrainConfig:
     """Acceptance-run hyperparameters: a step size large enough to move the
     encoder in tens of full-batch epochs, and a permissive sparsify

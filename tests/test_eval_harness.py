@@ -309,13 +309,6 @@ class TestAblation:
         assert keys == sorted(keys)
         assert all(np.isfinite((r.mae, r.mape, r.rmse)).all() for r in rows)
 
-    def test_run_arms_threaded_matches_serial(self, ds10):
-        serial = run_arms(ds10, ("FULL", "NO_INFOMIN"), (0,), small_cfg(),
-                          jobs=1)
-        threaded = run_arms(ds10, ("FULL", "NO_INFOMIN"), (0,), small_cfg(),
-                            jobs=4)
-        assert serial == threaded
-
 
 class TestDensityBins:
     def test_boundaries(self):

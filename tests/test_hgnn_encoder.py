@@ -61,7 +61,7 @@ def random_connected_edges(n, rng):
         a, b = rng.integers(0, n, size=2)
         if a != b:
             edges.add((min(a, b), max(a, b)))
-    return frozenset((int(a), int(b)) for a, b in edges)
+    return np.array(sorted(edges), dtype=np.int64)
 
 
 def random_connected_adjacency(n, rng):
@@ -109,14 +109,14 @@ class TestEncode:
 
     def test_isolated_node_identity_weight_doubles(self):
         h = np.array([[0.5, 1.5]])
-        A = normalized_adjacency(1, frozenset())
+        A = normalized_adjacency(1, np.empty((0, 2), dtype=np.int64))
         out = enc.encode({"r": A}, nc.Tensor(h),
                          constant_params([{"r": np.eye(2)}]))
         assert_allclose(out.data, 2.0 * h, atol=1e-12)
 
     def test_three_node_path_matches_per_node_oracle(self):
         rng = RNG(2)
-        A = normalized_adjacency(3, frozenset({(0, 1), (1, 2)}))
+        A = normalized_adjacency(3, np.array([[0, 1], [1, 2]]))
         H0 = rng.normal(size=(3, 4))
         layers = [{"r": rng.normal(scale=0.3, size=(4, 4))} for _ in range(2)]
         want = per_node_encode(dense({"r": A}), H0, layers)
@@ -149,8 +149,7 @@ class TestEncode:
         p = rng.permutation(n)
         # node p[i] becomes node i, so A_p = A[np.ix_(p, p)]
         inv = np.argsort(p)
-        A_p = normalized_adjacency(n, {(int(inv[u]), int(inv[v]))
-                                       for u, v in edges})
+        A_p = normalized_adjacency(n, inv[edges])
         assert np.array_equal(A_p.toarray(), A.toarray()[np.ix_(p, p)])
         out_p = enc.encode({"r": A_p}, nc.Tensor(H0[p]), params).data
         assert_allclose(out_p, out[p], atol=1e-10)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import assert_edges, edge_rows
 from numpy.testing import assert_allclose
 
 from regioncl import losses as ls
@@ -69,7 +70,8 @@ class TestInfoNce:
         ids, idx1, idx2 = views.shared()
         # shared ids {5, 9}: id 5 sits at row 0 of view 1 and row 1 of
         # view 2; id 9 at row 2 of view 1 and row 0 of view 2
-        assert (ids, idx1, idx2) == ([5, 9], [0, 2], [1, 0])
+        assert [a.tolist() for a in (ids, idx1, idx2)] \
+            == [[5, 9], [0, 2], [1, 0]]
         loss = ls.info_nce(views, tau=0.5)
         want = double_loop_nce(h1[[0, 2]], h2[[1, 0]], 0.5)
         assert_allclose(loss.item(), want, atol=1e-10)
@@ -91,22 +93,22 @@ class TestInfoNce:
 
 
 class TestDropEdges:
-    EDGES = frozenset({(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4),
-                       (4, 5), (0, 5)})
+    PAIRS = {(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (0, 5)}
+    EDGES = edge_rows(PAIRS)
 
     def test_zero_rate_keeps_all(self):
-        assert ls.drop_edges(self.EDGES, 0.0, RNG(0)) == self.EDGES
+        assert_edges(ls.drop_edges(self.EDGES, 0.0, RNG(0)), self.PAIRS)
 
     def test_empty_edge_set(self):
-        assert ls.drop_edges(frozenset(), 0.5, RNG(0)) == frozenset()
+        assert_edges(ls.drop_edges(edge_rows([]), 0.5, RNG(0)), set())
 
     def test_half_rate_matches_rng_replay(self):
         got = ls.drop_edges(self.EDGES, 0.5, RNG(7))
-        ordered = sorted(self.EDGES)
+        ordered = sorted(self.PAIRS)
         dropped = set(RNG(7).choice(len(ordered), size=4,
                                     replace=False).tolist())
         want = {e for i, e in enumerate(ordered) if i not in dropped}
-        assert got == frozenset(want)
+        assert_edges(got, want)
         assert len(got) == 4
 
     def test_bad_rate_rejected(self):

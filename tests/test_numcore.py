@@ -105,14 +105,6 @@ class TestForward:
         assert_allclose(y[0], [0.6, 0.8], atol=1e-15)
         assert_allclose(y[1], [0.0, 0.0])
 
-    def test_cosine_similarity_identity_and_zero(self):
-        v = np.array([1.0, -2.0, 0.5])
-        assert_allclose(
-            nc.cosine_similarity(nc.Tensor(v), nc.Tensor(v)).item(), 1.0,
-            atol=1e-12)
-        z = np.zeros(3)
-        assert nc.cosine_similarity(nc.Tensor(v), nc.Tensor(z)).item() == 0.0
-
     def test_rows_gathers(self):
         x = np.arange(12.0).reshape(4, 3)
         out = nc.rows(nc.Tensor(x), [2, 0, 2]).data
@@ -226,8 +218,6 @@ GRAD_CASES = {
         nc.concat_cols([tape.parameter("a", c["a"]), tape.parameter("a2", c["a2"])])),
     "normalize_rows": lambda tape, c: scalar_loss(
         nc.normalize_rows(tape.parameter("a", c["a"]))),
-    "cosine_rows": lambda tape, c: scalar_loss(
-        nc.cosine_rows(tape.parameter("a", c["a"]), tape.parameter("a2", c["a2"]))),
     "chain_mlp": lambda tape, c: scalar_loss(
         nc.add(nc.matmul(nc.relu(nc.add(nc.matmul(nc.Tensor(c["x"]),
                                                   tape.parameter("w1", c["w1"])),
@@ -443,12 +433,3 @@ def test_softmax_row_sums_property(values):
     s = nc.softmax_rows(nc.Tensor(np.array([values]))).data
     assert abs(s.sum() - 1.0) < 1e-9
 
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=6),
-       st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=6))
-def test_cosine_bounded_property(u, v):
-    n = min(len(u), len(v))
-    c = nc.cosine_similarity(nc.Tensor(np.array(u[:n])),
-                             nc.Tensor(np.array(v[:n]))).item()
-    assert -1.0 - 1e-9 <= c <= 1.0 + 1e-9

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from regioncl import trainer, view_generator
 from regioncl.errors import ConfigError, DataError, TrainingAborted
 from regioncl.hetero_graph import RelationType, build_mobility_graph
 from regioncl.numcore import Tensor
@@ -78,7 +79,7 @@ class TestConfigValidation:
                                        n_slots=1, n_trips=30, n_clusters=2,
                                        seed=2))
         graph = build_mobility_graph(ds.trajectories, ds.n_regions, ds.T)
-        assert ds.trajectories and not graph.edges
+        assert ds.trajectories and graph.shape == (0, 2)
         cfg = small_cfg(epochs=1, view=ViewGenConfig(seed_frac=0.5))
 
         def no_work(*args, **kwargs):
@@ -152,17 +153,78 @@ class TestTrainLoop:
             train(ds8, small_cfg(epochs=1))
 
 
+def assert_canonical(edges, n_nodes):
+    """An int64 (E, 2) array of in-range rows u < v, strictly increasing in
+    lexicographic order (so unique and sorted)."""
+    assert isinstance(edges, np.ndarray) and edges.dtype == np.int64
+    assert edges.ndim == 2 and edges.shape[1] == 2
+    u, v = edges[:, 0], edges[:, 1]
+    assert np.all(0 <= u) and np.all(u < v) and np.all(v < n_nodes)
+    a, b = edges[:-1], edges[1:]
+    assert np.all((a[:, 0] < b[:, 0])
+                  | ((a[:, 0] == b[:, 0]) & (a[:, 1] < b[:, 1])))
+
+
+class TestEdgeArrays:
+    # calls of one epoch: FULL samples two views from one candidate set and
+    # drops InfoBN edges from each; RANDOM_AUG makes each of its two views
+    # with one drop as well
+    CALLS = {"FULL": {"candidate_pairs": 1, "sparsify": 2,
+                      "random_walk_sample": 2, "drop_edges": 2},
+             "RANDOM_AUG": {"_random_aug_views": 1, "drop_edges": 4}}
+
+    @pytest.mark.parametrize("variant", sorted(CALLS))
+    def test_every_edge_array_is_canonical(self, ds8, monkeypatch, variant):
+        outputs = {name: [] for name in self.CALLS[variant]}
+        owners = {"candidate_pairs": view_generator,
+                  "sparsify": view_generator,
+                  "random_walk_sample": view_generator,
+                  "drop_edges": trainer, "_random_aug_views": trainer}
+
+        def spy(name):
+            original = getattr(owners[name], name)
+
+            def wrapper(*args, **kwargs):
+                out = original(*args, **kwargs)
+                outputs[name].append(out)
+                return out
+            monkeypatch.setattr(owners[name], name, wrapper)
+
+        for name in outputs:
+            spy(name)
+        model = train(ds8, small_cfg(epochs=1, variant=variant))
+        n = model.graph.n_nodes
+
+        assert {k: len(v) for k, v in outputs.items()} \
+            == self.CALLS[variant]
+        views = (outputs.get("random_walk_sample", [])
+                 + [v for pair in outputs.get("_random_aug_views", [])
+                    for v in pair])
+        assert len(views) == 2
+        arrays = (list(model.graph.edges.values())
+                  + [model.graph.union_edges()]
+                  + outputs.get("candidate_pairs", [])
+                  + outputs.get("sparsify", [])
+                  + outputs["drop_edges"] + [v.edges for v in views])
+        for edges in arrays:
+            assert_canonical(edges, n)
+        for view in views:
+            assert view.nodes.dtype == np.int64
+            assert np.all(np.diff(view.nodes) > 0)
+            assert np.isin(view.edges, view.nodes).all()
+
+
 class TestVariants:
     def test_no_gp_removes_poi_edges_and_weights(self, ds8):
         model = train(ds8, small_cfg(variant="NO_GP", epochs=1))
-        assert not model.graph.edges[RelationType.POI]
-        assert model.graph.edges[RelationType.MOBILITY]
+        assert len(model.graph.edges[RelationType.POI]) == 0
+        assert len(model.graph.edges[RelationType.MOBILITY]) > 0
         assert "hgnn.l0.poi" not in model.tape.params
         assert "hgnn.l0.mobility" in model.tape.params
 
     def test_no_gd_removes_distance_edges_and_weights(self, ds8):
         model = train(ds8, small_cfg(variant="NO_GD", epochs=1))
-        assert not model.graph.edges[RelationType.DISTANCE]
+        assert len(model.graph.edges[RelationType.DISTANCE]) == 0
         assert "hgnn.l0.distance" not in model.tape.params
 
     def test_no_infomin_pins_reward(self, ds8):

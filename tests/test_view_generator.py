@@ -1,12 +1,14 @@
 """Tests for the twin-VGAE view generation pipeline.
 
 Oracles: hand-rolled MLP arithmetic for edge scores, a Monte-Carlo moment
-check for the reparameterized encoding, an RNG-replay oracle for random
-walks, and a term-by-term BCE sum for the reconstruction loss.
+check for the reparameterized encoding, RNG-replay oracles for candidate
+pairs and random walks, and a term-by-term BCE sum for the reconstruction
+loss.
 """
 
 import numpy as np
 import pytest
+from conftest import assert_edges, edge_rows
 from numpy.testing import assert_allclose
 
 from regioncl import numcore as nc
@@ -81,7 +83,8 @@ class TestScoreEdges:
         H = nc.Tensor(RNG(7).normal(size=(4, 3)))
         a = vg.score_edges(H, params, [(0, 1)])
         b = vg.score_edges(H, params, [(1, 0)])
-        assert a.pairs == b.pairs == [(0, 1)]
+        assert_edges(a.pairs, {(0, 1)})
+        assert_edges(b.pairs, {(0, 1)})
         assert_allclose(a.scores.data, b.scores.data)
 
     def test_zero_row_scores_equal_bias_response(self):
@@ -97,8 +100,9 @@ class TestScoreEdges:
         H = RNG(11).normal(size=(4, 3))
         pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
         P = vg.score_edges(nc.Tensor(H), params, pairs)
+        assert_edges(P.pairs, set(pairs))
         m = params.score_mlp
-        for k, (u, v) in enumerate(pairs):
+        for k, (u, v) in enumerate(P.pairs.tolist()):
             x = H[u] * H[v]
             h = np.maximum(m.w1.data @ x + m.b1.data[0], 0.0)
             want = (m.w2.data @ h + m.b2.data[0])[0]
@@ -109,29 +113,44 @@ class TestScoreEdges:
         with pytest.raises(ContractError):
             vg.score_edges(nc.Tensor(np.ones((3, 3))), params, [(1, 1)])
 
+    def test_out_of_range_pair_rejected(self):
+        params = constant_vgae(12, 3)
+        for bad in ([(0, 3)], [(-1, 2)]):
+            with pytest.raises(ContractError, match="bad candidate pair"):
+                vg.score_edges(nc.Tensor(np.ones((3, 3))), params,
+                               [(0, 1)] + bad)
+
+    def test_pairs_canonical_and_scored_once(self):
+        params = constant_vgae(6, 3)
+        H = nc.Tensor(RNG(7).normal(size=(4, 3)))
+        P = vg.score_edges(H, params, [(2, 1), (0, 3), (1, 2), (0, 1)])
+        assert_edges(P.pairs, {(0, 1), (0, 3), (1, 2)})
+        alone = vg.score_edges(H, params, [(0, 1), (0, 3), (1, 2)])
+        assert np.array_equal(P.scores.data, alone.scores.data)
+
 
 class TestSparsify:
     def make_matrix(self, scores, pairs=None):
         scores = np.asarray(scores, dtype=np.float64)
-        pairs = pairs or [(0, k + 1) for k in range(len(scores))]
+        pairs = edge_rows(pairs or [(0, k + 1) for k in range(len(scores))])
         return vg.SamplingMatrix(pairs=pairs, scores=nc.Tensor(scores),
-                                 n_nodes=max(max(p) for p in pairs) + 1)
+                                 n_nodes=int(pairs.max()) + 1)
 
     def test_high_threshold_empties_bounded_scores(self):
         P = self.make_matrix(RNG(13).uniform(-2, 2, size=8))
-        assert vg.sparsify(P, 0.999) == frozenset()
+        assert_edges(vg.sparsify(P, 0.999), set())
 
     def test_zero_scores_kept_at_half_boundary(self):
         P = self.make_matrix(np.zeros(5))
-        assert vg.sparsify(P, 0.5) == frozenset(P.pairs)
+        assert np.array_equal(vg.sparsify(P, 0.5), P.pairs)
 
     def test_matches_threshold_oracle(self):
         scores = RNG(14).normal(size=20) * 2
         P = self.make_matrix(scores)
         got = vg.sparsify(P, 0.7)
-        want = {pair for pair, s in zip(P.pairs, scores)
+        want = {tuple(pair) for pair, s in zip(P.pairs.tolist(), scores)
                 if 1.0 / (1.0 + np.exp(-s)) >= 0.7}
-        assert got == frozenset(want)
+        assert_edges(got, want)
 
     def test_binary_symmetric_adjacency(self):
         P = self.make_matrix(RNG(15).normal(size=10))
@@ -149,9 +168,10 @@ class TestSparsify:
                 vg.sparsify(P, eps)
 
 
-def replay_walk_oracle(n_nodes, edges, seeds, cfg, rng_seed):
-    """Independent replay of the documented RNG consumption order."""
-    rng = RNG(rng_seed)
+def replay_walk_oracle(n_nodes, edges, seeds, cfg, rng):
+    """Independent replay of the documented RNG consumption order (``rng``
+    is a seed or a generator)."""
+    rng = RNG(rng)
     nbrs = [[] for _ in range(n_nodes)]
     for u, v in edges:
         nbrs[u].append(v)
@@ -170,25 +190,43 @@ def replay_walk_oracle(n_nodes, edges, seeds, cfg, rng_seed):
 
 
 class TestRandomWalk:
-    PATH = frozenset({(0, 1), (1, 2), (2, 3)})
+    PATH = edge_rows({(0, 1), (1, 2), (2, 3)})
 
     def test_zero_length_walk_keeps_seeds_only(self):
         view = vg.random_walk_sample(4, self.PATH, [1, 2],
                                      vg.WalkConfig(walk_len=0), RNG(0))
-        assert view.nodes == (1, 2)
-        assert view.edges == frozenset({(1, 2)})
+        assert view.nodes.tolist() == [1, 2]
+        assert_edges(view.edges, {(1, 2)})
 
     def test_isolated_seed_is_singleton(self):
-        view = vg.random_walk_sample(3, frozenset({(0, 1)}), [2],
+        view = vg.random_walk_sample(3, edge_rows({(0, 1)}), [2],
                                      vg.WalkConfig(), RNG(0))
-        assert view.nodes == (2,)
-        assert view.edges == frozenset()
+        assert view.nodes.tolist() == [2]
+        assert_edges(view.edges, set())
 
     def test_path_graph_matches_rng_replay(self):
         cfg = vg.WalkConfig(walk_len=2, walks_per_seed=3)
         view = vg.random_walk_sample(4, self.PATH, [0], cfg, RNG(21))
-        want = replay_walk_oracle(4, self.PATH, [0], cfg, 21)
-        assert set(view.nodes) == want
+        want = replay_walk_oracle(4, self.PATH.tolist(), [0], cfg, 21)
+        assert view.nodes.tolist() == sorted(want)
+
+    def test_random_graph_matches_rng_replay(self):
+        rng = RNG(23)
+        pairs = {tuple(sorted(p)) for p in
+                 rng.integers(0, 30, size=(60, 2)).tolist() if p[0] != p[1]}
+        edges = edge_rows(pairs)
+        cfg = vg.WalkConfig(walk_len=5, walks_per_seed=3)
+        seeds = [7, 3, 21, 0]
+        walk_rng, oracle_rng = RNG(24), RNG(24)
+        view = vg.random_walk_sample(30, edges, seeds, cfg, walk_rng)
+        want = replay_walk_oracle(30, pairs, seeds, cfg, oracle_rng)
+        assert view.nodes.tolist() == sorted(want)
+        assert view.seeds.tolist() == seeds
+        assert_edges(view.edges, {(u, v) for u, v in pairs
+                                  if u in want and v in want})
+        # one scalar draw per step: both streams end in the same state
+        assert walk_rng.integers(0, 2 ** 62) \
+            == oracle_rng.integers(0, 2 ** 62)
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ContractError, match="empty seed"):
@@ -219,6 +257,34 @@ def tiny_hetero(I=3, T=2, seed=30):
                 build_distance_graph(dm, 2.5), I, T)
 
 
+def assert_same_view(a, b):
+    for field in ("nodes", "edges", "seeds"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
+class TestCandidatePairs:
+    @staticmethod
+    def loop_oracle(graph, rng, neg_per_node):
+        """One scalar draw per (node, negative), in node order."""
+        n = graph.n_nodes
+        pairs = {tuple(e) for e in graph.union_edges().tolist()}
+        for u in range(n):
+            for _ in range(neg_per_node):
+                v = int(rng.integers(0, n))
+                if v != u:
+                    pairs.add((min(u, v), max(u, v)))
+        return pairs
+
+    @pytest.mark.parametrize("neg_per_node", [0, 1, 3, 7])
+    def test_matches_scalar_draw_loop(self, neg_per_node):
+        g = tiny_hetero(I=4, T=3, seed=60)
+        got_rng, want_rng = RNG(61), RNG(61)
+        got = vg.candidate_pairs(g, got_rng, neg_per_node)
+        assert_edges(got, self.loop_oracle(g, want_rng, neg_per_node))
+        # the generator is left where the loop leaves it
+        assert got_rng.integers(0, 2 ** 62) == want_rng.integers(0, 2 ** 62)
+
+
 class TestGenerateViews:
     def test_seeds_included_in_both_views(self):
         g = tiny_hetero()
@@ -227,8 +293,8 @@ class TestGenerateViews:
                                 constant_vgae(33, 3),
                                 vg.ViewGenConfig(), RNG(34))
         for view in out.views:
-            assert set(out.seeds) <= set(view.nodes)
-            assert view.seeds == out.seeds
+            assert set(out.seeds.tolist()) <= set(view.nodes.tolist())
+            assert np.array_equal(view.seeds, out.seeds)
 
     def test_zero_sigma_pipeline_deterministic(self):
         g = tiny_hetero()
@@ -241,7 +307,7 @@ class TestGenerateViews:
 
         a, b = run(), run()
         for va, vb in zip(a.views, b.views):
-            assert va == vb
+            assert_same_view(va, vb)
         for pa, pb in zip(a.sampling, b.sampling):
             assert np.array_equal(pa.scores.data, pb.scores.data)
 
@@ -254,7 +320,7 @@ class TestGenerateViews:
         edges = [vg.sparsify(vg.score_edges(vg.vgae_encode(H, params, noise),
                                             params, cands), 0.5)
                  for _ in range(2)]
-        assert edges[0] == edges[1]
+        assert np.array_equal(edges[0], edges[1])
 
     def test_six_node_fixture_matches_stagewise_oracle(self):
         """generate_views equals the four stages composed by hand with a
@@ -269,10 +335,9 @@ class TestGenerateViews:
         rng = RNG(47)
         cands = vg.candidate_pairs(g, rng, cfg.neg_per_node)
         n_seeds = max(1, int(round(cfg.seed_frac * g.n_nodes)))
-        seeds = tuple(int(s) for s in
-                      rng.choice(g.n_nodes, size=n_seeds, replace=False))
-        assert got.candidates == cands
-        assert got.seeds == seeds
+        seeds = rng.choice(g.n_nodes, size=n_seeds, replace=False)
+        assert np.array_equal(got.candidates, cands)
+        assert np.array_equal(got.seeds, seeds)
         wcfg = vg.WalkConfig(walk_len=cfg.walk_len,
                              walks_per_seed=cfg.walks_per_seed)
         for view, P, params in zip(got.views, got.sampling, (p1, p2)):
@@ -284,37 +349,38 @@ class TestGenerateViews:
             edges = vg.sparsify(P_want, cfg.eps)
             view_want = vg.random_walk_sample(g.n_nodes, edges, seeds,
                                               wcfg, rng)
-            assert view == view_want
+            assert_same_view(view, view_want)
 
 
 class TestReconstructionLoss:
     def single_pair(self, score):
-        return vg.SamplingMatrix(pairs=[(0, 1)],
+        return vg.SamplingMatrix(pairs=edge_rows({(0, 1)}),
                                  scores=nc.Tensor(np.array([score])),
                                  n_nodes=2)
 
     def test_true_edge_saturated_score(self):
         loss = vg.reconstruction_loss(self.single_pair(20.0),
-                                      frozenset({(0, 1)}))
+                                      edge_rows({(0, 1)}))
         assert loss.item() < 1e-8
 
     def test_true_edge_zero_score_is_ln2(self):
         loss = vg.reconstruction_loss(self.single_pair(0.0),
-                                      frozenset({(0, 1)}))
+                                      edge_rows({(0, 1)}))
         assert_allclose(loss.item(), np.log(2.0), atol=1e-12)
 
     def test_five_pair_term_by_term_oracle(self):
         rng = RNG(50)
         scores = rng.normal(size=5) * 2
         pairs = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
-        true_edges = frozenset({(0, 1), (1, 3)})
-        P = vg.SamplingMatrix(pairs=pairs, scores=nc.Tensor(scores),
-                              n_nodes=4)
+        true_edges = {(0, 1), (1, 3)}
+        P = vg.SamplingMatrix(pairs=edge_rows(pairs),
+                              scores=nc.Tensor(scores), n_nodes=4)
         sig = 1.0 / (1.0 + np.exp(-scores))
         want = sum(-np.log(sig[k]) if pairs[k] in true_edges
                    else -np.log(1.0 - sig[k]) for k in range(5))
-        assert_allclose(vg.reconstruction_loss(P, true_edges).item(), want,
-                        atol=1e-12)
+        assert_allclose(
+            vg.reconstruction_loss(P, edge_rows(true_edges)).item(), want,
+            atol=1e-12)
 
     def test_gradients_reach_all_three_mlps(self):
         g = tiny_hetero()
