@@ -138,11 +138,9 @@ def cmd_build_graph(args) -> int:
 def cmd_train(args) -> int:
     out = _require_out(args)
     values = _resolved(args)
+    train_cfg = cfgmod.build_train_config(values)
     ds = load_dataset_dir(args.data)
     os.makedirs(out, exist_ok=True)
-    ckpt_dir = os.path.join(out, "checkpoints") \
-        if values["train.checkpoint_every"] > 0 else None
-    train_cfg = cfgmod.build_train_config(values, checkpoint_dir=ckpt_dir)
     model = train(ds, train_cfg)
     export_embeddings(model, os.path.join(out, "embeddings.bin"))
     write_loss_csv(model.history, os.path.join(out, "loss.csv"))
@@ -255,12 +253,13 @@ def cmd_sweep(args) -> int:
     if args.param.startswith("synth."):
         raise ConfigError("sweep varies the model, not the dataset; "
                           f"got {args.param!r}")
+    if args.param in ("train.seed", "train.variant"):
+        raise ConfigError(f"sweep trains FULL once per --seeds value, so it "
+                          f"cannot vary {args.param!r}")
     ds = load_dataset_dir(args.data)
     seeds = _parse_int_list(args.seeds, "--seeds")
     grid = [cfgmod.cast_value(args.param, raw)
             for raw in args.values.split(",")]
-    if not grid:
-        raise ConfigError("--values: empty grid")
     eval_cfg = cfgmod.build_eval_config(values)
     rows = []
     for value in grid:

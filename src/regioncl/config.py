@@ -41,8 +41,7 @@ def _train_sections() -> dict:
     out = {"graph.eps_p": t.eps_p, "graph.eps_d": t.eps_d,
            "model.d": t.d, "model.heads": t.heads,
            "model.n_layers": t.n_layers}
-    for name in ("epochs", "lr", "weight_decay", "seed",
-                 "checkpoint_every", "variant"):
+    for name in ("epochs", "lr", "weight_decay", "seed", "variant"):
         out[f"train.{name}"] = getattr(t, name)
     return out
 
@@ -115,8 +114,7 @@ def build_synth_config(values: dict) -> SynthConfig:
                           for f in dataclasses.fields(SynthConfig)})
 
 
-def build_train_config(values: dict,
-                       checkpoint_dir: str | None = None) -> TrainConfig:
+def build_train_config(values: dict) -> TrainConfig:
     sg = SkipgramConfig(**{f.name: values[f"poi.{f.name}"]
                            for f in dataclasses.fields(SkipgramConfig)})
     view = ViewGenConfig(**{f.name: values[f"view.{f.name}"]
@@ -130,10 +128,7 @@ def build_train_config(values: dict,
         n_layers=values["model.n_layers"],
         eps_p=values["graph.eps_p"], eps_d=values["graph.eps_d"],
         skipgram=sg, view=view, loss=loss,
-        seed=values["train.seed"],
-        checkpoint_every=values["train.checkpoint_every"],
-        checkpoint_dir=checkpoint_dir,
-        variant=values["train.variant"])
+        seed=values["train.seed"], variant=values["train.variant"])
 
 
 def build_eval_config(values: dict) -> EvalConfig:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
+from .numcore import row_cosine
 from .poi_embedding import train_skipgram
 from .region_data import SLOT_TASKS, Dataset, crime_density
 from .trainer import TrainConfig, VARIANTS, region_embeddings, train
@@ -291,11 +292,7 @@ def pair_similarity(E: np.ndarray, pairs) -> np.ndarray:
         i, j = idx[outside][0]
         raise ContractError(f"region pair ({i}, {j}) out of range "
                             f"for {E.shape[0]} regions")
-    rows = E[idx]                                  # (pairs, 2, d)
-    norms = np.linalg.norm(rows, axis=2)
-    dots = np.einsum("kd,kd->k", rows[:, 0], rows[:, 1])
-    denom = norms[:, 0] * norms[:, 1]
-    return np.divide(dots, denom, out=np.zeros(len(idx)), where=denom > 0)
+    return row_cosine(E[idx[:, 0]], E[idx[:, 1]])
 
 
 # ---------------------------------------------------------------------------

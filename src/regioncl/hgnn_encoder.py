@@ -28,10 +28,6 @@ class EncoderParams:
     """layers[l][relation] is the (d, d) weight applied at depth l."""
     layers: list
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
-
 
 def init_encoder(tape: GradientTape, prefix: str, d: int, n_layers: int,
                  relations, rng: np.random.Generator) -> EncoderParams:
@@ -58,14 +54,11 @@ def encode(adj: dict, H0: Tensor, params: EncoderParams) -> Tensor:
     """Multi-order aggregation: returns sum of H^(0) .. H^(L)."""
     H0 = nc.constant(H0)
     n = H0.data.shape[0]
-    layer_keys = None
     for layer in params.layers:
-        keys = set(layer)
-        if layer_keys is None:
-            layer_keys = keys
-        if set(adj) - keys:
+        missing = set(adj) - set(layer)
+        if missing:
             raise ShapeError(f"no weights for relations "
-                             f"{sorted(str(r) for r in set(adj) - keys)}")
+                             f"{sorted(str(r) for r in missing)}")
     for rel, A in adj.items():
         if A.shape != (n, n):
             raise ShapeError(f"adjacency for {rel} is {A.shape}, "

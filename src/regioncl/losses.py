@@ -124,12 +124,7 @@ def reward_r2(views: ViewEmbeddings) -> float:
     ids, idx1, idx2 = views.shared()
     if not len(ids):
         raise DegenerateBatchError("alignment reward needs >= 1 shared node")
-    a = views.h1.data[idx1]
-    b = views.h2.data[idx2]
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    denom = np.where((na > 0) & (nb > 0), na * nb, 1.0)
-    cos = np.where((na > 0) & (nb > 0), (a * b).sum(axis=1) / denom, 0.0)
+    cos = nc.row_cosine(views.h1.data[idx1], views.h2.data[idx2])
     return float(1.0 - cos.mean())
 
 

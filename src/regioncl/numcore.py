@@ -24,10 +24,10 @@ from .errors import ContractError, ShapeError, TrainingAborted
 
 __all__ = [
     "Tensor", "CsrMatrix", "GradientTape", "AdamState", "backward",
-    "adam_step", "constant", "matmul", "spmm", "add", "sub", "mul", "scale",
-    "neg", "relu", "expit", "sigmoid", "softplus", "softmax_rows",
-    "diag_cross_entropy", "log", "exp", "tsum", "tmean", "concat_cols",
-    "transpose", "reshape", "rows", "normalize_rows",
+    "adam_step", "constant", "matmul", "spmm", "add", "mul", "scale", "neg",
+    "relu", "expit", "row_cosine", "softplus", "softmax_rows",
+    "diag_cross_entropy", "log", "tsum", "concat_cols", "transpose",
+    "reshape", "rows", "normalize_rows",
 ]
 
 
@@ -60,27 +60,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 class CsrMatrix:
@@ -184,12 +163,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     raise ShapeError(f"add: shape {a.data.shape} vs {b.data.shape}")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = constant(a), constant(b)
-    _same_shape(a, b, "sub")
-    return Tensor(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = constant(a), constant(b)
     _same_shape(a, b, "mul")
@@ -226,10 +199,11 @@ def expit(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    a = constant(a)
-    s = expit(a.data)
-    return Tensor(s, (a,), lambda g: (g * s * (1.0 - s),))
+def row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of each row of a with the same row of b; a zero row gives 0."""
+    denom = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    return np.divide((a * b).sum(axis=1), denom, out=np.zeros(len(denom)),
+                     where=denom > 0)
 
 
 def softplus(a: Tensor) -> Tensor:
@@ -292,12 +266,6 @@ def log(a: Tensor) -> Tensor:
     return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def exp(a: Tensor) -> Tensor:
-    a = constant(a)
-    y = np.exp(a.data)
-    return Tensor(y, (a,), lambda g: (g * y,))
-
-
 def tsum(a: Tensor, axis=None) -> Tensor:
     a = constant(a)
     shape = a.data.shape
@@ -308,12 +276,6 @@ def tsum(a: Tensor, axis=None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return Tensor(a.data.sum(axis=axis), (a,), vjp)
-
-
-def tmean(a: Tensor, axis=None) -> Tensor:
-    a = constant(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(tsum(a, axis=axis), 1.0 / n)
 
 
 def concat_cols(parts) -> Tensor:
@@ -396,9 +358,6 @@ class GradientTape:
     @property
     def params(self) -> dict[str, Tensor]:
         return dict(self._params)
-
-    def names(self):
-        return list(self._params)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]

@@ -121,10 +121,6 @@ class MlpParams:
     def d_in(self) -> int:
         return self.w1.data.shape[1]
 
-    @property
-    def d_out(self) -> int:
-        return self.w2.data.shape[0]
-
 
 def init_mlp(tape: GradientTape, prefix: str, d_in: int, d_hidden: int,
              d_out: int, rng: np.random.Generator) -> MlpParams:

@@ -1,4 +1,4 @@
-"""End-to-end training loop, embedding export, and checkpoints.
+"""End-to-end training loop and embedding export.
 
 Epoch order follows the alternating scheme: generate two views from the
 current full-graph embeddings, encode both views, minimize the combined
@@ -25,9 +25,7 @@ Variants used by the evaluation harness:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
-import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -71,8 +69,6 @@ class TrainConfig:
     view: ViewGenConfig = field(default_factory=ViewGenConfig)
     loss: LossConfig = field(default_factory=LossConfig)
     seed: int = 0
-    checkpoint_every: int = 0
-    checkpoint_dir: str | None = None
     variant: str = "FULL"
 
     def __post_init__(self):
@@ -80,6 +76,12 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if self.d < 1 or self.heads < 1:
+            raise ConfigError(f"need d >= 1 and heads >= 1, got d={self.d}, "
+                              f"heads={self.heads}")
+        if self.d % self.heads:
+            raise ConfigError(f"embedding dim {self.d} not divisible by "
+                              f"{self.heads} heads")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, "
                               f"expected one of {VARIANTS}")
@@ -115,15 +117,6 @@ class TrainedModel:
 def config_hash(cfg: TrainConfig) -> str:
     blob = json.dumps(asdict(cfg), sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def active_relations(variant: str):
-    rels = list(RelationType)
-    if variant == "NO_GP":
-        rels.remove(RelationType.POI)
-    if variant == "NO_GD":
-        rels.remove(RelationType.DISTANCE)
-    return rels
 
 
 def build_graph(dataset: Dataset, table: np.ndarray,
@@ -202,10 +195,10 @@ def train(dataset: Dataset, cfg: TrainConfig,
     graph = build_graph(dataset, table, cfg)
     I, T = graph.I, graph.T
     # an edgeless relation normalizes to the identity, a pure self-transform
-    # carrying no data; skipping it also makes ablations of already-empty
-    # relations exact no-ops (same parameter set, same init draws)
-    relations = [rel for rel in active_relations(cfg.variant)
-                 if len(graph.edges[rel])]
+    # carrying no data; skipping it drops the relations build_graph emptied
+    # for an ablation, and makes ablations of already-empty relations exact
+    # no-ops (same parameter set, same init draws)
+    relations = [rel for rel in RelationType if len(graph.edges[rel])]
     adjacencies = {rel: graph.adj[rel] for rel in relations}
 
     seq = np.random.SeedSequence(cfg.seed)
@@ -308,12 +301,6 @@ def train(dataset: Dataset, cfg: TrainConfig,
                                    loss=l_total, reward=reward,
                                    l_rec1=l_rec1, l_rec2=l_rec2))
 
-        if cfg.checkpoint_every and cfg.checkpoint_dir \
-                and epoch % cfg.checkpoint_every == 0:
-            save_checkpoint(os.path.join(cfg.checkpoint_dir,
-                                         f"checkpoint_{epoch:05d}.npz"),
-                            tape, encoder_opt, sampler_opt, epoch)
-
     H_final = encode(adjacencies, region_stack(), hgnn)
     return TrainedModel(cfg=cfg, graph=graph, tape=tape, table=table,
                         H=H_final.data.copy(), history=history,
@@ -377,35 +364,3 @@ def load_embeddings(path: str):
     matrix = np.frombuffer(payload, dtype=np.float64).reshape(I, d).copy()
     return matrix, {"version": version, "I": I, "d": d,
                     "config_hash": cfg_hash}
-
-
-def save_checkpoint(path: str, tape: GradientTape, encoder_opt: AdamState,
-                    sampler_opt: AdamState | None, epoch: int) -> None:
-    """All parameter groups plus optimizer moments and the epoch counter."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    arrays = {f"param/{k}": t.data for k, t in tape.params.items()}
-    opts = [("enc", encoder_opt)]
-    if sampler_opt is not None:
-        opts.append(("smp", sampler_opt))
-    meta = {"epoch": epoch}
-    for tag, opt in opts:
-        for k, m in opt.m.items():
-            arrays[f"{tag}_m/{k}"] = m
-        for k, v in opt.v.items():
-            arrays[f"{tag}_v/{k}"] = v
-        meta[f"{tag}_steps"] = opt.step_count
-    buf = io.BytesIO()
-    np.savez(buf, __meta__=json.dumps(meta), **arrays)
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_checkpoint(path: str):
-    """Returns (params dict, optimizer arrays dict, meta dict)."""
-    with np.load(path, allow_pickle=False) as z:
-        meta = json.loads(str(z["__meta__"]))
-        params = {k[len("param/"):]: z[k] for k in z.files
-                  if k.startswith("param/")}
-        opt_arrays = {k: z[k] for k in z.files
-                      if k.startswith(("enc_", "smp_"))}
-    return params, opt_arrays, meta

@@ -156,6 +156,11 @@ class ViewGenConfig:
     noise_sigma: float = 1.0
 
     def __post_init__(self):
+        if not 0.0 < self.eps < 1.0:
+            raise ConfigError(f"eps must be in (0,1), got {self.eps}")
+        if self.noise_sigma < 0.0:
+            raise ConfigError(f"noise_sigma must be >= 0, "
+                              f"got {self.noise_sigma}")
         if not 0.0 < self.seed_frac <= 1.0:
             raise ConfigError(f"seed_frac must be in (0,1], "
                               f"got {self.seed_frac}")
@@ -190,7 +195,6 @@ class GeneratedViews:
     sampling: tuple          # (SamplingMatrix, SamplingMatrix)
     candidates: np.ndarray   # canonical (E, 2) array
     seeds: np.ndarray
-    noise: tuple             # (NoiseConfig, NoiseConfig) actually used
 
 
 def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
@@ -203,7 +207,7 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
     walk_cfg = WalkConfig(walk_len=cfg.walk_len,
                           walks_per_seed=cfg.walks_per_seed)
 
-    views, sampling, noises = [], [], []
+    views, sampling = [], []
     for params in (params1, params2):
         noise = NoiseConfig(mu=cfg.noise_mu, sigma=cfg.noise_sigma,
                             seed=int(rng.integers(0, 2 ** 62)))
@@ -212,10 +216,8 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
         edges = sparsify(P, cfg.eps)
         views.append(random_walk_sample(n, edges, seed_nodes, walk_cfg, rng))
         sampling.append(P)
-        noises.append(noise)
     return GeneratedViews(views=tuple(views), sampling=tuple(sampling),
-                          candidates=cands, seeds=seed_nodes,
-                          noise=tuple(noises))
+                          candidates=cands, seeds=seed_nodes)
 
 
 def reconstruction_loss(P: SamplingMatrix, true_edges: np.ndarray) -> Tensor:

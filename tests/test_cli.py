@@ -120,12 +120,21 @@ class TestTrain:
         assert file_hash(os.path.join(again, "loss.csv")) \
             == file_hash(os.path.join(model_dir, "loss.csv"))
 
-    def test_checkpoint_cadence_respected(self, data_dir, tmp_path):
-        out = str(tmp_path / "ck")
-        assert main(["train", "--data", data_dir, "--out", out, "--seed",
-                     "1", "--set", "train.checkpoint_every=1"] + SMALL) == 0
-        names = sorted(os.listdir(os.path.join(out, "checkpoints")))
-        assert names == ["checkpoint_00001.npz", "checkpoint_00002.npz"]
+    @pytest.mark.parametrize("section,name,value", [
+        ("view", "eps", "2.0"), ("model", "heads", "3"),
+        ("view", "noise_sigma", "-1")])
+    def test_bad_setting_rejected_before_any_work(self, data_dir, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  section, name, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("regioncl.cli.train", no_work)
+        out = str(tmp_path / "bad")
+        assert main(["train", "--data", data_dir, "--out", out] + SMALL
+                    + ["--set", f"{section}.{name}={value}"]) == 1
+        assert name in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_bad_config_key_fails_with_name(self, data_dir, tmp_path,
                                             capsys):
@@ -241,6 +250,17 @@ class TestSweep:
                      "synth.n_regions", "--values", "5,6",
                      "--out", str(tmp_path / "x")] + SMALL) == 1
         assert "synth.n_regions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("param,values", [("train.seed", "1,2"),
+                                              ("train.variant",
+                                               "NO_GP,NO_GD")])
+    def test_run_arms_overrides_rejected(self, data_dir, tmp_path, capsys,
+                                         param, values):
+        out = str(tmp_path / "x")
+        assert main(["sweep", "--data", data_dir, "--param", param,
+                     "--values", values, "--out", out] + SMALL) == 1
+        assert param in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestConsoleScript:

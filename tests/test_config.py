@@ -113,7 +113,7 @@ class TestMaterialization:
             "model.d=24", "model.heads=3", "graph.eps_d=9.0",
             "poi.d_sg=12", "view.walk_len=5", "loss.tau=0.7",
             "train.epochs=4", "train.variant=NO_GD"])
-        cfg = build_train_config(values, checkpoint_dir="/tmp/ck")
+        cfg = build_train_config(values)
         assert cfg.d == 24 and cfg.heads == 3
         assert cfg.eps_d == 9.0
         assert cfg.skipgram.d_sg == 12
@@ -121,7 +121,6 @@ class TestMaterialization:
         assert cfg.loss.tau == 0.7
         assert cfg.epochs == 4
         assert cfg.variant == "NO_GD"
-        assert cfg.checkpoint_dir == "/tmp/ck"
 
     def test_synth_config(self):
         values = resolve(assignments=["synth.n_regions=17",
@@ -138,6 +137,15 @@ class TestMaterialization:
     def test_invalid_materialized_value_still_validated(self):
         values = resolve(assignments=["train.epochs=0"])
         with pytest.raises(ConfigError):
+            build_train_config(values)
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("view", "eps", "2.0"), ("view", "eps", "0.0"),
+        ("view", "noise_sigma", "-1"), ("model", "d", "0"),
+        ("model", "heads", "0"), ("model", "heads", "5")])
+    def test_bad_model_settings_rejected_at_build(self, section, name, value):
+        values = resolve(assignments=[f"{section}.{name}={value}"])
+        with pytest.raises(ConfigError, match=name):
             build_train_config(values)
 
     def test_every_default_materializes(self):

@@ -1,4 +1,4 @@
-"""Training loop: determinism, variants, export format, checkpoints."""
+"""Training loop: determinism, variants, export format."""
 
 import os
 from dataclasses import replace
@@ -13,9 +13,8 @@ from regioncl.numcore import Tensor
 from regioncl.poi_embedding import SkipgramConfig
 from regioncl.region_data import SynthConfig, synth_dataset
 from regioncl.trainer import (TrainConfig, TrainedModel, config_hash,
-                              export_embeddings, load_checkpoint,
-                              load_embeddings, region_embeddings, train,
-                              write_loss_csv)
+                              export_embeddings, load_embeddings,
+                              region_embeddings, train, write_loss_csv)
 from regioncl.view_generator import ViewGenConfig
 
 
@@ -292,36 +291,6 @@ class TestEmbeddings:
     def test_config_hash_sensitive_to_config(self):
         assert config_hash(small_cfg()) != config_hash(small_cfg(seed=8))
         assert config_hash(small_cfg()) == config_hash(small_cfg())
-
-
-class TestCheckpoints:
-    def test_checkpoints_written_each_cadence(self, ds8, tmp_path):
-        cfg = small_cfg(epochs=4, checkpoint_every=2,
-                        checkpoint_dir=str(tmp_path))
-        model = train(ds8, cfg)
-        names = sorted(os.listdir(tmp_path))
-        assert names == ["checkpoint_00002.npz", "checkpoint_00004.npz"]
-        params, opt_arrays, meta = load_checkpoint(
-            str(tmp_path / "checkpoint_00004.npz"))
-        assert meta["epoch"] == 4
-        assert meta["enc_steps"] == 4 and meta["smp_steps"] == 4
-        # the final-epoch checkpoint is the final parameter state
-        assert set(params) == set(model.tape.params)
-        for name, arr in params.items():
-            assert np.array_equal(arr, model.tape[name].data)
-        assert any(k.startswith("enc_m/") for k in opt_arrays)
-        assert any(k.startswith("smp_v/") for k in opt_arrays)
-
-    def test_checkpoint_moments_match_optimizer(self, ds8, tmp_path):
-        cfg = small_cfg(epochs=2, checkpoint_every=2,
-                        checkpoint_dir=str(tmp_path))
-        model = train(ds8, cfg)
-        _, opt_arrays, _ = load_checkpoint(
-            str(tmp_path / "checkpoint_00002.npz"))
-        for name, m in model.encoder_opt.m.items():
-            assert np.array_equal(opt_arrays[f"enc_m/{name}"], m)
-        for name, v in model.sampler_opt.v.items():
-            assert np.array_equal(opt_arrays[f"smp_v/{name}"], v)
 
 
 class TestLossCsv:
