@@ -6,7 +6,9 @@ Commands are pure functions of config plus input files to output files:
 command exits 0 on success and 1 with a single ``error: ...`` line on
 stderr otherwise. ``--config FILE``, ``--set key=value``, ``--seed`` and
 ``--out`` are accepted everywhere; the master ``--seed`` overrides both
-``train.seed`` and ``synth.seed``.
+``train.seed`` and ``synth.seed``, except that ``ablate``, ``robustness``
+and ``sweep`` take ``train.seed`` and ``train.variant`` only from their own
+flags and reject either when set any other way.
 """
 
 from __future__ import annotations
@@ -83,6 +85,15 @@ def _write_run_record(out_dir: str, command: str, values: dict,
 def _resolved(args) -> dict:
     return cfgmod.resolve(config_path=args.config, assignments=args.set,
                           seed=args.seed)
+
+
+def _reject_arm_keys(args, values: dict, variant_hint: str) -> None:
+    """Refuse train keys the command's own flags overwrite per run."""
+    for key, hint in (("train.variant", variant_hint),
+                      ("train.seed", "use --seeds")):
+        if values[key] != cfgmod.DEFAULTS[key]:
+            raise ConfigError(f"{args.command} ignores {key}={values[key]!r} "
+                              f"from --config, --set or --seed: {hint}")
 
 
 def _load_model_embeddings(model_dir: str):
@@ -188,6 +199,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     out = _require_out(args)
     values = _resolved(args)
+    _reject_arm_keys(args, values, "use --variants")
     ds = load_dataset_dir(args.data)
     variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
     seeds = _parse_int_list(args.seeds, "--seeds")
@@ -204,6 +216,7 @@ def cmd_ablate(args) -> int:
 def cmd_robustness(args) -> int:
     out = _require_out(args)
     values = _resolved(args)
+    _reject_arm_keys(args, values, "use --variant")
     ds = load_dataset_dir(args.data)
     seeds = _parse_int_list(args.seeds, "--seeds")
     train_cfg = cfgmod.build_train_config(values)
@@ -256,6 +269,8 @@ def cmd_sweep(args) -> int:
     if args.param in ("train.seed", "train.variant"):
         raise ConfigError(f"sweep trains FULL once per --seeds value, so it "
                           f"cannot vary {args.param!r}")
+    _reject_arm_keys(args, values, "sweep trains FULL only, compare "
+                                   "variants with ablate --variants")
     ds = load_dataset_dir(args.data)
     seeds = _parse_int_list(args.seeds, "--seeds")
     grid = [cfgmod.cast_value(args.param, raw)

@@ -2,7 +2,7 @@
 
 Three views over I regions and T time slots: a POI-similarity graph and a
 distance graph on base region nodes, and a mobility graph on slot-specific
-region nodes built from trip records. Fusion places everything on one node
+region nodes built from the trip array. Fusion places everything on one node
 index (base nodes first, then slot nodes in region-major order), adds a
 temporal self-discrimination edge between each base node and each of its
 slot nodes, and precomputes one symmetric normalized adjacency with
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .numcore import CsrMatrix
-from .region_data import DistanceMatrix, TrajectoryRecord
+from .region_data import DistanceMatrix
 
 
 class RelationType(enum.Enum):
@@ -71,11 +71,10 @@ def build_poi_graph(E: np.ndarray, eps_p: float) -> np.ndarray:
     return _base_graph(E.shape[0], cosine_matrix(E) > eps_p)
 
 
-def build_mobility_graph(trajectories: list[TrajectoryRecord], I: int,
-                         T: int) -> np.ndarray:
-    """Slot(r_s, t_s) -- Slot(r_d, t_d) per record, deduplicated."""
-    trips = np.array([(r.source, r.dest, r.t_start, r.t_end)
-                      for r in trajectories], dtype=np.int64).reshape(-1, 4)
+def build_mobility_graph(trips, I: int, T: int) -> np.ndarray:
+    """Slot(r_s, t_s) -- Slot(r_d, t_d) per (source, dest, t_start, t_end)
+    row of the (N, 4) trip array, deduplicated."""
+    trips = np.asarray(trips, dtype=np.int64).reshape(-1, 4)
     for ends, what, name, bound in ((trips[:, :2], "region", "I", I),
                                     (trips[:, 2:], "slot", "T", T)):
         bad = ends[(ends < 0) | (ends >= bound)]

@@ -308,15 +308,20 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def rows(a: Tensor, idx) -> Tensor:
-    """Gather rows by integer index; backward scatter-adds."""
+    """Gather rows by integer index; backward scatter-adds with one
+    ``np.bincount`` per column, in ``np.add.at``'s index order."""
     a = constant(a)
     idx = np.asarray(idx, dtype=np.intp)
     shape = a.data.shape
 
     def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        return (out,)
+        n = shape[0]
+        flat = idx.ravel() % max(n, 1)      # negative indices wrap
+        g = g.reshape(flat.size, int(np.prod(shape[1:])))
+        out = np.empty((n, g.shape[1]))
+        for k in range(g.shape[1]):
+            out[:, k] = np.bincount(flat, weights=g[:, k], minlength=n)
+        return (out.reshape(shape),)
 
     return Tensor(a.data[idx], (a,), vjp)
 

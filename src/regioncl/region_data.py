@@ -1,11 +1,11 @@
-"""Raw data model: POI counts, trip records, centroid distances, task targets.
+"""Raw data model: POI counts, trip array, centroid distances, task targets.
 
 Three input sources describe I regions: an I x C matrix of point-of-interest
-category counts, a list of (source, dest, t_start, t_end) trip records over T
-time slots, and per-region centroids from which a haversine distance matrix
-is derived. Targets for the downstream probes (crime counts and traffic
-volume per slot, house price as a static scalar) ride along in the same
-bundle.
+category counts, an (N, 4) int64 array of (source, dest, t_start, t_end)
+trips over T time slots, and per-region centroids from which a haversine
+distance matrix is derived. Targets for the downstream probes (crime counts
+and traffic volume per slot, house price as a static scalar) ride along in
+the same bundle.
 
 Everything is loadable from plain CSV and synthesizable from a seeded config;
 the synthesizer plants latent clusters so probe quality is measurable.
@@ -14,7 +14,6 @@ the synthesizer plants latent clusters so probe quality is measurable.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass, field
 
@@ -32,14 +31,6 @@ POI_FILE = "poi.csv"
 TRAJ_FILE = "trajectories.csv"
 CENTROID_FILE = "centroids.csv"
 TARGETS_FILE = "targets.csv"
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    source: int
-    dest: int
-    t_start: int
-    t_end: int
 
 
 @dataclass
@@ -65,7 +56,7 @@ class DistanceMatrix:
 @dataclass
 class Dataset:
     poi: PoiMatrix
-    trajectories: list[TrajectoryRecord]
+    trajectories: np.ndarray            # (N, 4) int64 trip rows
     dist: DistanceMatrix
     T: int
     targets: dict[str, np.ndarray] = field(default_factory=dict)
@@ -80,27 +71,22 @@ class Dataset:
         return self.poi.n_categories
 
 
-def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in km between two (degree) coordinates."""
+def haversine_km(lat1, lon1, lat2, lon2):
+    """Great-circle km between degree coordinates; arrays broadcast."""
     p1, p2 = np.radians(lat1), np.radians(lat2)
     dp = p2 - p1
     dl = np.radians(lon2) - np.radians(lon1)
     a = np.sin(dp / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
-    return float(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a)))
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(a))
 
 
 def distance_matrix(centroids: np.ndarray) -> DistanceMatrix:
-    """All-pairs haversine distances, computed once per pair and mirrored."""
+    """All-pairs haversine distances; the upper triangle is mirrored, so
+    the matrix is exactly symmetric with an exactly zero diagonal."""
     centroids = np.asarray(centroids, dtype=np.float64)
-    n = centroids.shape[0]
-    km = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = haversine_km(centroids[i, 0], centroids[i, 1],
-                             centroids[j, 0], centroids[j, 1])
-            km[i, j] = d
-            km[j, i] = d
-    return DistanceMatrix(km=km, centroids=centroids)
+    lat, lon = centroids[:, :1], centroids[:, 1:]
+    upper = np.triu(haversine_km(lat, lon, lat.T, lon.T), k=1)
+    return DistanceMatrix(km=upper + upper.T, centroids=centroids)
 
 
 def validate(ds: Dataset) -> None:
@@ -116,13 +102,19 @@ def validate(ds: Dataset) -> None:
                         f"is {ds.dist.km.shape[0]}x{ds.dist.km.shape[1]}")
     if ds.T < 1:
         raise DataError(f"T must be >= 1, got {ds.T}")
-    for rec in ds.trajectories:
-        for r in (rec.source, rec.dest):
-            if not 0 <= r < I:
-                raise DataError(f"region index out of range: {r} (I={I})")
-        if not 0 <= rec.t_start <= rec.t_end < ds.T:
-            raise DataError(f"bad slot range ({rec.t_start}, {rec.t_end}) "
-                            f"with T={ds.T}")
+    trips = ds.trajectories
+    if trips.ndim != 2 or trips.shape[1] != 4:
+        raise DataError(f"trajectories must be an (N, 4) array, "
+                        f"got shape {trips.shape}")
+    ends = trips[:, :2]
+    bad = ends[(ends < 0) | (ends >= I)]
+    if bad.size:
+        raise DataError(f"region index out of range: {bad[0]} (I={I})")
+    ts, te = trips[:, 2], trips[:, 3]
+    bad = np.flatnonzero((ts < 0) | (te < ts) | (te >= ds.T))
+    if bad.size:
+        k = bad[0]
+        raise DataError(f"bad slot range ({ts[k]}, {te[k]}) with T={ds.T}")
     for task, arr in ds.targets.items():
         if task not in TASKS:
             raise DataError(f"unknown task {task!r}")
@@ -224,7 +216,7 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
             counts[r, c] = v
 
     _, rows = _read_rows(traj_path, ["src", "dst", "t_start", "t_end"])
-    trajectories = []
+    trips = []
     for lineno, row in rows:
         if len(row) != 4:
             raise DataError(f"{traj_path}:{lineno}: expected 4 fields, "
@@ -237,10 +229,11 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
             if not 0 <= r < I:
                 raise DataError(f"{traj_path}:{lineno}: region index out of "
                                 f"range: {r} (I={I})")
-        if ts < 0 or te < ts:
+        if ts < 0 or te < ts or te >= 2 ** 63:     # int64 slots
             raise DataError(f"{traj_path}:{lineno}: bad slot range "
                             f"({ts}, {te})")
-        trajectories.append(TrajectoryRecord(src, dst, ts, te))
+        trips.append((src, dst, ts, te))
+    trajectories = np.array(trips, dtype=np.int64).reshape(-1, 4)
 
     _, rows = _read_rows(centroid_path, ["region", "lat", "lon"])
     ctable = _region_table(centroid_path, rows, 3)
@@ -278,9 +271,9 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
                                 f"{task!r} requires slot >= 0, got {slot}")
             raw_targets.append((r, task, slot, value))
 
-    max_slot = max([rec.t_end for rec in trajectories]
+    max_slot = max([int(trajectories[:, 3].max(initial=0))]
                    + [slot for _, task, slot, _ in raw_targets
-                      if task in SLOT_TASKS], default=0)
+                      if task in SLOT_TASKS])
     T = max_slot + 1
 
     targets: dict[str, np.ndarray] = {}
@@ -310,47 +303,31 @@ def load_dataset_dir(data_dir: str) -> Dataset:
 def write_dataset(ds: Dataset, data_dir: str) -> None:
     """Serialize to the CSV bundle; float formatting round-trips exactly."""
     os.makedirs(data_dir, exist_ok=True)
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["region"] + list(ds.poi.category_names))
-    for r in range(ds.n_regions):
-        w.writerow([r] + [int(v) for v in ds.poi.counts[r]])
-    _write_text(os.path.join(data_dir, POI_FILE), buf)
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["src", "dst", "t_start", "t_end"])
-    for rec in ds.trajectories:
-        w.writerow([rec.source, rec.dest, rec.t_start, rec.t_end])
-    _write_text(os.path.join(data_dir, TRAJ_FILE), buf)
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["region", "lat", "lon"])
-    for r in range(ds.n_regions):
-        w.writerow([r, repr(float(ds.dist.centroids[r, 0])),
-                    repr(float(ds.dist.centroids[r, 1]))])
-    _write_text(os.path.join(data_dir, CENTROID_FILE), buf)
-
+    _write_csv(os.path.join(data_dir, POI_FILE),
+               ["region"] + list(ds.poi.category_names),
+               ([r] + row for r, row in enumerate(ds.poi.counts.tolist())))
+    _write_csv(os.path.join(data_dir, TRAJ_FILE),
+               ["src", "dst", "t_start", "t_end"], ds.trajectories.tolist())
+    _write_csv(os.path.join(data_dir, CENTROID_FILE), ["region", "lat", "lon"],
+               ([r, repr(lat), repr(lon)] for r, (lat, lon)
+                in enumerate(ds.dist.centroids.tolist())))
     if ds.targets:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["region", "task", "slot", "value"])
+        # long format, region-major; a static task has the one slot -1
+        rows = []
         for task in sorted(ds.targets):
-            arr = ds.targets[task]
-            for r in range(ds.n_regions):
-                if task in STATIC_TASKS:
-                    w.writerow([r, task, -1, repr(float(arr[r]))])
-                else:
-                    for t in range(ds.T):
-                        w.writerow([r, task, t, repr(float(arr[r, t]))])
-        _write_text(os.path.join(data_dir, TARGETS_FILE), buf)
+            slots = [-1] if task in STATIC_TASKS else range(ds.T)
+            values = ds.targets[task].reshape(ds.n_regions, -1).tolist()
+            for r, row in enumerate(values):
+                rows += ([r, task, t, repr(v)] for t, v in zip(slots, row))
+        _write_csv(os.path.join(data_dir, TARGETS_FILE),
+                   ["region", "task", "slot", "value"], rows)
 
 
-def _write_text(path: str, buf: io.StringIO) -> None:
+def _write_csv(path: str, header: list, rows) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +377,8 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
     cluster = cluster_assignment(I, K)
 
     # POI counts: low base rate everywhere, strong lift on a per-cluster band
-    rates = np.full((I, C), 0.5)
-    band = max(1, C // K)
-    for i in range(I):
-        lo = (cluster[i] * C) // K
-        rates[i, lo:lo + band] += 4.0
+    offset = np.arange(C) - (cluster[:, None] * C) // K
+    rates = np.where((offset >= 0) & (offset < max(1, C // K)), 4.5, 0.5)
     counts = rng.poisson(rates).astype(np.int64)
 
     # centroids: well separated cluster centers, ~0.8 km jitter within
@@ -428,8 +402,8 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
         dests[rewire] = rng.integers(0, I, size=n_rewire)
     t_starts = rng.integers(0, T, size=cfg.n_trips)
     t_ends = np.minimum(t_starts + rng.integers(0, 2, size=cfg.n_trips), T - 1)
-    trajectories = [TrajectoryRecord(int(s), int(d), int(ts), int(te))
-                    for s, d, ts, te in zip(sources, dests, t_starts, t_ends)]
+    trajectories = np.stack([sources, dests, t_starts, t_ends], axis=1,
+                            dtype=np.int64)
 
     # targets linear in the latent cluster; coefficients fixed by the seed
     price_base = rng.uniform(80.0, 120.0)

@@ -184,8 +184,8 @@ def train(dataset: Dataset, cfg: TrainConfig,
             f"a larger city")
     # every view is encoded with the mobility weights, which exist only
     # when some trip changes region or slot
-    if not any((rec.source, rec.t_start) != (rec.dest, rec.t_end)
-               for rec in dataset.trajectories):
+    trips = dataset.trajectories
+    if not np.any((trips[:, 0] != trips[:, 1]) | (trips[:, 2] != trips[:, 3])):
         raise DataError(
             f"the mobility relation has no edges: none of the "
             f"{len(dataset.trajectories)} trips changes region or slot, and "

@@ -263,6 +263,42 @@ class TestSweep:
         assert not os.path.exists(out)
 
 
+ARM_COMMANDS = {
+    "ablate": ["ablate", "--variants", "FULL", "--seeds", "0"],
+    "robustness": ["robustness", "--seeds", "0"],
+    "sweep": ["sweep", "--param", "loss.beta", "--values", "0.1",
+              "--seeds", "0"],
+}
+
+
+class TestRunArmOverrides:
+    """ablate, robustness and sweep set train.variant and train.seed per
+    run from their own flags, so any other source of either is refused."""
+
+    @pytest.mark.parametrize("command", sorted(ARM_COMMANDS))
+    @pytest.mark.parametrize("key,source", [
+        ("train.variant", ["--set", "train.variant=NO_GP"]),
+        ("train.seed", ["--set", "train.seed=3"]),
+        ("train.seed", ["--seed", "3"]),
+        ("train.variant", "config"),
+    ])
+    def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                      command, key, source):
+        def no_work(*args, **kwargs):
+            raise AssertionError("data loaded")
+
+        monkeypatch.setattr("regioncl.cli.load_dataset_dir", no_work)
+        if source == "config":
+            path = tmp_path / "run.cfg"
+            path.write_text("train.variant = NO_GD\n")
+            source = ["--config", str(path)]
+        out = str(tmp_path / "x")
+        assert main(ARM_COMMANDS[command] + ["--data", str(tmp_path),
+                                             "--out", out] + source) == 1
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 class TestConsoleScript:
     def test_entry_point_installed(self, tmp_path):
         """The `regioncl` script declared in pyproject.toml resolves and,

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 from regioncl import hetero_graph as hg
 from regioncl.errors import ConfigError, DataError
-from regioncl.region_data import DistanceMatrix, TrajectoryRecord
+from regioncl.region_data import DistanceMatrix
 
 RNG = np.random.default_rng
 
@@ -70,42 +70,56 @@ class TestMobilityGraph:
         assert_edges(hg.build_mobility_graph([], I=3, T=2), set())
 
     def test_single_record(self):
-        g = hg.build_mobility_graph([TrajectoryRecord(0, 1, 2, 3)], I=2, T=4)
+        g = hg.build_mobility_graph([(0, 1, 2, 3)], I=2, T=4)
         # slot (0, 2) is 2 + 0 * 4 + 2 = 4, slot (1, 3) is 2 + 1 * 4 + 3 = 9
         assert_edges(g, {(4, 9)})
 
     def test_reversed_record_oriented(self):
-        g = hg.build_mobility_graph([TrajectoryRecord(1, 0, 3, 2)], I=2, T=4)
+        g = hg.build_mobility_graph([(1, 0, 3, 2)], I=2, T=4)
         assert_edges(g, {(4, 9)})
 
     def test_self_loop_record_dropped(self):
-        g = hg.build_mobility_graph([TrajectoryRecord(1, 1, 0, 0)], I=2, T=1)
+        g = hg.build_mobility_graph([(1, 1, 0, 0)], I=2, T=1)
         assert_edges(g, set())
 
     def test_matches_set_comprehension_oracle(self):
         rng = RNG(2)
-        recs = [TrajectoryRecord(int(rng.integers(0, 6)),
-                                 int(rng.integers(0, 6)),
-                                 int(s := rng.integers(0, 4)),
-                                 int(min(s + rng.integers(0, 2), 3)))
+        recs = [(int(rng.integers(0, 6)),
+                 int(rng.integers(0, 6)),
+                 int(s := rng.integers(0, 4)),
+                 int(min(s + rng.integers(0, 2), 3)))
                 for _ in range(100)]
         g = hg.build_mobility_graph(recs, I=6, T=4)
-        want = {tuple(sorted([6 + r.source * 4 + r.t_start,
-                              6 + r.dest * 4 + r.t_end]))
-                for r in recs
-                if (r.source, r.t_start) != (r.dest, r.t_end)}
+        want = {tuple(sorted([6 + src * 4 + ts, 6 + dst * 4 + te]))
+                for src, dst, ts, te in recs
+                if (src, ts) != (dst, te)}
         assert_edges(g, want)
+
+    def test_random_trip_arrays_match_per_trip_loop(self):
+        for seed in range(8):
+            rng = RNG(60 + seed)
+            I, T = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            n = int(rng.integers(0, 200))
+            ts = rng.integers(0, T, size=n)
+            trips = np.stack([rng.integers(0, I, size=n),
+                              rng.integers(0, I, size=n), ts,
+                              np.minimum(ts + rng.integers(0, 3, size=n),
+                                         T - 1)], axis=1)
+            want = set()
+            for src, dst, t_start, t_end in trips.tolist():
+                u, v = I + src * T + t_start, I + dst * T + t_end
+                if u != v:
+                    want.add((min(u, v), max(u, v)))
+            assert_edges(hg.build_mobility_graph(trips, I, T), want)
 
     def test_out_of_range_slot_rejected(self):
         with pytest.raises(DataError, match="slot index out of range"):
-            hg.build_mobility_graph([TrajectoryRecord(0, 1, 0, 5)], I=2, T=2)
+            hg.build_mobility_graph([(0, 1, 0, 5)], I=2, T=2)
 
     def test_out_of_range_region_rejected(self):
-        for bad in (TrajectoryRecord(0, 2, 0, 1),
-                    TrajectoryRecord(-1, 0, 0, 1)):
+        for bad in ((0, 2, 0, 1), (-1, 0, 0, 1)):
             with pytest.raises(DataError, match="region index out of range"):
-                hg.build_mobility_graph([TrajectoryRecord(0, 1, 0, 1), bad],
-                                        I=2, T=2)
+                hg.build_mobility_graph([(0, 1, 0, 1), bad], I=2, T=2)
 
 
 def grid_distance_matrix(n, spacing_km):
@@ -229,7 +243,7 @@ class TestNormalizedAdjacency:
 def tiny_fused(I=2, T=2, seed=4):
     rng = RNG(seed)
     E = rng.normal(size=(I, 4))
-    recs = [TrajectoryRecord(0, I - 1, 0, T - 1)]
+    recs = [(0, I - 1, 0, T - 1)]
     km = rng.uniform(0.5, 4.0, size=(I, I))
     km = (km + km.T) / 2
     np.fill_diagonal(km, 0.0)

@@ -110,6 +110,23 @@ class TestForward:
         out = nc.rows(nc.Tensor(x), [2, 0, 2]).data
         assert_allclose(out, x[[2, 0, 2]])
 
+    def test_rows_backward_equals_add_at_bit_for_bit(self):
+        """The bincount scatter adds in np.add.at's order: repeated rows
+        sum, unused rows (the last one here) stay 0, negatives wrap."""
+        rng = RNG(7)
+        cases = [((5, 3), rng.integers(0, 4, size=12)),
+                 ((40, 8), rng.integers(0, 39, size=300)),
+                 ((1, 2), np.zeros(4, dtype=np.int64)),
+                 ((6, 3), np.zeros(0, dtype=np.int64)),
+                 ((7,), np.array([-1, 2, 2, -7, 0, 2]))]
+        for shape, idx in cases:
+            g = rng.normal(size=idx.shape + shape[1:])
+            want = np.zeros(shape)
+            np.add.at(want, idx, g)
+            (got,) = nc.rows(nc.Tensor(rng.normal(size=shape)), idx).vjp(g)
+            assert got.shape == shape
+            assert np.array_equal(got, want), shape
+
     def test_concat_cols(self):
         a, b = np.ones((2, 2)), np.zeros((2, 3))
         out = nc.concat_cols([nc.Tensor(a), nc.Tensor(b)]).data

@@ -46,6 +46,22 @@ class TestHaversine:
         assert np.max(np.abs(dm.km - dm.km.T)) == 0.0
         assert_allclose(np.diagonal(dm.km), np.zeros(8))
 
+    def test_matrix_matches_scalar_pair_loop(self):
+        """The broadcast matrix against one scalar haversine_km per pair;
+        array and scalar sin/cos may differ in the last ulp."""
+        for seed in range(5):
+            rng = np.random.default_rng(20 + seed)
+            n = int(rng.integers(1, 40))
+            cents = np.column_stack([rng.uniform(-80, 80, n),
+                                     rng.uniform(-180, 180, n)])
+            want = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        want[i, j] = rd.haversine_km(*cents[i], *cents[j])
+            assert_allclose(rd.distance_matrix(cents).km, want,
+                            rtol=1e-12, atol=0)
+
     def test_triangle_inequality(self):
         rng = np.random.default_rng(4)
         cents = np.column_stack([rng.uniform(-60, 60, 6),
@@ -64,7 +80,7 @@ class TestLoad:
         assert ds.n_regions == 2
         assert ds.n_categories == 3
         assert len(ds.trajectories) == 1
-        assert ds.trajectories[0] == rd.TrajectoryRecord(0, 1, 0, 0)
+        assert ds.trajectories.tolist() == [[0, 1, 0, 0]]
         assert ds.poi.counts[0].tolist() == [1, 2, 3]
         assert ds.T == 1
         assert_allclose(ds.dist.km[0, 1], EQUATOR_DEGREE_KM, atol=1e-9)
@@ -79,6 +95,13 @@ class TestLoad:
         files = two_region_files(tmp_path,
                                  traj="src,dst,t_start,t_end\n0,1,0,0\n0,x,1,1\n")
         with pytest.raises(DataError, match=r":3:"):
+            rd.load_dataset(*files)
+
+    def test_slot_beyond_int64_has_line_number(self, tmp_path):
+        files = two_region_files(
+            tmp_path, traj="src,dst,t_start,t_end\n0,1,0,0\n0,1,0,"
+                           "100000000000000000000\n")
+        with pytest.raises(DataError, match=r":3: bad slot range"):
             rd.load_dataset(*files)
 
     def test_header_mismatch_rejected(self, tmp_path):
@@ -117,6 +140,37 @@ class TestLoad:
                     "region,task,slot,value\n0,house_price,0,1.0\n")
         with pytest.raises(DataError, match="slot=-1"):
             rd.load_dataset(poi, trj, cen, tgt)
+
+
+class TestValidate:
+    @pytest.mark.parametrize("trip,message", [
+        ((0, 2, 0, 0), r"^region index out of range: 2 \(I=2\)$"),
+        ((-1, 0, 0, 0), r"^region index out of range: -1 \(I=2\)$"),
+        ((0, 1, 1, 0), r"^bad slot range \(1, 0\) with T=3$"),
+        ((0, 1, -1, 0), r"^bad slot range \(-1, 0\) with T=3$"),
+        ((0, 1, 0, 3), r"^bad slot range \(0, 3\) with T=3$"),
+    ])
+    def test_bad_trip_named_in_message(self, trip, message):
+        ds = rd.synth_dataset(rd.SynthConfig(n_regions=2, n_slots=3,
+                                             n_trips=5, n_clusters=1, seed=0))
+        ds.trajectories = np.vstack([ds.trajectories, [trip, (1, 1, 2, 2)]])
+        with pytest.raises(DataError, match=message):
+            rd.validate(ds)
+
+    def test_first_bad_trip_is_named(self):
+        ds = rd.synth_dataset(rd.SynthConfig(n_regions=3, n_slots=2,
+                                             n_trips=0, n_clusters=1, seed=0))
+        ds.trajectories = np.array([[0, 1, 0, 1], [1, 7, 0, 0],
+                                    [5, 0, 0, 0]])
+        with pytest.raises(DataError, match=r"out of range: 7 \(I=3\)"):
+            rd.validate(ds)
+
+    def test_trips_must_have_four_columns(self):
+        ds = rd.synth_dataset(rd.SynthConfig(n_regions=2, n_trips=3,
+                                             n_clusters=1, seed=0))
+        ds.trajectories = ds.trajectories[:, :3]
+        with pytest.raises(DataError, match=r"\(N, 4\) array"):
+            rd.validate(ds)
 
 
 class TestCrimeDensity:
@@ -169,14 +223,14 @@ class TestSynth:
         cfg = rd.SynthConfig(n_regions=50, n_trips=10000, noise_rate=0.0,
                              skew_exponent=0.0, n_clusters=1, seed=0)
         ds = rd.synth_dataset(cfg)
-        counts = np.bincount([t.source for t in ds.trajectories], minlength=50)
+        counts = np.bincount(ds.trajectories[:, 0], minlength=50)
         assert counts.max() / counts.min() < 3.0
 
     def test_skew_gives_high_gini(self):
         cfg = rd.SynthConfig(n_regions=50, n_trips=10000, skew_exponent=1.5,
                              n_clusters=3, seed=0)
         ds = rd.synth_dataset(cfg)
-        counts = np.bincount([t.source for t in ds.trajectories], minlength=50)
+        counts = np.bincount(ds.trajectories[:, 0], minlength=50)
         assert gini(counts) > 0.4
 
     def test_same_seed_byte_identical_serialization(self, tmp_path):
@@ -195,11 +249,23 @@ class TestSynth:
         rd.write_dataset(ds, str(tmp_path))
         back = rd.load_dataset_dir(str(tmp_path))
         assert np.array_equal(back.poi.counts, ds.poi.counts)
-        assert back.trajectories == ds.trajectories
+        assert np.array_equal(back.trajectories, ds.trajectories)
         assert np.array_equal(back.dist.centroids, ds.dist.centroids)
         assert back.T == ds.T
         for task in ds.targets:
             assert np.array_equal(back.targets[task], ds.targets[task]), task
+
+    @pytest.mark.parametrize("n_trips", [0, 1, 300])
+    def test_trip_array_round_trips_exactly(self, tmp_path, n_trips):
+        ds = rd.synth_dataset(rd.SynthConfig(n_regions=12, n_trips=n_trips,
+                                             n_clusters=2, seed=4))
+        assert ds.trajectories.shape == (n_trips, 4)
+        assert ds.trajectories.dtype == np.int64
+        rd.write_dataset(ds, str(tmp_path))
+        back = rd.load_dataset_dir(str(tmp_path))
+        assert back.trajectories.dtype == np.int64
+        assert back.trajectories.shape == (n_trips, 4)
+        assert np.array_equal(back.trajectories, ds.trajectories)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -214,7 +280,7 @@ class TestSynth:
                              n_clusters=3, seed=4)
         ds = rd.synth_dataset(cfg)
         cl = rd.cluster_assignment(30, 3)
-        intra = sum(1 for t in ds.trajectories if cl[t.source] == cl[t.dest])
+        intra = sum(1 for s, d, _, _ in ds.trajectories if cl[s] == cl[d])
         assert intra == len(ds.trajectories)
 
     def test_noise_rewires_some_trips(self):
@@ -222,14 +288,14 @@ class TestSynth:
                              n_clusters=3, seed=4)
         ds = rd.synth_dataset(cfg)
         cl = rd.cluster_assignment(30, 3)
-        inter = sum(1 for t in ds.trajectories if cl[t.source] != cl[t.dest])
+        inter = sum(1 for s, d, _, _ in ds.trajectories if cl[s] != cl[d])
         # 30% rewired uniformly over 3 clusters -> ~20% land outside
         assert 0.10 < inter / len(ds.trajectories) < 0.30
 
     def test_slot_ordering_invariant(self):
         ds = rd.synth_dataset(rd.SynthConfig(seed=6))
-        for rec in ds.trajectories:
-            assert 0 <= rec.t_start <= rec.t_end < ds.T
+        for _, _, t_start, t_end in ds.trajectories:
+            assert 0 <= t_start <= t_end < ds.T
 
 
 @settings(max_examples=40, deadline=None)

@@ -78,7 +78,7 @@ class TestConfigValidation:
                                        n_slots=1, n_trips=30, n_clusters=2,
                                        seed=2))
         graph = build_mobility_graph(ds.trajectories, ds.n_regions, ds.T)
-        assert ds.trajectories and graph.shape == (0, 2)
+        assert len(ds.trajectories) and graph.shape == (0, 2)
         cfg = small_cfg(epochs=1, view=ViewGenConfig(seed_frac=0.5))
 
         def no_work(*args, **kwargs):

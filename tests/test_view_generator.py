@@ -19,7 +19,7 @@ from regioncl.hetero_graph import (RelationType, build_distance_graph,
                                    build_mobility_graph, build_poi_graph,
                                    fuse, normalized_adjacency)
 from regioncl.poi_embedding import MlpParams
-from regioncl.region_data import DistanceMatrix, TrajectoryRecord
+from regioncl.region_data import DistanceMatrix
 
 RNG = np.random.default_rng
 
@@ -247,8 +247,7 @@ class TestRandomWalk:
 def tiny_hetero(I=3, T=2, seed=30):
     rng = RNG(seed)
     E = rng.normal(size=(I, 4))
-    recs = [TrajectoryRecord(0, I - 1, 0, T - 1),
-            TrajectoryRecord(1, 0, T - 1, T - 1)]
+    recs = [(0, I - 1, 0, T - 1), (1, 0, T - 1, T - 1)]
     km = rng.uniform(0.5, 4.0, size=(I, I))
     km = (km + km.T) / 2
     np.fill_diagonal(km, 0.0)
