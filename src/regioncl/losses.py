@@ -3,12 +3,13 @@
 InfoNCE pulls a node's two view embeddings together against other shared
 nodes; InfoBN contrasts each view against a re-encode of itself with a
 fraction of edges dropped, penalizing representations that depend on
-superfluous edges. The overall loss is their convex combination. Rewards
-score the generated views: R1 is a two-valued InfoMin signal (high loss
-means the views are hard, reward 1; otherwise a small xi), R2 is one minus
-the mean aligned-row cosine (views that agree too much earn little). The
-sampler objective multiplies the combined reward, treated as a constant,
-onto the two reconstruction losses.
+superfluous edges. Both are row-softmax cross-entropies over an (n, n)
+cosine matrix that is streamed in row blocks and never stored. The overall
+loss is their convex combination. Rewards score the generated views: R1 is
+a two-valued InfoMin signal (high loss means the views are hard, reward 1;
+otherwise a small xi), R2 is one minus the mean aligned-row cosine (views
+that agree too much earn little). The sampler objective multiplies the
+combined reward, treated as a constant, onto the two reconstruction losses.
 """
 
 from __future__ import annotations
@@ -60,10 +61,13 @@ class ViewEmbeddings:
 
 
 def _nce_sum(A: Tensor, B: Tensor, tau: float) -> Tensor:
-    """Sum over rows i of -log softmax_j(cos(A_i, B_j)/tau) at j = i."""
-    sims = nc.matmul(nc.normalize_rows(A),
-                     nc.transpose(nc.normalize_rows(B)))
-    return nc.diag_cross_entropy(sims, 1.0 / tau)
+    """Sum over rows i of -log softmax_j(cos(A_i, B_j)/tau) at j = i.
+
+    The (n, n) cosine matrix is streamed in row blocks by
+    ``dot_cross_entropy`` and never stored, so memory is O(block n + n d).
+    """
+    return nc.dot_cross_entropy(nc.normalize_rows(A), nc.normalize_rows(B),
+                                1.0 / tau)
 
 
 def info_nce(views: ViewEmbeddings, tau: float) -> Tensor:

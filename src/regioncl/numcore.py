@@ -10,7 +10,9 @@ Conventions fixed here because tests depend on them:
   * everything is float64, row-major;
   * relu's derivative at exactly 0 is 0;
   * softmax subtracts the row max before exponentiating;
-  * normalize_rows keeps an all-zero row at zero (with zero gradient).
+  * normalize_rows keeps an all-zero row at zero (with zero gradient);
+  * dot_cross_entropy never stores its (n, n) logits: it keeps one
+    logsumexp per row and its backward recomputes the logits block by block.
 
 Sparse operands are CsrMatrix constants; ``spmm`` multiplies one into a
 dense tensor and differentiates only through the dense side.
@@ -22,11 +24,14 @@ import numpy as np
 
 from .errors import ContractError, ShapeError, TrainingAborted
 
+# rows of the (DOT_CE_BLOCK, n) logit slab dot_cross_entropy holds at a time
+DOT_CE_BLOCK = 256
+
 __all__ = [
     "Tensor", "CsrMatrix", "GradientTape", "AdamState", "backward",
     "adam_step", "constant", "matmul", "spmm", "add", "mul", "scale", "neg",
     "relu", "expit", "row_cosine", "softplus", "softmax_rows",
-    "diag_cross_entropy", "log", "tsum", "concat_cols", "transpose",
+    "dot_cross_entropy", "log", "tsum", "concat_cols", "transpose",
     "reshape", "rows", "normalize_rows",
 ]
 
@@ -230,35 +235,48 @@ def softmax_rows(a: Tensor) -> Tensor:
     return Tensor(s, (a,), vjp)
 
 
-def diag_cross_entropy(a: Tensor, scale: float = 1.0) -> Tensor:
-    """Sum over rows i of logsumexp_j(c a_ij) - c a_ii, with c = ``scale``.
+def dot_cross_entropy(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
+    """Sum over rows i of logsumexp_j(c a_i . b_j) - c a_i . b_i, c = ``scale``.
 
-    The softmax cross-entropy of each row against its diagonal entry as one
-    scalar op: the row max is shifted out before exponentiating, and the
-    backward pass turns the cached exponentials into g c (softmax - Id) in
-    place, so no other (n, n) array is made.
+    The softmax cross-entropy of each row of c a b^T against its diagonal
+    entry, without forming a b^T: the forward walks ``DOT_CE_BLOCK`` rows
+    of a at a time, shifts each slab's row max out before exponentiating and
+    keeps only the per-row logsumexp. The backward recomputes each slab's
+    softmax from that logsumexp and accumulates both operand gradients.
     """
-    a = constant(a)
-    if a.data.ndim != 2 or a.data.shape[0] != a.data.shape[1]:
-        raise ShapeError(f"diag_cross_entropy: need square, got {a.data.shape}")
-    c = float(scale)
-    z = a.data * c
-    z -= z.max(axis=1, keepdims=True)
-    shifted_diag = np.diagonal(z).copy()
-    np.exp(z, out=z)
-    s = z.sum(axis=1, keepdims=True)
-    cache = [z]
+    a, b = constant(a), constant(b)
+    if a.data.ndim != 2 or a.data.shape != b.data.shape:
+        raise ShapeError(f"dot_cross_entropy: shape {a.data.shape} "
+                         f"vs {b.data.shape}")
+    A, B, c = a.data, b.data, float(scale)
+    blocks = [slice(i, i + DOT_CE_BLOCK)
+              for i in range(0, A.shape[0], DOT_CE_BLOCK)]
+    lse = np.empty(A.shape[0])
+    for blk in blocks:
+        z = A[blk] @ B.T
+        z *= c
+        top = z.max(axis=1)
+        z -= top[:, None]
+        np.exp(z, out=z)
+        lse[blk] = np.log(z.sum(axis=1)) + top
+    diag = (A * B).sum(axis=1)
 
     def vjp(g):
-        if not cache:
-            raise ContractError("diag_cross_entropy: gradient taken twice")
-        grad = cache.pop()
         gc = float(g) * c
-        grad *= gc / s
-        np.fill_diagonal(grad, np.diagonal(grad) - gc)
-        return (grad,)
+        dA, dB = np.empty_like(A), np.zeros_like(B)
+        for blk in blocks:
+            p = A[blk] @ B.T
+            p *= c
+            p -= lse[blk, None]
+            np.exp(p, out=p)
+            p *= gc
+            dA[blk] = p @ B
+            dB += p.T @ A[blk]
+        dA -= gc * B
+        dB -= gc * A
+        return dA, dB
 
-    return Tensor((np.log(s[:, 0]) - shifted_diag).sum(), (a,), vjp)
+    return Tensor((lse - c * diag).sum(), (a, b), vjp)
 
 
 def log(a: Tensor) -> Tensor:

@@ -6,6 +6,7 @@ the tensor implementation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,3 +278,48 @@ class TestGradients:
             return ls.overall_loss(nce, bn, 0.1)
 
         assert check_tape_gradients(build_loss, arrays) < 1e-4
+
+
+def composed_nce(A, B, tau):
+    """-sum log diag softmax_rows(cos/tau) with the (n, n) matrix in full."""
+    sims = nc.matmul(nc.normalize_rows(A), nc.transpose(nc.normalize_rows(B)))
+    probs = nc.softmax_rows(nc.scale(sims, 1.0 / tau))
+    eye = nc.Tensor(np.eye(A.data.shape[0]))
+    return nc.neg(nc.tsum(nc.mul(nc.log(probs), eye)))
+
+
+class TestScale:
+    """Cosine logits whose dense (n, n) matrix would take 1,099 MiB."""
+
+    N = 12_000
+    SLICE = 600
+
+    def test_nce_sum_never_holds_the_similarity_matrix(self):
+        rng = RNG(12)
+        A0, B0 = rng.normal(size=(self.N, 4)), rng.normal(size=(self.N, 4))
+        tape = nc.GradientTape()
+        A, B = tape.parameter("A", A0), tape.parameter("B", B0)
+        tracemalloc.start()
+        try:
+            loss = ls._nce_sum(A, B, tau=0.5)
+            grads = nc.backward(tape, loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20, f"traced peak {peak / 2**20:.0f} MB"
+        assert np.isfinite(loss.item())
+        assert all(np.all(np.isfinite(g)) for g in grads.values())
+
+        # the streamed op against the composed one on a slice that still
+        # crosses block boundaries, value and gradient
+        k = self.SLICE
+        tape = nc.GradientTape()
+        a, b = tape.parameter("a", A0[:k]), tape.parameter("b", B0[:k])
+        streamed = ls._nce_sum(a, b, tau=0.5)
+        g_streamed = nc.backward(tape, streamed)
+        composed = composed_nce(a, b, tau=0.5)
+        g_composed = nc.backward(tape, composed)
+        assert_allclose(streamed.item(), composed.item(), rtol=1e-12)
+        for name in ("a", "b"):
+            assert_allclose(g_streamed[name], g_composed[name], rtol=0,
+                            atol=1e-12)

@@ -3,7 +3,7 @@
 Oracles used here:
   * matmul against an explicit triple loop;
   * spmm against the dense product of the same matrix;
-  * diag_cross_entropy against the composed -sum log diag softmax;
+  * dot_cross_entropy against the composed -sum log diag softmax(c a b^T);
   * every op's gradient against central finite differences;
   * Adam against an independent reference implementation of the published
     update rule (bias-corrected moments, decoupled weight decay).
@@ -158,35 +158,35 @@ class TestForward:
         grads = nc.backward(tape, nc.tsum(out))
         assert_allclose(grads["h"], SYM.T @ np.ones((3, 2)), atol=1e-12)
 
-    def test_diag_cross_entropy_matches_softmax_composition(self):
-        for seed in range(5):
-            S = RNG(20 + seed).normal(size=(6, 6)) * 3.0
-            tape = nc.GradientTape()
-            a = tape.parameter("a", S)
-            fused = nc.diag_cross_entropy(a, 2.0)
-            g_fused = nc.backward(tape, fused)["a"]
-            probs = nc.softmax_rows(nc.scale(a, 2.0))
-            composed = nc.neg(nc.tsum(nc.mul(nc.log(probs),
-                                             nc.Tensor(np.eye(6)))))
-            g_composed = nc.backward(tape, composed)["a"]
-            assert abs(fused.item() - composed.item()) < 1e-12
-            assert_allclose(g_fused, g_composed, rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_dot_cross_entropy_matches_softmax_composition(self, n):
+        """Row counts on both sides of every block edge up to 600."""
+        rng = RNG(20 + n)
+        tape = nc.GradientTape()
+        a = tape.parameter("a", rng.normal(size=(n, 5)))
+        b = tape.parameter("b", rng.normal(size=(n, 5)))
+        fused = nc.dot_cross_entropy(a, b, 2.0)
+        g_fused = nc.backward(tape, fused)
+        probs = nc.softmax_rows(nc.scale(nc.matmul(a, nc.transpose(b)), 2.0))
+        composed = nc.neg(nc.tsum(nc.mul(nc.log(probs),
+                                         nc.Tensor(np.eye(n)))))
+        g_composed = nc.backward(tape, composed)
+        assert_allclose(fused.item(), composed.item(), rtol=1e-12, atol=1e-12)
+        for name in ("a", "b"):
+            assert_allclose(g_fused[name], g_composed[name], rtol=0,
+                            atol=1e-12)
 
-    def test_diag_cross_entropy_large_logits_stay_finite(self):
+    def test_dot_cross_entropy_large_logits_stay_finite(self):
         S = np.array([[800.0, -800.0], [0.0, 900.0]])
-        loss = nc.diag_cross_entropy(nc.Tensor(S))
+        loss = nc.dot_cross_entropy(nc.Tensor(S), nc.Tensor(np.eye(2)))
         # each row's own logit dominates its row by >= 900: loss ~ 0
         assert_allclose(loss.item(), 0.0, atol=1e-12)
+        assert all(np.all(np.isfinite(g)) for g in loss.vjp(np.ones(())))
 
-    def test_diag_cross_entropy_rejects_non_square(self):
+    def test_dot_cross_entropy_rejects_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            nc.diag_cross_entropy(nc.Tensor(np.ones((2, 3))))
-
-    def test_diag_cross_entropy_gradient_is_single_use(self):
-        loss = nc.diag_cross_entropy(nc.Tensor(np.eye(3)))
-        loss.vjp(np.ones(()))
-        with pytest.raises(ContractError):
-            loss.vjp(np.ones(()))
+            nc.dot_cross_entropy(nc.Tensor(np.ones((2, 3))),
+                                 nc.Tensor(np.ones((3, 3))))
 
 
 def _away_from_kinks(x, margin=0.05):
@@ -223,8 +223,8 @@ GRAD_CASES = {
         nc.rows(tape.parameter("a", c["a"]), [1, 0, 1, 2])),
     "spmm": lambda tape, c: scalar_loss(
         nc.spmm(csr(SYM), tape.parameter("a", c["a"]))),
-    "diag_cross_entropy": lambda tape, c: nc.diag_cross_entropy(
-        tape.parameter("sq", c["sq"]), 2.0),
+    "dot_cross_entropy": lambda tape, c: nc.dot_cross_entropy(
+        tape.parameter("a", c["a"]), tape.parameter("a2", c["a2"]), 2.0),
     "concat_cols": lambda tape, c: scalar_loss(
         nc.concat_cols([tape.parameter("a", c["a"]), tape.parameter("a2", c["a2"])])),
     "normalize_rows": lambda tape, c: scalar_loss(
@@ -250,7 +250,6 @@ class TestGradients:
                 "a2": rng.normal(size=(3, 4)),
                 "b": rng.normal(size=(4, 2)),
                 "bias": rng.normal(size=(1, 4)),
-                "sq": rng.normal(size=(4, 4)),
                 "x": rng.normal(size=(3, 4)),
                 "w1": rng.normal(size=(4, 4)),
                 "w2": rng.normal(size=(4, 4)),
