@@ -4,7 +4,9 @@ InfoNCE pulls a node's two view embeddings together against other shared
 nodes; InfoBN contrasts each view against a re-encode of itself with a
 fraction of edges dropped, penalizing representations that depend on
 superfluous edges. Both are row-softmax cross-entropies over an (n, n)
-cosine matrix that is streamed in row blocks and never stored. The overall
+cosine matrix that is streamed in row blocks and never stored; each block's
+softmax is built once, and its share of the gradient is accumulated in the
+same pass (none under ``numcore.no_grad``). The overall
 loss is their convex combination. Rewards score the generated views: R1 is
 a two-valued InfoMin signal (high loss means the views are hard, reward 1;
 otherwise a small xi), R2 is one minus the mean aligned-row cosine (views
@@ -64,7 +66,8 @@ def _nce_sum(A: Tensor, B: Tensor, tau: float) -> Tensor:
     """Sum over rows i of -log softmax_j(cos(A_i, B_j)/tau) at j = i.
 
     The (n, n) cosine matrix is streamed in row blocks by
-    ``dot_cross_entropy`` and never stored, so memory is O(block n + n d).
+    ``dot_cross_entropy`` and never stored, so memory is O(block n + n d),
+    gradients included.
     """
     return nc.dot_cross_entropy(nc.normalize_rows(A), nc.normalize_rows(B),
                                 1.0 / tau)

@@ -11,14 +11,19 @@ Conventions fixed here because tests depend on them:
   * relu's derivative at exactly 0 is 0;
   * softmax subtracts the row max before exponentiating;
   * normalize_rows keeps an all-zero row at zero (with zero gradient);
-  * dot_cross_entropy never stores its (n, n) logits: it keeps one
-    logsumexp per row and its backward recomputes the logits block by block.
+  * dot_cross_entropy never stores its (n, n) logits: it exponentiates
+    each block of rows once and accumulates both operand gradients in the
+    same pass, so its backward is a scaling of two (n, d) arrays;
+  * inside ``no_grad()`` ops record no parents and no VJP, and
+    dot_cross_entropy accumulates no gradient.
 
 Sparse operands are CsrMatrix constants; ``spmm`` multiplies one into a
 dense tensor and differentiates only through the dense side.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -27,10 +32,13 @@ from .errors import ContractError, ShapeError, TrainingAborted
 # rows of the (DOT_CE_BLOCK, n) logit slab dot_cross_entropy holds at a time
 DOT_CE_BLOCK = 256
 
+# False inside no_grad(): new tensors keep no parents and no VJP
+_recording = True
+
 __all__ = [
     "Tensor", "CsrMatrix", "GradientTape", "AdamState", "backward",
-    "adam_step", "constant", "matmul", "spmm", "add", "mul", "scale", "neg",
-    "relu", "expit", "row_cosine", "softplus", "softmax_rows",
+    "adam_step", "no_grad", "constant", "matmul", "spmm", "add", "mul",
+    "scale", "neg", "relu", "expit", "row_cosine", "softplus", "softmax_rows",
     "dot_cross_entropy", "log", "tsum", "concat_cols", "transpose",
     "reshape", "rows", "normalize_rows",
 ]
@@ -44,6 +52,8 @@ class Tensor:
     def __init__(self, data, parents=(), vjp=None, requires_grad=False, name=None):
         # note: np.ascontiguousarray would promote 0-d to 1-d; asarray keeps ()
         self.data = np.asarray(data, dtype=np.float64, order="C")
+        if not _recording:
+            parents, vjp = (), None
         self.parents = tuple(parents)
         self.vjp = vjp
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
@@ -57,10 +67,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """A constant copy: same values, no history, no gradient."""
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -114,6 +120,17 @@ class CsrMatrix:
             out[:, self._nonempty] = np.add.reduceat(terms, self._starts,
                                                      axis=1)
         return np.ascontiguousarray(out.T)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Forward-only block: the tensors made inside record no graph."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 def constant(x) -> Tensor:
@@ -241,42 +258,43 @@ def dot_cross_entropy(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
     The softmax cross-entropy of each row of c a b^T against its diagonal
     entry, without forming a b^T: the forward walks ``DOT_CE_BLOCK`` rows
     of a at a time, shifts each slab's row max out before exponentiating and
-    keeps only the per-row logsumexp. The backward recomputes each slab's
-    softmax from that logsumexp and accumulates both operand gradients.
+    keeps only the per-row logsumexp. While recording, the same pass turns
+    each exponentiated slab E (row sums s) into the softmax parts of both
+    gradients, (E / s) B and (E / s)^T a, so the backward only subtracts the
+    diagonal terms and scales by g c.
     """
     a, b = constant(a), constant(b)
     if a.data.ndim != 2 or a.data.shape != b.data.shape:
         raise ShapeError(f"dot_cross_entropy: shape {a.data.shape} "
                          f"vs {b.data.shape}")
     A, B, c = a.data, b.data, float(scale)
-    blocks = [slice(i, i + DOT_CE_BLOCK)
-              for i in range(0, A.shape[0], DOT_CE_BLOCK)]
+    grad = _recording
+    if grad:
+        dA, dB = np.empty_like(A), np.zeros_like(B)
     lse = np.empty(A.shape[0])
-    for blk in blocks:
+    for i in range(0, A.shape[0], DOT_CE_BLOCK):
+        blk = slice(i, i + DOT_CE_BLOCK)
         z = A[blk] @ B.T
         z *= c
         top = z.max(axis=1)
         z -= top[:, None]
         np.exp(z, out=z)
-        lse[blk] = np.log(z.sum(axis=1)) + top
-    diag = (A * B).sum(axis=1)
+        s = z.sum(axis=1)
+        lse[blk] = np.log(s) + top
+        if grad:
+            dA[blk] = (z @ B) / s[:, None]
+            dB += z.T @ (A[blk] / s[:, None])
+    loss = (lse - c * (A * B).sum(axis=1)).sum()
+    if not grad:
+        return Tensor(loss)
+    dA -= B
+    dB -= A
 
     def vjp(g):
         gc = float(g) * c
-        dA, dB = np.empty_like(A), np.zeros_like(B)
-        for blk in blocks:
-            p = A[blk] @ B.T
-            p *= c
-            p -= lse[blk, None]
-            np.exp(p, out=p)
-            p *= gc
-            dA[blk] = p @ B
-            dB += p.T @ A[blk]
-        dA -= gc * B
-        dB -= gc * A
-        return dA, dB
+        return gc * dA, gc * dB
 
-    return Tensor((lse - c * diag).sum(), (a, b), vjp)
+    return Tensor(loss, (a, b), vjp)
 
 
 def log(a: Tensor) -> Tensor:
@@ -327,18 +345,16 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def rows(a: Tensor, idx) -> Tensor:
     """Gather rows by integer index; backward scatter-adds with one
-    ``np.bincount`` per column, in ``np.add.at``'s index order."""
+    ``np.bincount`` over (row, column) keys, in ``np.add.at``'s index order."""
     a = constant(a)
     idx = np.asarray(idx, dtype=np.intp)
     shape = a.data.shape
 
     def vjp(g):
-        n = shape[0]
+        n, d = shape[0], int(np.prod(shape[1:]))
         flat = idx.ravel() % max(n, 1)      # negative indices wrap
-        g = g.reshape(flat.size, int(np.prod(shape[1:])))
-        out = np.empty((n, g.shape[1]))
-        for k in range(g.shape[1]):
-            out[:, k] = np.bincount(flat, weights=g[:, k], minlength=n)
+        keys = (flat[:, None] * d + np.arange(d)).ravel()
+        out = np.bincount(keys, weights=np.ravel(g), minlength=n * d)
         return (out.reshape(shape),)
 
     return Tensor(a.data[idx], (a,), vjp)

@@ -199,7 +199,12 @@ def _region_table(path: str, rows, n_fields: int) -> dict[int, tuple[int, list[s
 
 def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
                  targets_path: str | None = None) -> Dataset:
-    """Read the CSV bundle; T is inferred from trips and slotted targets."""
+    """Read the CSV bundle.
+
+    T is one past the largest slot of the slotted targets when there are
+    any, and a trip slot at or beyond it is an error; without them T is
+    inferred from the trips.
+    """
     header, rows = _read_rows(poi_path)
     if len(header) < 2 or header[0] != "region":
         raise DataError(f"{poi_path}:1: expected header "
@@ -216,7 +221,7 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
             counts[r, c] = v
 
     _, rows = _read_rows(traj_path, ["src", "dst", "t_start", "t_end"])
-    trips = []
+    trips, trip_lines = [], []
     for lineno, row in rows:
         if len(row) != 4:
             raise DataError(f"{traj_path}:{lineno}: expected 4 fields, "
@@ -233,6 +238,7 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
             raise DataError(f"{traj_path}:{lineno}: bad slot range "
                             f"({ts}, {te})")
         trips.append((src, dst, ts, te))
+        trip_lines.append(lineno)
     trajectories = np.array(trips, dtype=np.int64).reshape(-1, 4)
 
     _, rows = _read_rows(centroid_path, ["region", "lat", "lon"])
@@ -271,10 +277,19 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
                                 f"{task!r} requires slot >= 0, got {slot}")
             raw_targets.append((r, task, slot, value))
 
-    max_slot = max([int(trajectories[:, 3].max(initial=0))]
-                   + [slot for _, task, slot, _ in raw_targets
-                      if task in SLOT_TASKS])
-    T = max_slot + 1
+    target_slots = [slot for _, task, slot, _ in raw_targets
+                    if task in SLOT_TASKS]
+    if target_slots:
+        # slotted targets fix T: a trip past them is a typo, not a longer day
+        T = max(target_slots) + 1
+        late = np.flatnonzero(trajectories[:, 3] >= T)
+        if late.size:
+            k = late[0]
+            raise DataError(f"{traj_path}:{trip_lines[k]}: trip slot "
+                            f"{trajectories[k, 3]} is beyond the T={T} slots "
+                            f"of {targets_path}")
+    else:
+        T = int(trajectories[:, 3].max(initial=0)) + 1
 
     targets: dict[str, np.ndarray] = {}
     for r, task, slot, value in raw_targets:

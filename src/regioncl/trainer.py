@@ -6,8 +6,10 @@ contrastive loss with Adam over the encoder-side parameters (POI projection,
 attention, message-passing weights), then score the freshly updated views
 into a reward and Adam-step the two view samplers on the reward-weighted
 reconstruction loss. Sampler parameters and encoder parameters are disjoint
-groups; the full-graph embeddings are detached before entering the samplers
-so no gradient crosses the boundary in either direction.
+groups; the full-graph embeddings are encoded under ``no_grad`` before
+entering the samplers, so no gradient crosses the boundary in either
+direction. Every pass whose result is only read (that encode, the reward's
+re-forward and the final export) runs under ``no_grad`` and keeps no graph.
 
 Reward convention: computed after the encoder step (re-encoding the same
 views with the same InfoBN drop patterns under the updated weights), since
@@ -226,9 +228,8 @@ def train(dataset: Dataset, cfg: TrainConfig,
         E = self_attention(project_regions(table, dataset.poi, mlp), attn)
         return init_features(E, I, T)
 
-    def cl_forward(views, bn_drops):
+    def cl_forward(H0, views, bn_drops):
         """Contrastive losses for fixed views and fixed InfoBN drop sets."""
-        H0 = region_stack()
         h = [_encode_view(v.nodes, v.edges, H0, hgnn) for v in views]
         h_aug = [_encode_view(v.nodes, kept, H0, hgnn)
                  for v, kept in zip(views, bn_drops)]
@@ -240,10 +241,13 @@ def train(dataset: Dataset, cfg: TrainConfig,
 
     history: list[EpochRecord] = []
     for epoch in range(1, cfg.epochs + 1):
-        # view generation from detached full-graph embeddings
-        H_full = encode(adjacencies, region_stack(), hgnn)
+        # one region stack feeds the samplers' encode and the encoder step
+        H0 = region_stack()
         if sampling_on:
-            gen = generate_views(graph, H_full.detach(), vgae1, vgae2,
+            # view generation from graph-free full-graph embeddings
+            with nc.no_grad():
+                H_full = encode(adjacencies, H0, hgnn)
+            gen = generate_views(graph, H_full, vgae1, vgae2,
                                  cfg.view, streams["views"])
             views = gen.views
         else:
@@ -256,7 +260,7 @@ def train(dataset: Dataset, cfg: TrainConfig,
                                     streams["infobn"]) for v in views)
 
         # encoder step on the combined contrastive loss
-        _, nce, bn, total = cl_forward(views, bn_drops)
+        _, nce, bn, total = cl_forward(H0, views, bn_drops)
         l_nce, l_bn, l_total = nce.item(), bn.item(), total.item()
         if not np.isfinite(l_total):
             raise TrainingAborted(
@@ -274,7 +278,9 @@ def train(dataset: Dataset, cfg: TrainConfig,
         if sampling_on:
             # reward from the updated encoder facing the same views
             if cfg.variant != "NO_INFOMIN":
-                post_pair, _, _, post_total = cl_forward(views, bn_drops)
+                with nc.no_grad():
+                    post_pair, _, _, post_total = cl_forward(
+                        region_stack(), views, bn_drops)
                 r1 = reward_r1(post_total.item(), cfg.loss.eps_prime,
                                cfg.loss.xi)
                 r2 = reward_r2(post_pair)
@@ -301,7 +307,8 @@ def train(dataset: Dataset, cfg: TrainConfig,
                                    loss=l_total, reward=reward,
                                    l_rec1=l_rec1, l_rec2=l_rec2))
 
-    H_final = encode(adjacencies, region_stack(), hgnn)
+    with nc.no_grad():
+        H_final = encode(adjacencies, region_stack(), hgnn)
     return TrainedModel(cfg=cfg, graph=graph, tape=tape, table=table,
                         H=H_final.data.copy(), history=history,
                         encoder_opt=encoder_opt, sampler_opt=sampler_opt)

@@ -199,6 +199,26 @@ class TestEncode:
         assert np.any(grads["E"] != 0.0)
 
 
+class TestNoGrad:
+    def test_encode_is_bit_identical_and_keeps_no_graph(self):
+        rng = RNG(6)
+        adj = {"a": random_connected_adjacency(9, rng),
+               "b": random_connected_adjacency(9, rng)}
+        tape = nc.GradientTape()
+        H0 = tape.parameter("H0", rng.normal(size=(9, 4)))
+        params = enc.EncoderParams(layers=[
+            {rel: tape.parameter(f"l{layer}.{rel}",
+                                 rng.normal(scale=0.5, size=(4, 4)))
+             for rel in adj} for layer in range(3)])
+        recorded = enc.encode(adj, H0, params)
+        with nc.no_grad():
+            bare = enc.encode(adj, H0, params)
+        assert recorded.data.tobytes() == bare.data.tobytes()
+        assert recorded.requires_grad and recorded.parents
+        assert not bare.requires_grad
+        assert bare.parents == () and bare.vjp is None
+
+
 class TestScale:
     """A graph whose dense A_hat would need 3.2 GB per relation."""
 

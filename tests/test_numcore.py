@@ -9,6 +9,8 @@ Oracles used here:
     update rule (bias-corrected moments, decoupled weight decay).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,107 @@ class TestForward:
                                  nc.Tensor(np.ones((3, 3))))
 
 
+def _peak_bytes(fn):
+    """Peak traced allocation while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoGrad:
+    def _ops(self, a, b):
+        """One tensor from each kind of op, built from leaves a and b."""
+        return {
+            "matmul": nc.matmul(a, nc.transpose(b)),
+            "spmm": nc.spmm(csr(SYM), a),
+            "add": nc.add(a, b),
+            "mul": nc.mul(a, b),
+            "relu": nc.relu(a),
+            "softplus": nc.softplus(a),
+            "softmax_rows": nc.softmax_rows(a),
+            "rows": nc.rows(a, [2, 0, 2]),
+            "normalize_rows": nc.normalize_rows(a),
+            "concat_cols": nc.concat_cols([a, b]),
+            "tsum": nc.tsum(a),
+            "dot_cross_entropy": nc.dot_cross_entropy(a, b, 2.0),
+        }
+
+    def _leaves(self):
+        tape = nc.GradientTape()
+        rng = RNG(30)
+        return (tape.parameter("a", rng.normal(size=(3, 4))),
+                tape.parameter("b", rng.normal(size=(3, 4))))
+
+    def test_ops_inside_record_no_parents_and_no_vjp(self):
+        a, b = self._leaves()
+        with nc.no_grad():
+            ops = self._ops(a, b)
+        for name, out in ops.items():
+            assert out.parents == () and out.vjp is None, name
+            assert not out.requires_grad, name
+        # the same ops outside the block record as usual
+        for name, out in self._ops(a, b).items():
+            assert out.parents and out.vjp is not None, name
+            assert out.requires_grad, name
+
+    def test_recording_resumes_on_exit_also_when_nested(self):
+        a, b = self._leaves()
+        with nc.no_grad():
+            with nc.no_grad():
+                pass
+            assert nc.add(a, b).vjp is None
+        assert nc.add(a, b).parents == (a, b)
+
+    def test_recording_resumes_after_an_exception(self):
+        a, b = self._leaves()
+        with pytest.raises(ShapeError):
+            with nc.no_grad():
+                nc.dot_cross_entropy(a, nc.transpose(b))
+        out = nc.dot_cross_entropy(a, b)
+        assert out.parents == (a, b) and out.vjp is not None
+
+    @pytest.mark.parametrize("n", [1, 257, 600])
+    def test_dot_cross_entropy_value_is_bit_identical(self, n):
+        rng = RNG(40 + n)
+        A, B = rng.normal(size=(n, 6)), rng.normal(size=(n, 6))
+        tape = nc.GradientTape()
+        recorded = nc.dot_cross_entropy(tape.parameter("a", A),
+                                        tape.parameter("b", B), 3.0)
+        with nc.no_grad():
+            bare = nc.dot_cross_entropy(nc.Tensor(A), nc.Tensor(B), 3.0)
+        assert recorded.data.tobytes() == bare.data.tobytes()
+
+    def test_dot_cross_entropy_allocates_no_gradient_buffers(self):
+        """Each (n, d) gradient buffer is as large as the logit slab here:
+        recording holds the slab and three (n, d) arrays at its peak (dA,
+        dB and the diagonal's product), no_grad only the slab and one."""
+        n, d = 1024, 256
+        rng = RNG(50)
+        a, b = nc.Tensor(rng.normal(size=(n, d))), nc.Tensor(rng.normal(size=(n, d)))
+        slab, buf = 8 * nc.DOT_CE_BLOCK * n, 8 * n * d
+
+        def bare():
+            with nc.no_grad():
+                nc.dot_cross_entropy(a, b)
+
+        assert _peak_bytes(bare) < slab + 2 * buf
+        assert _peak_bytes(lambda: nc.dot_cross_entropy(a, b)) > slab + 2 * buf
+
+    def test_dot_cross_entropy_vjp_scales_and_can_repeat(self):
+        rng = RNG(60)
+        out = nc.dot_cross_entropy(nc.Tensor(rng.normal(size=(300, 4))),
+                                   nc.Tensor(rng.normal(size=(300, 4))), 2.0)
+        first = out.vjp(np.ones(()))
+        again = out.vjp(np.ones(()))
+        half = out.vjp(np.array(0.5))
+        for g1, g2, gh in zip(first, again, half):
+            assert np.array_equal(g1, g2)
+            assert_allclose(gh, 0.5 * g1, rtol=1e-15, atol=0)
+
+
 def _away_from_kinks(x, margin=0.05):
     """Shift values near 0 so finite differences do not straddle a kink."""
     return x + np.sign(x + 1e-12) * margin
@@ -295,10 +398,12 @@ class TestGradients:
         grads = nc.backward(tape, nc.tsum(nc.mul(x, x)))
         assert_allclose(grads["x"], [[6.0]])
 
-    def test_detach_blocks_gradient(self):
+    def test_no_grad_value_blocks_gradient(self):
         tape = nc.GradientTape()
         x = tape.parameter("x", np.array([[2.0]]))
-        y = nc.mul(x.detach(), x)
+        with nc.no_grad():
+            constant_x = nc.scale(x, 1.0)
+        y = nc.mul(constant_x, x)
         grads = nc.backward(tape, nc.tsum(y))
         assert_allclose(grads["x"], [[2.0]])
 

@@ -6,6 +6,8 @@ oracle is the mean-absolute-difference formula, implemented in this file
 without reference to the package.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,6 +128,41 @@ class TestLoad:
         assert ds.T == 6
         assert ds.targets["crime"][0, 5] == 2.0
         assert ds.targets["house_price"][1] == 100.0
+
+    @pytest.mark.parametrize("slot", [4, 1000000000000000])
+    def test_trip_slot_beyond_slotted_targets_names_file_and_line(
+            self, tmp_path, slot):
+        poi, trj, cen = two_region_files(
+            tmp_path, traj=f"src,dst,t_start,t_end\n0,1,0,3\n"
+                           f"0,1,0,{slot}\n1,0,9,9\n")
+        tgt = write(tmp_path / "tgt.csv",
+                    "region,task,slot,value\n0,crime,3,2.0\n"
+                    "1,house_price,-1,100.0\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{trj}:3: trip slot {slot} is beyond the T=4 "
+                f"slots of {tgt}")):
+            rd.load_dataset(poi, trj, cen, tgt)
+
+    def test_static_targets_leave_t_to_the_trips(self, tmp_path):
+        poi, trj, cen = two_region_files(
+            tmp_path, traj="src,dst,t_start,t_end\n0,1,1,7\n")
+        tgt = write(tmp_path / "tgt.csv",
+                    "region,task,slot,value\n1,house_price,-1,100.0\n")
+        assert rd.load_dataset(poi, trj, cen, tgt).T == 8
+
+    def test_synthetic_bundle_takes_t_from_its_targets(self, tmp_path):
+        """Without its last-slot trips, a synthetic bundle still loads with
+        every array unchanged: T comes from the slotted targets."""
+        ds = rd.synth_dataset(rd.SynthConfig(n_regions=12, n_slots=5,
+                                             n_trips=200, n_clusters=2,
+                                             seed=3))
+        ds.trajectories = ds.trajectories[ds.trajectories[:, 3] < 3]
+        rd.write_dataset(ds, str(tmp_path))
+        back = rd.load_dataset_dir(str(tmp_path))
+        assert back.T == ds.T == 5
+        assert np.array_equal(back.trajectories, ds.trajectories)
+        for task in ds.targets:
+            assert np.array_equal(back.targets[task], ds.targets[task]), task
 
     def test_unknown_task_rejected(self, tmp_path):
         poi, trj, cen = two_region_files(tmp_path)

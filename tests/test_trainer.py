@@ -246,6 +246,31 @@ class TestVariants:
             assert not np.array_equal(model8.H, other.H)
 
 
+class TestForwardOnlyPasses:
+    # per encode call of a one-epoch run, in order, whether it keeps a graph:
+    # the full-graph encode for the samplers (not under RANDOM_AUG, which
+    # never reads it), 4 view encodes for the step, 4 for the reward (only
+    # with InfoMin), and the export
+    RECORDED = {"FULL": [False] + [True] * 4 + [False] * 4 + [False],
+                "NO_INFOMIN": [False] + [True] * 4 + [False],
+                "RANDOM_AUG": [True] * 4 + [False]}
+
+    @pytest.mark.parametrize("variant", sorted(RECORDED))
+    def test_only_the_encoder_step_keeps_a_graph(self, ds8, monkeypatch,
+                                                  variant):
+        recorded = []
+
+        def spy(*args, **kwargs):
+            out = encode(*args, **kwargs)
+            recorded.append(out.vjp is not None)
+            return out
+
+        encode = trainer.encode
+        monkeypatch.setattr(trainer, "encode", spy)
+        train(ds8, small_cfg(epochs=1, variant=variant))
+        assert recorded == self.RECORDED[variant]
+
+
 class TestEmbeddings:
     def test_region_embeddings_are_base_rows(self, model8, ds8):
         emb = region_embeddings(model8)
