@@ -20,12 +20,10 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import config as cfgmod
 from .errors import (ConfigError, ContractError, DataError,
                      DegenerateBatchError, ShapeError, TrainingAborted)
-from .eval_harness import (EvalConfig, Metrics, average_bins, probe_all,
+from .eval_harness import (average_bins, mean_metrics, probe_all,
                            robustness_by_density, run_arms,
                            pair_similarity, write_ablation_csv,
                            write_robustness_csv)
@@ -285,10 +283,7 @@ def cmd_sweep(args) -> int:
         picked = [r for r in arm_rows if r.task == args.task]
         if not picked:
             raise DataError(f"task {args.task!r} absent from dataset targets")
-        rows.append((value, Metrics(
-            mae=float(np.mean([r.mae for r in picked])),
-            mape=float(np.mean([r.mape for r in picked])),
-            rmse=float(np.mean([r.rmse for r in picked])))))
+        rows.append((value, mean_metrics(picked)))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "sweep.csv")
     with open(path, "w") as fh:

@@ -267,16 +267,20 @@ def robustness_by_density(dataset: Dataset,
             for label, members in bin_regions(density).items()}
 
 
+def mean_metrics(rows) -> Metrics:
+    """Mean MAE, MAPE and RMSE over rows that each carry those three fields."""
+    return Metrics(mae=float(np.mean([r.mae for r in rows])),
+                   mape=float(np.mean([r.mape for r in rows])),
+                   rmse=float(np.mean([r.rmse for r in rows])))
+
+
 def average_bins(per_seed: list) -> dict:
     """Mean Metrics per bin across seeds, skipping seeds where a bin is absent."""
     out = {}
     for label, _, _ in DENSITY_BINS:
         found = [bins[label] for bins in per_seed if label in bins]
         if found:
-            out[label] = Metrics(
-                mae=float(np.mean([m.mae for m in found])),
-                mape=float(np.mean([m.mape for m in found])),
-                rmse=float(np.mean([m.rmse for m in found])))
+            out[label] = mean_metrics(found)
     return out
 
 

@@ -3,8 +3,14 @@
 Central differences with step h=1e-5 against the analytic gradients from
 ``backward``. The error metric is the max-norm of the difference scaled by
 max(1, max-norm of either gradient), so it is meaningful for both tiny and
-large gradients. The full harness re-checks every differentiated stage of the
-model at several random points; it backs the ``gradcheck`` CLI command.
+large gradients.
+
+A check takes a loss closure and the tape of the parameters it closes over:
+``check_tape_gradients(loss_fn, tape)`` differentiates ``loss_fn()`` once,
+then perturbs each parameter scalar where it lives, re-runs ``loss_fn()``
+under ``numcore.no_grad()`` and restores the scalar exactly. The full harness
+re-checks every differentiated stage of the model at several random points;
+it backs the ``gradcheck`` CLI command.
 """
 
 from __future__ import annotations
@@ -13,26 +19,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numcore import GradientTape, Tensor, backward
+from .numcore import GradientTape, backward, no_grad
 
 DEFAULT_STEP = 1e-5
 DEFAULT_TOLERANCE = 1e-4
 
 
 def numeric_gradient(f, x: np.ndarray, h: float = DEFAULT_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar function of one array."""
+    """Central-difference gradient of a scalar function of one array.
+
+    Each scalar of ``x`` is perturbed in place, through ``x.flat`` so that any
+    memory layout works, and restored to its exact original value.
+    """
     x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = g.reshape(-1)
-    for k in range(flat.size):
-        orig = flat[k]
-        flat[k] = orig + h
+    g = np.zeros(x.shape)
+    for k in range(x.size):
+        orig = x.flat[k]
+        x.flat[k] = orig + h
         fp = f(x)
-        flat[k] = orig - h
+        x.flat[k] = orig - h
         fm = f(x)
-        flat[k] = orig
-        gflat[k] = (fp - fm) / (2.0 * h)
+        x.flat[k] = orig
+        g.flat[k] = (fp - fm) / (2.0 * h)
     return g
 
 
@@ -46,34 +54,23 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(diff / denom)
 
 
-def check_tape_gradients(build_loss, param_arrays: dict[str, np.ndarray],
+def check_tape_gradients(loss_fn, tape: GradientTape,
                          h: float = DEFAULT_STEP) -> float:
     """Worst relative error across all parameters of one loss.
 
-    ``build_loss`` receives a GradientTape whose parameters are fresh copies
-    of ``param_arrays`` and must return a scalar Tensor. It is re-invoked for
-    every finite-difference probe, so it must be deterministic.
+    ``loss_fn()`` must return a scalar Tensor computed from the parameters
+    on ``tape``, and nothing else that changes between calls: it is re-run
+    for every finite-difference probe. Every parameter is left bit-identical.
     """
-    def loss_value(arrays: dict[str, np.ndarray]) -> float:
-        tape = GradientTape()
-        for name, arr in arrays.items():
-            tape.parameter(name, arr.copy())
-        return build_loss(tape).item()
+    analytic = backward(tape, loss_fn())
 
-    tape = GradientTape()
-    for name, arr in param_arrays.items():
-        tape.parameter(name, arr.copy())
-    analytic = backward(tape, build_loss(tape))
+    def loss_value(_):
+        with no_grad():
+            return loss_fn().item()
 
-    worst = 0.0
-    for name in param_arrays:
-        def f(x, _name=name):
-            probe = {k: (x if k == _name else v) for k, v in param_arrays.items()}
-            return loss_value(probe)
-
-        numeric = numeric_gradient(f, param_arrays[name].copy(), h=h)
-        worst = max(worst, relative_error(analytic[name], numeric))
-    return worst
+    return max((relative_error(analytic[name],
+                               numeric_gradient(loss_value, p.data, h=h))
+                for name, p in tape.params.items()), default=0.0)
 
 
 @dataclass
@@ -121,8 +118,7 @@ def run_gradcheck(n_points: int = 20, seed: int = 0,
         rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(n_points):
-            build_loss, param_arrays = builder(rng)
-            worst = max(worst, check_tape_gradients(build_loss, param_arrays))
+            worst = max(worst, check_tape_gradients(*builder(rng)))
         report.stages.append(StageReport(stage=stage_name, points=n_points,
                                          max_rel_error=worst,
                                          tolerance=tolerance))

@@ -388,9 +388,15 @@ class GradientTape:
         self._params: dict[str, Tensor] = {}
 
     def parameter(self, name: str, array) -> Tensor:
+        """Register a leaf holding its own copy of ``array``.
+
+        The copy keeps Adam steps and gradient-check probes from reaching the
+        caller's array, or another parameter made from the same array.
+        """
         if name in self._params:
             raise ContractError(f"parameter {name!r} registered twice")
-        t = Tensor(array, requires_grad=True, name=name)
+        t = Tensor(np.array(array, dtype=np.float64, order="C"),
+                   requires_grad=True, name=name)
         self._params[name] = t
         return t
 
@@ -400,9 +406,6 @@ class GradientTape:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -41,24 +41,10 @@ def init_vgae(tape: GradientTape, prefix: str, d: int,
         score_mlp=init_mlp(tape, f"{prefix}.score", d, d, 1, rng))
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    mu: float = 0.0
-    sigma: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ConfigError(f"noise sigma must be >= 0, got {self.sigma}")
-
-
-def vgae_encode(H: Tensor, params: VgaeParams, noise: NoiseConfig) -> Tensor:
-    """Reparameterized encoding; the same NoiseConfig replays the same draw."""
+def vgae_encode(H: Tensor, params: VgaeParams, noise: np.ndarray) -> Tensor:
+    """Reparameterized encoding noise * std(H) + mean(H) for a given draw."""
     H = nc.constant(H)
-    rng = np.random.default_rng(noise.seed)
-    draw = rng.normal(loc=noise.mu, scale=noise.sigma, size=H.data.shape) \
-        if noise.sigma > 0.0 else np.full(H.data.shape, noise.mu)
-    return nc.add(nc.mul(Tensor(draw), mlp_forward(H, params.std_mlp)),
+    return nc.add(nc.mul(Tensor(noise), mlp_forward(H, params.std_mlp)),
                   mlp_forward(H, params.mean_mlp))
 
 
@@ -209,8 +195,9 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
 
     views, sampling = [], []
     for params in (params1, params2):
-        noise = NoiseConfig(mu=cfg.noise_mu, sigma=cfg.noise_sigma,
-                            seed=int(rng.integers(0, 2 ** 62)))
+        noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 62)))
+        noise = noise_rng.normal(cfg.noise_mu, cfg.noise_sigma, H.data.shape) \
+            if cfg.noise_sigma > 0.0 else np.full(H.data.shape, cfg.noise_mu)
         h_tilde = vgae_encode(H, params, noise)
         P = score_edges(h_tilde, params, cands)
         edges = sparsify(P, cfg.eps)

@@ -168,24 +168,19 @@ class TestEncode:
         rng = RNG(4)
         A = random_connected_adjacency(4, rng)
         H0 = rng.normal(size=(4, 3))
-        arrays = {f"l{layer}.r": rng.normal(scale=0.4, size=(3, 3))
-                  for layer in range(2)}
+        tape = nc.GradientTape()
+        params = enc.EncoderParams(layers=[
+            {"r": tape.parameter(f"l{layer}.r",
+                                 rng.normal(scale=0.4, size=(3, 3)))}
+            for layer in range(2)])
 
-        def build_loss(tape):
-            params = enc.EncoderParams(layers=[
-                {"r": tape[f"l{layer}.r"]} for layer in range(2)])
+        def loss_fn():
             out = enc.encode({"r": A}, nc.Tensor(H0), params)
             proj = nc.Tensor(np.linspace(0.2, 1.0, out.data.size)
                              .reshape(out.data.shape))
             return nc.tsum(nc.mul(out, proj))
 
-        def seeded(tape):
-            for name, arr in arrays.items():
-                if name not in tape:
-                    tape.parameter(name, arr)
-            return build_loss(tape)
-
-        assert check_tape_gradients(seeded, arrays) < 1e-4
+        assert check_tape_gradients(loss_fn, tape) < 1e-4
 
     def test_gradient_reaches_input_features(self):
         rng = RNG(5)

@@ -261,23 +261,18 @@ class TestSamplerObjective:
 class TestGradients:
     def test_finite_differences_through_losses(self):
         rng = RNG(8)
-        arrays = {"h1": rng.normal(size=(4, 3)),
-                  "h1a": rng.normal(size=(4, 3)),
-                  "h2": rng.normal(size=(4, 3)),
-                  "h2a": rng.normal(size=(4, 3))}
+        tape = nc.GradientTape()
+        h1, h1a, h2, h2a = (tape.parameter(name, rng.normal(size=(4, 3)))
+                            for name in ("h1", "h1a", "h2", "h2a"))
 
-        def build_loss(tape):
-            for name, arr in arrays.items():
-                if name not in tape:
-                    tape.parameter(name, arr)
-            views = ls.ViewEmbeddings(h1=tape["h1"], nodes1=(0, 1, 2, 3),
-                                      h2=tape["h2"], nodes2=(0, 1, 2, 3))
+        def loss_fn():
+            views = ls.ViewEmbeddings(h1=h1, nodes1=(0, 1, 2, 3),
+                                      h2=h2, nodes2=(0, 1, 2, 3))
             nce = ls.info_nce(views, tau=0.5)
-            bn = ls.info_bn(tape["h1"], tape["h1a"], tape["h2"],
-                            tape["h2a"], tau=0.5)
+            bn = ls.info_bn(h1, h1a, h2, h2a, tau=0.5)
             return ls.overall_loss(nce, bn, 0.1)
 
-        assert check_tape_gradients(build_loss, arrays) < 1e-4
+        assert check_tape_gradients(loss_fn, tape) < 1e-4
 
 
 def composed_nce(A, B, tau):

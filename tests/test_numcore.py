@@ -297,47 +297,56 @@ def _away_from_kinks(x, margin=0.05):
     return x + np.sign(x + 1e-12) * margin
 
 
+def _params(*keys):
+    """A case's parameter arrays: the point's arrays under the same keys."""
+    return lambda c: {k: c[k] for k in keys}
+
+
+# name -> (parameter arrays of a point, loss over the parameters p and the
+# point's arrays c)
 GRAD_CASES = {
-    "matmul": lambda tape, c: scalar_loss(
-        nc.matmul(tape.parameter("a", c["a"]), tape.parameter("b", c["b"]))),
-    "add": lambda tape, c: scalar_loss(
-        nc.add(tape.parameter("a", c["a"]), tape.parameter("a2", c["a2"]))),
-    "add_bias": lambda tape, c: scalar_loss(
-        nc.add(tape.parameter("a", c["a"]), tape.parameter("bias", c["bias"]))),
-    "mul": lambda tape, c: scalar_loss(
-        nc.mul(tape.parameter("a", c["a"]), tape.parameter("a2", c["a2"]))),
-    "scale": lambda tape, c: scalar_loss(nc.scale(tape.parameter("a", c["a"]), -2.5)),
-    "relu": lambda tape, c: scalar_loss(
-        nc.relu(tape.parameter("k", _away_from_kinks(c["a"])))),
-    "softplus": lambda tape, c: scalar_loss(nc.softplus(tape.parameter("a", c["a"]))),
-    "softmax_rows": lambda tape, c: scalar_loss(
-        nc.softmax_rows(tape.parameter("a", c["a"]))),
-    "log": lambda tape, c: scalar_loss(
-        nc.log(tape.parameter("pos", np.abs(c["a"]) + 0.5))),
-    "sum_all": lambda tape, c: nc.tsum(tape.parameter("a", c["a"])),
-    "sum_axis0": lambda tape, c: scalar_loss(
-        nc.tsum(tape.parameter("a", c["a"]), axis=0)),
-    "sum_axis1": lambda tape, c: scalar_loss(
-        nc.tsum(tape.parameter("a", c["a"]), axis=1)),
-    "transpose": lambda tape, c: scalar_loss(nc.transpose(tape.parameter("a", c["a"]))),
-    "reshape": lambda tape, c: scalar_loss(
-        nc.reshape(tape.parameter("a", c["a"]), (c["a"].size,))),
-    "rows": lambda tape, c: scalar_loss(
-        nc.rows(tape.parameter("a", c["a"]), [1, 0, 1, 2])),
-    "spmm": lambda tape, c: scalar_loss(
-        nc.spmm(csr(SYM), tape.parameter("a", c["a"]))),
-    "dot_cross_entropy": lambda tape, c: nc.dot_cross_entropy(
-        tape.parameter("a", c["a"]), tape.parameter("a2", c["a2"]), 2.0),
-    "concat_cols": lambda tape, c: scalar_loss(
-        nc.concat_cols([tape.parameter("a", c["a"]), tape.parameter("a2", c["a2"])])),
-    "normalize_rows": lambda tape, c: scalar_loss(
-        nc.normalize_rows(tape.parameter("a", c["a"]))),
-    "chain_mlp": lambda tape, c: scalar_loss(
-        nc.add(nc.matmul(nc.relu(nc.add(nc.matmul(nc.Tensor(c["x"]),
-                                                  tape.parameter("w1", c["w1"])),
-                                        tape.parameter("b1", c["bias"]))),
-                         tape.parameter("w2", c["w2"])),
-               tape.parameter("b2", c["bias"]))),
+    "matmul": (_params("a", "b"),
+               lambda p, c: scalar_loss(nc.matmul(p["a"], p["b"]))),
+    "add": (_params("a", "a2"),
+            lambda p, c: scalar_loss(nc.add(p["a"], p["a2"]))),
+    "add_bias": (_params("a", "bias"),
+                 lambda p, c: scalar_loss(nc.add(p["a"], p["bias"]))),
+    "mul": (_params("a", "a2"),
+            lambda p, c: scalar_loss(nc.mul(p["a"], p["a2"]))),
+    "scale": (_params("a"), lambda p, c: scalar_loss(nc.scale(p["a"], -2.5))),
+    "relu": (lambda c: {"k": _away_from_kinks(c["a"])},
+             lambda p, c: scalar_loss(nc.relu(p["k"]))),
+    "softplus": (_params("a"), lambda p, c: scalar_loss(nc.softplus(p["a"]))),
+    "softmax_rows": (_params("a"),
+                     lambda p, c: scalar_loss(nc.softmax_rows(p["a"]))),
+    "log": (lambda c: {"pos": np.abs(c["a"]) + 0.5},
+            lambda p, c: scalar_loss(nc.log(p["pos"]))),
+    "sum_all": (_params("a"), lambda p, c: nc.tsum(p["a"])),
+    "sum_axis0": (_params("a"),
+                  lambda p, c: scalar_loss(nc.tsum(p["a"], axis=0))),
+    "sum_axis1": (_params("a"),
+                  lambda p, c: scalar_loss(nc.tsum(p["a"], axis=1))),
+    "transpose": (_params("a"),
+                  lambda p, c: scalar_loss(nc.transpose(p["a"]))),
+    "reshape": (_params("a"), lambda p, c: scalar_loss(
+        nc.reshape(p["a"], (c["a"].size,)))),
+    "rows": (_params("a"),
+             lambda p, c: scalar_loss(nc.rows(p["a"], [1, 0, 1, 2]))),
+    "spmm": (_params("a"),
+             lambda p, c: scalar_loss(nc.spmm(csr(SYM), p["a"]))),
+    "dot_cross_entropy": (_params("a", "a2"), lambda p, c:
+                          nc.dot_cross_entropy(p["a"], p["a2"], 2.0)),
+    "concat_cols": (_params("a", "a2"), lambda p, c: scalar_loss(
+        nc.concat_cols([p["a"], p["a2"]]))),
+    "normalize_rows": (_params("a"),
+                       lambda p, c: scalar_loss(nc.normalize_rows(p["a"]))),
+    # both biases start from one array: each must be perturbed on its own
+    "chain_mlp": (
+        lambda c: {"w1": c["w1"], "b1": c["bias"], "w2": c["w2"],
+                   "b2": c["bias"]},
+        lambda p, c: scalar_loss(nc.add(nc.matmul(nc.relu(nc.add(
+            nc.matmul(nc.Tensor(c["x"]), p["w1"]), p["b1"])), p["w2"]),
+            p["b2"]))),
 }
 
 
@@ -345,7 +354,7 @@ class TestGradients:
     @pytest.mark.parametrize("name", sorted(GRAD_CASES))
     def test_matches_finite_differences(self, name):
         """Every op's backward agrees with central differences at 3 points."""
-        build = GRAD_CASES[name]
+        params_of, loss_of = GRAD_CASES[name]
         for point in range(3):
             rng = RNG(100 + point)
             consts = {
@@ -357,13 +366,10 @@ class TestGradients:
                 "w1": rng.normal(size=(4, 4)),
                 "w2": rng.normal(size=(4, 4)),
             }
-            captured = {}
-
-            def build_loss(tape, _build=build, _c=consts):
-                cap_tape = _TapeRecorder(tape, captured)
-                return _build(cap_tape, _c)
-
-            err = check_tape_gradients(build_loss, _probe_arrays(build, consts))
+            tape = nc.GradientTape()
+            p = {k: tape.parameter(k, arr)
+                 for k, arr in params_of(consts).items()}
+            err = check_tape_gradients(lambda: loss_of(p, consts), tape)
             assert err < 1e-4, f"{name} point {point}: rel err {err:.3e}"
 
     def test_relu_gradient_is_zero_at_zero(self):
@@ -418,27 +424,6 @@ class TestGradients:
         g1, g2 = run(), run()
         for k in g1:
             assert np.array_equal(g1[k], g2[k])
-
-
-class _TapeRecorder:
-    """Pass-through that lets GRAD_CASES declare params without pre-listing."""
-
-    def __init__(self, tape, captured):
-        self._tape = tape
-        self._captured = captured
-
-    def parameter(self, name, array):
-        self._captured[name] = np.asarray(array, dtype=np.float64)
-        if name in self._tape:
-            return self._tape[name]
-        return self._tape.parameter(name, array)
-
-
-def _probe_arrays(build, consts):
-    """Run the builder once against a scratch tape to learn its param set."""
-    captured = {}
-    build(_TapeRecorder(nc.GradientTape(), captured), consts)
-    return captured
 
 
 def reference_adam(x0, grad_seq, lr, weight_decay=0.0,
@@ -524,6 +509,16 @@ class TestTape:
         tape.parameter("w", np.ones(2))
         with pytest.raises(ContractError):
             tape.parameter("w", np.ones(2))
+
+    def test_parameter_holds_its_own_copy(self):
+        arr = np.ones((2, 2))
+        tape = nc.GradientTape()
+        w = tape.parameter("w", arr)
+        assert not np.shares_memory(w.data, arr)
+        nc.adam_step(nc.AdamState(lr=0.1), tape.params,
+                     {"w": np.ones((2, 2))})
+        assert np.array_equal(arr, np.ones((2, 2)))
+        assert_allclose(w.data, np.full((2, 2), 0.9))
 
     def test_item_requires_single_element(self):
         with pytest.raises(ContractError):
