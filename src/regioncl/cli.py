@@ -33,8 +33,7 @@ from .poi_embedding import train_skipgram
 from .region_data import load_dataset, load_dataset_dir, synth_dataset, \
     write_dataset
 from .trainer import (VARIANTS, build_graph, config_hash, export_embeddings,
-                      load_embeddings, region_embeddings, train,
-                      write_loss_csv)
+                      load_embeddings, train, write_loss_csv)
 
 _CLI_ERRORS = (ConfigError, ContractError, DataError, DegenerateBatchError,
                ShapeError, TrainingAborted, OSError)

@@ -36,6 +36,15 @@ class SkipgramConfig:
     lr: float = 2.0
     seed: int = 0
 
+    def __post_init__(self):
+        for name, low in (("d_sg", 1), ("window_cap", 1), ("negatives", 0),
+                          ("epochs", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"skip-gram {name} must be >= {low}, "
+                                  f"got {getattr(self, name)}")
+        if self.lr <= 0.0:
+            raise ConfigError(f"skip-gram lr must be positive, got {self.lr}")
+
 
 def cooccurrence(poi: PoiMatrix, window_cap: int) -> np.ndarray:
     """Category-pair counts implied by the one-sentence-per-region corpus.

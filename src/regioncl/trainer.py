@@ -78,6 +78,11 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr <= 0.0:
             raise ConfigError(f"learning rate must be positive, got {self.lr}")
+        if self.weight_decay < 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, "
+                              f"got {self.weight_decay}")
+        if self.n_layers < 1:
+            raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.d < 1 or self.heads < 1:
             raise ConfigError(f"need d >= 1 and heads >= 1, got d={self.d}, "
                               f"heads={self.heads}")

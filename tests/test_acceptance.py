@@ -14,8 +14,7 @@ import time
 from itertools import combinations
 
 import numpy as np
-import pytest
-from conftest import ACCEPT_SEEDS, edge_rows, record_criterion, record_note
+from conftest import edge_rows, record_criterion, record_note
 
 from regioncl import numcore as nc
 from regioncl.cli import main

@@ -122,7 +122,11 @@ class TestTrain:
 
     @pytest.mark.parametrize("section,name,value", [
         ("view", "eps", "2.0"), ("model", "heads", "3"),
-        ("view", "noise_sigma", "-1")])
+        ("view", "noise_sigma", "-1"), ("poi", "d_sg", "0"),
+        ("poi", "negatives", "-1"), ("poi", "window_cap", "-1"),
+        ("poi", "epochs", "-1"), ("poi", "lr", "-1"),
+        ("model", "n_layers", "0"), ("model", "n_layers", "-2"),
+        ("train", "weight_decay", "-0.5")])
     def test_bad_setting_rejected_before_any_work(self, data_dir, tmp_path,
                                                   monkeypatch, capsys,
                                                   section, name, value):
@@ -133,7 +137,9 @@ class TestTrain:
         out = str(tmp_path / "bad")
         assert main(["train", "--data", data_dir, "--out", out] + SMALL
                     + ["--set", f"{section}.{name}={value}"]) == 1
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert name in err[0]
         assert not os.path.exists(out)
 
     def test_bad_config_key_fails_with_name(self, data_dir, tmp_path,

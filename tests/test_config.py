@@ -142,7 +142,11 @@ class TestMaterialization:
     @pytest.mark.parametrize("section,name,value", [
         ("view", "eps", "2.0"), ("view", "eps", "0.0"),
         ("view", "noise_sigma", "-1"), ("model", "d", "0"),
-        ("model", "heads", "0"), ("model", "heads", "5")])
+        ("model", "heads", "0"), ("model", "heads", "5"),
+        ("model", "n_layers", "0"), ("model", "n_layers", "-2"),
+        ("train", "weight_decay", "-0.1"), ("poi", "d_sg", "0"),
+        ("poi", "window_cap", "0"), ("poi", "negatives", "-1"),
+        ("poi", "epochs", "-1"), ("poi", "lr", "0.0")])
     def test_bad_model_settings_rejected_at_build(self, section, name, value):
         values = resolve(assignments=[f"{section}.{name}={value}"])
         with pytest.raises(ConfigError, match=name):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import NOISY_SYNTH
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,6 +147,34 @@ def kkt_violation(X, y, w, lam):
                (np.abs(q[~on & varying]) - lam).max(initial=0.0))
 
 
+def degenerate_design(kind):
+    """(X, y, reference sweep budget) for columns not in general position.
+
+    "counts" is the noisy fixture's raw mobility block: the 48 training
+    rows of the first fold, each region's trip counts to and from every
+    (region, slot) node (480 columns, 29 constant and 37 repeats), against
+    house price. The reference needs 480 column updates a sweep and, at lam > 0,
+    does not converge within 10,000 sweeps, so it gets a small budget.
+    """
+    if kind == "counts":
+        ds = synth_dataset(NOISY_SYNTH)
+        I, T = ds.n_regions, ds.T
+        src, dst, t0, t1 = ds.trajectories.T
+        rows = np.zeros((I, 2, I * T))
+        np.add.at(rows, (src, 0, dst * T + t1), 1.0)
+        np.add.at(rows, (dst, 1, src * T + t0), 1.0)
+        rest = np.setdiff1d(np.arange(I), cv_folds(I, 5, 1234)[0])
+        y = task_targets(ds)["house_price"]
+        return rows.reshape(I, -1)[rest], y[rest], 100
+    if kind == "binary":
+        rng = np.random.default_rng(0)
+        X = (rng.random(size=(40, 16)) < 0.3).astype(np.float64)
+        return X, X @ rng.normal(size=16) + 0.3 * rng.normal(size=40), 10_000
+    X, y = lasso_design("correlated", 0)
+    extra = X[:, :4] if kind == "duplicated" else X[:, :1] + X[:, 1:2]
+    return np.hstack([X, extra]), y, 10_000
+
+
 class TestLassoSolver:
     CASES = [("correlated", 0), ("correlated", 1), ("wide", 2),
              ("constant", 3)]
@@ -175,7 +204,20 @@ class TestLassoSolver:
         if kind == "constant":
             assert w[3] == 0.0
 
-    def test_exact_finish_cuts_sweeps(self):
+    @pytest.mark.parametrize("lam", [0.0, 0.01, 0.5])
+    @pytest.mark.parametrize("kind", ["counts", "duplicated", "summed",
+                                      "binary"])
+    def test_degenerate_designs_reach_the_minimum(self, kind, lam):
+        X, y, budget = degenerate_design(kind)
+        model = lasso_fit(X, y, lam)
+        assert kkt_violation(X, y, model.weights, lam) <= 1e-9
+        assert len(model.objective_history) < 10_000
+        _, f_ref, sweeps = reference_lasso(X, y, lam, max_sweeps=budget)
+        if sweeps < budget:
+            null = float(np.var(y)) / 2
+            assert abs(model.objective_history[-1] - f_ref) <= 1e-9 * null
+
+    def test_path_steps_fewer_than_reference_sweeps(self):
         X, y = lasso_design("correlated", 0)
         model = lasso_fit(X, y, 0.01)
         assert len(model.objective_history) \

@@ -29,6 +29,16 @@ def constant_mlp(w1, b1, w2, b2):
 
 
 class TestSkipgram:
+    def test_zero_negatives_and_zero_epochs_allowed(self):
+        poi = make_poi([[2, 1]])
+        untrained = pe.train_skipgram(poi, pe.SkipgramConfig(d_sg=4, epochs=0,
+                                                             seed=5))
+        assert np.array_equal(untrained, RNG(5).normal(scale=0.25,
+                                                       size=(2, 4)))
+        positives_only = pe.train_skipgram(
+            poi, pe.SkipgramConfig(d_sg=4, negatives=0, epochs=3))
+        assert np.all(np.isfinite(positives_only))
+
     def test_all_zero_counts_rejected(self):
         with pytest.raises(DataError, match="empty POI corpus"):
             pe.train_skipgram(make_poi(np.zeros((3, 4))),

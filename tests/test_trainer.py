@@ -1,6 +1,5 @@
 """Training loop: determinism, variants, export format."""
 
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -12,9 +11,9 @@ from regioncl.hetero_graph import RelationType, build_mobility_graph
 from regioncl.numcore import Tensor
 from regioncl.poi_embedding import SkipgramConfig
 from regioncl.region_data import SynthConfig, synth_dataset
-from regioncl.trainer import (TrainConfig, TrainedModel, config_hash,
-                              export_embeddings, load_embeddings,
-                              region_embeddings, train, write_loss_csv)
+from regioncl.trainer import (TrainConfig, config_hash, export_embeddings,
+                              load_embeddings, region_embeddings, train,
+                              write_loss_csv)
 from regioncl.view_generator import ViewGenConfig
 
 

@@ -15,9 +15,8 @@ from regioncl import numcore as nc
 from regioncl import view_generator as vg
 from regioncl.errors import ConfigError, ContractError
 from regioncl.gradcheck import check_tape_gradients
-from regioncl.hetero_graph import (RelationType, build_distance_graph,
-                                   build_mobility_graph, build_poi_graph,
-                                   fuse, normalized_adjacency)
+from regioncl.hetero_graph import (build_distance_graph, build_mobility_graph,
+                                   build_poi_graph, fuse)
 from regioncl.poi_embedding import MlpParams
 from regioncl.region_data import DistanceMatrix
 
