@@ -186,7 +186,7 @@ def probe_task(E: np.ndarray, y: np.ndarray, cfg: EvalConfig):
         raise ContractError(f"{E.shape[0]} embeddings vs {y.shape[0]} targets")
     pred = np.empty_like(y)
     for fold in cv_folds(y.size, cfg.folds, cfg.cv_seed):
-        rest = np.setdiff1d(np.arange(y.size), fold)
+        rest = np.setdiff1d(np.arange(y.size), fold, assume_unique=True)
         model = lasso_fit(E[rest], y[rest], cfg.lam)
         pred[fold] = model.predict(E[fold])
     return pred, metrics(pred, y)

@@ -44,15 +44,24 @@ def decode_node(idx: int, I: int, T: int) -> tuple:
     return "slot", region, t
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int64 key array by one sort and a mask of
+    adjacent differences, skipping the hash table numpy >= 2.3 builds."""
+    keys = np.sort(keys)
+    fresh = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    return keys[fresh]
+
+
 def canonical_edges(pairs, n_nodes: int) -> np.ndarray:
     """Pairs as a canonical (E, 2) int64 array over n_nodes nodes.
 
     Rows are oriented u < v, unique, and sorted lexicographically;
-    self-pairs are dropped.
+    self-pairs are dropped; ``sorted_unique`` dedups the keys u*n_nodes + v.
     """
     e = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
     e = e[e[:, 0] != e[:, 1]]
-    keys = np.unique(e[:, 0] * n_nodes + e[:, 1])
+    keys = sorted_unique(e[:, 0] * n_nodes + e[:, 1])
     return np.stack(np.divmod(keys, max(n_nodes, 1)), axis=1)
 
 
@@ -103,15 +112,16 @@ def normalized_adjacency(n_nodes: int, edges) -> CsrMatrix:
 
     ``edges`` is an (E, 2) integer array; pairs may come in either
     orientation or both, and self-pairs add nothing. D counts the
-    self-loop, so no row is empty.
+    self-loop, so no row is empty. ``sorted_unique`` dedups the keys
+    row*n_nodes + col of both orientations and the loops into CSR order.
     """
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if e.size and (e.min() < 0 or e.max() >= n_nodes):
         raise DataError(f"edge endpoint out of range for {n_nodes} nodes")
     loops = np.arange(n_nodes, dtype=np.int64)
-    keys = np.unique(np.concatenate([e[:, 0] * n_nodes + e[:, 1],
-                                     e[:, 1] * n_nodes + e[:, 0],
-                                     loops * (n_nodes + 1)]))
+    keys = sorted_unique(np.concatenate([e[:, 0] * n_nodes + e[:, 1],
+                                         e[:, 1] * n_nodes + e[:, 0],
+                                         loops * (n_nodes + 1)]))
     rows, cols = np.divmod(keys, max(n_nodes, 1))
     degree = np.bincount(rows, minlength=n_nodes)
     inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))

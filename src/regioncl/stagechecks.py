@@ -21,6 +21,7 @@ from .numcore import GradientTape, Tensor
 from .poi_embedding import (init_attention, init_mlp, project_regions,
                             self_attention)
 from .region_data import PoiMatrix
+from .trainer import _encode_view
 from .view_generator import (init_vgae, reconstruction_loss, score_edges,
                              vgae_encode)
 
@@ -135,16 +136,9 @@ def stage_overall(rng):
     relations = [RelationType.MOBILITY]
     poi = _poi_fixture(rng, I, C)
     table = rng.normal(size=(C, d_sg))
-    nodes1, nodes2 = (0, 1, 2, 3, 4), (1, 2, 3, 4, 5)
-
-    def local_adj(nodes, edges):
-        return normalized_adjacency(len(nodes), np.searchsorted(nodes, edges))
-
-    edges1 = _random_edges(rng, nodes1, 0.6)
-    edges2 = _random_edges(rng, nodes2, 0.6)
-    adj = [local_adj(nodes1, edges1), local_adj(nodes2, edges2),
-           local_adj(nodes1, _random_edges(rng, nodes1, 0.4)),
-           local_adj(nodes2, _random_edges(rng, nodes2, 0.4))]
+    # two views on overlapping nodes, then the InfoBN drop of each
+    nodes = (np.arange(5), np.arange(1, 6)) * 2
+    edges = [_random_edges(rng, v, p) for v, p in zip(nodes, (.6, .6, .4, .4))]
     tape = GradientTape()
     mlp = init_mlp(tape, "pm", d_sg, d, d, rng)
     attn = init_attention(tape, "at", d, heads, rng)
@@ -153,14 +147,9 @@ def stage_overall(rng):
     def loss_fn() -> Tensor:
         E = project_regions(table, poi, mlp)
         H0 = init_features(self_attention(E, attn), I, T)
-
-        def enc_view(nodes, A):
-            return encode({RelationType.MOBILITY: A},
-                          nc.rows(H0, list(nodes)), enc_params)
-
-        h1, h2 = enc_view(nodes1, adj[0]), enc_view(nodes2, adj[1])
-        h1a, h2a = enc_view(nodes1, adj[2]), enc_view(nodes2, adj[3])
-        views = ViewEmbeddings(h1=h1, nodes1=nodes1, h2=h2, nodes2=nodes2)
+        h1, h2, h1a, h2a = (_encode_view(v, e, H0, enc_params)
+                            for v, e in zip(nodes, edges))
+        views = ViewEmbeddings(h1=h1, nodes1=nodes[0], h2=h2, nodes2=nodes[1])
         nce = info_nce(views, tau=0.5)
         bn = info_bn(h1, h1a, h2, h2a, tau=0.5)
         return overall_loss(nce, bn, beta=0.1)

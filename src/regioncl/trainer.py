@@ -113,8 +113,6 @@ class TrainedModel:
     table: np.ndarray                  # frozen skip-gram category table
     H: np.ndarray                      # final full-graph node embeddings
     history: list
-    encoder_opt: AdamState
-    sampler_opt: AdamState | None
 
     @property
     def I(self) -> int:
@@ -158,8 +156,11 @@ def _checksums(params: dict) -> dict:
 def _encode_view(nodes: np.ndarray, edges: np.ndarray, H0: Tensor,
                  params: EncoderParams) -> Tensor:
     """Encode a relation-agnostic subgraph with the mobility weight bank."""
-    # view nodes are sorted graph indices, so a node's row is its rank
-    A = normalized_adjacency(len(nodes), np.searchsorted(nodes, edges))
+    # view nodes are sorted graph indices, so a node's row is its rank; an
+    # endpoint outside the view ranks -1, which normalized_adjacency rejects
+    rank = np.full(len(H0.data), -1, dtype=np.int64)
+    rank[nodes] = np.arange(len(nodes))
+    A = normalized_adjacency(len(nodes), rank[edges])
     sub_params = EncoderParams(layers=[
         {RelationType.MOBILITY: layer[RelationType.MOBILITY]}
         for layer in params.layers])
@@ -226,8 +227,7 @@ def train(dataset: Dataset, cfg: TrainConfig,
     encoder_group = _group(tape, {"poi_mlp", "attn", "hgnn"})
     sampler_group = _group(tape, {"vgae1", "vgae2"})
     encoder_opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    sampler_opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay) \
-        if sampling_on else None
+    sampler_opt = AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
 
     def region_stack() -> Tensor:
         E = self_attention(project_regions(table, dataset.poi, mlp), attn)
@@ -259,7 +259,7 @@ def train(dataset: Dataset, cfg: TrainConfig,
             views = _random_aug_views(graph, streams["views"])
 
         for v in views:
-            assert np.isin(v.seeds, v.nodes).all()
+            assert np.isin(v.seeds, v.nodes, assume_unique=True).all()
 
         bn_drops = tuple(drop_edges(v.edges, cfg.loss.infobn_drop,
                                     streams["infobn"]) for v in views)
@@ -315,8 +315,7 @@ def train(dataset: Dataset, cfg: TrainConfig,
     with nc.no_grad():
         H_final = encode(adjacencies, region_stack(), hgnn)
     return TrainedModel(cfg=cfg, graph=graph, tape=tape, table=table,
-                        H=H_final.data.copy(), history=history,
-                        encoder_opt=encoder_opt, sampler_opt=sampler_opt)
+                        H=H_final.data.copy(), history=history)
 
 
 def region_embeddings(model: TrainedModel) -> np.ndarray:

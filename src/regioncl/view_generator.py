@@ -179,7 +179,6 @@ def candidate_pairs(graph: HeteroGraph,
 class GeneratedViews:
     views: tuple             # (ContrastiveView, ContrastiveView)
     sampling: tuple          # (SamplingMatrix, SamplingMatrix)
-    candidates: np.ndarray   # canonical (E, 2) array
     seeds: np.ndarray
 
 
@@ -204,19 +203,21 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
         views.append(random_walk_sample(n, edges, seed_nodes, walk_cfg, rng))
         sampling.append(P)
     return GeneratedViews(views=tuple(views), sampling=tuple(sampling),
-                          candidates=cands, seeds=seed_nodes)
+                          seeds=seed_nodes)
 
 
 def reconstruction_loss(P: SamplingMatrix, true_edges: np.ndarray) -> Tensor:
     """Edge BCE over candidates: -log sig(p) on edges, -log(1-sig(p)) off.
 
     Written with softplus for stability: -log sig(p) = softplus(-p) and
-    -log(1 - sig(p)) = softplus(p).
+    -log(1 - sig(p)) = softplus(p). ``true_edges`` is canonical like
+    ``P.pairs``, so neither key array repeats.
     """
     if not len(P.pairs):
         return Tensor(0.0)
     n = P.n_nodes
     is_edge = np.isin(P.pairs[:, 0] * n + P.pairs[:, 1],
-                      true_edges[:, 0] * n + true_edges[:, 1])
+                      true_edges[:, 0] * n + true_edges[:, 1],
+                      assume_unique=True)
     sign = np.where(is_edge, -1.0, 1.0)
     return nc.tsum(nc.softplus(nc.mul(Tensor(sign), P.scores)))

@@ -2,14 +2,16 @@
 
 Derived oracles: brute-force all-pairs cosine and distance thresholding,
 a set-comprehension dedup pass for mobility edges, the hand-evaluated
-d_i^{-1/2} d_j^{-1/2} normalization of a 3-node path, and a dense
-per-edge construction of A_hat that the sparse one must equal bit for bit.
+d_i^{-1/2} d_j^{-1/2} normalization of a 3-node path, a dense
+per-edge construction of A_hat that the sparse one must equal bit for bit,
+and ``np.unique``-based builds of canonical edges and A_hat that the
+sort-based dedup must equal bit for bit.
 Every edge set is a canonical (E, 2) int64 array of unified node indices.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from conftest import assert_edges, edge_rows
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -238,6 +240,77 @@ class TestNormalizedAdjacency:
         for bad in ({(0, 3)}, {(-1, 1)}):
             with pytest.raises(DataError, match="out of range"):
                 hg.normalized_adjacency(3, edge_rows(bad))
+
+
+def unique_canonical_edges(pairs, n):
+    """canonical_edges with the keys deduplicated by np.unique."""
+    e = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    e = e[e[:, 0] != e[:, 1]]
+    keys = np.unique(e[:, 0] * n + e[:, 1])
+    return np.stack(np.divmod(keys, max(n, 1)), axis=1)
+
+
+def unique_normalized_adjacency(n, edges):
+    """(indptr, indices, values) of A_hat with the keys from np.unique."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = np.arange(n, dtype=np.int64)
+    keys = np.unique(np.concatenate([e[:, 0] * n + e[:, 1],
+                                     e[:, 1] * n + e[:, 0], loops * (n + 1)]))
+    rows, cols = np.divmod(keys, max(n, 1))
+    degree = np.bincount(rows, minlength=n)
+    inv_sqrt = 1.0 / np.sqrt(degree.astype(np.float64))
+    return (np.concatenate([[0], np.cumsum(degree)]), cols,
+            inv_sqrt[rows] * inv_sqrt[cols])
+
+
+@st.composite
+def pair_arrays(draw):
+    """(n, pairs): random pairs over n nodes, self-pairs allowed, with some
+    rows repeated as drawn and some repeated reversed."""
+    n = draw(st.integers(1, 30))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=60))
+    repeats = draw(st.lists(st.tuples(st.integers(0, 59), st.booleans()),
+                            max_size=30)) if pairs else []
+    rows = pairs + [pairs[i % len(pairs)][::-1 if flip else 1]
+                    for i, flip in repeats]
+    return n, np.array(rows, dtype=np.int64).reshape(-1, 2)
+
+
+NO_PAIRS = np.zeros((0, 2), dtype=np.int64)
+
+
+class TestSortBasedDedup:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2 ** 62, 2 ** 62), max_size=80))
+    def test_sorted_unique_equals_np_unique(self, values):
+        keys = np.array(values, dtype=np.int64)
+        got, want = hg.sorted_unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_arrays())
+    @example((1, NO_PAIRS))
+    @example((1, np.zeros((3, 2), dtype=np.int64)))
+    @example((4, NO_PAIRS))
+    def test_canonical_edges_equal_np_unique_build(self, case):
+        n, pairs = case
+        got, want = hg.canonical_edges(pairs, n), unique_canonical_edges(
+            pairs, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_arrays())
+    @example((1, NO_PAIRS))
+    @example((1, np.zeros((3, 2), dtype=np.int64)))
+    @example((4, NO_PAIRS))
+    def test_normalized_adjacency_equals_np_unique_build(self, case):
+        n, pairs = case
+        A = hg.normalized_adjacency(n, pairs)
+        for got, want in zip((A.indptr, A.indices, A.values),
+                             unique_normalized_adjacency(n, pairs)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def tiny_fused(I=2, T=2, seed=4):

@@ -1,11 +1,12 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and no
+library module dedups through numpy's hash-based ``unique``."""
 
 import ast
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(REPO / "src" / "regioncl").glob("*.py"),
-                  *(REPO / "tests").glob("*.py")])
+LIBRARY = sorted((REPO / "src" / "regioncl").glob("*.py"))
+MODULES = sorted([*LIBRARY, *(REPO / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list:
@@ -45,3 +46,51 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {str(path.relative_to(REPO)): names for path in MODULES
              if (names := unused_imports(path.read_text()))}
     assert found == {}
+
+
+# set routines that dedup their input with np.unique unless told it is unique
+DEDUPING = {"isin", "intersect1d", "setdiff1d", "setxor1d"}
+
+
+def unique_calls(source: str) -> list:
+    """Line numbers of calls that reach ``np.unique``: the ``np.unique``
+    family (``np.unique_values``, ...), ``np.union1d``, and the other set
+    routines unless they pass ``assume_unique=True``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in {"np", "numpy"}):
+            continue
+        name = node.func.attr
+        told_unique = any(k.arg == "assume_unique"
+                          and isinstance(k.value, ast.Constant)
+                          and k.value.value is True for k in node.keywords)
+        if name.startswith("unique") or name == "union1d" \
+                or (name in DEDUPING and not told_unique):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_unique_scanner_finds_calls():
+    source = ("import numpy as np\n"
+              "a = np.unique([1])\n"
+              "b = sorted_unique(a)  # np.unique in a comment\n"
+              "c = np.unique_values(a)\n"
+              "d = np.setdiff1d(a, c)\n"
+              "e = np.isin(a, c, assume_unique=True)\n"
+              "f = np.intersect1d(a, c, assume_unique=False)\n"
+              "g = np.union1d(a, c)\n")
+    assert unique_calls(source) == [2, 4, 5, 7, 8]
+
+
+def test_no_library_module_calls_np_unique():
+    found = {str(path.relative_to(REPO)): lines for path in LIBRARY
+             if (lines := unique_calls(path.read_text()))}
+    assert found == {}, (
+        f"calls that reach np.unique at {found}: since numpy 2.3 np.unique "
+        f"builds a hash table before it sorts. Dedup int64 keys with "
+        f"regioncl.hetero_graph.sorted_unique (one sort and a mask of "
+        f"adjacent differences), and pass assume_unique=True to set "
+        f"routines whose inputs are already unique")

@@ -7,8 +7,10 @@ import pytest
 
 from regioncl import trainer, view_generator
 from regioncl.errors import ConfigError, DataError, TrainingAborted
-from regioncl.hetero_graph import RelationType, build_mobility_graph
-from regioncl.numcore import Tensor
+from regioncl.hetero_graph import (RelationType, build_mobility_graph,
+                                   canonical_edges, normalized_adjacency)
+from regioncl.hgnn_encoder import init_encoder
+from regioncl.numcore import GradientTape, Tensor
 from regioncl.poi_embedding import SkipgramConfig
 from regioncl.region_data import SynthConfig, synth_dataset
 from regioncl.trainer import (TrainConfig, config_hash, export_embeddings,
@@ -33,6 +35,21 @@ def small_cfg(**overrides):
 @pytest.fixture(scope="module")
 def model8(ds8):
     return train(ds8, small_cfg())
+
+
+def spy_adam_steps(monkeypatch) -> list:
+    """(Adam state, parameter-name prefixes) of every trainer Adam step."""
+    steps, original = [], trainer.adam_step
+
+    def spy(state, params, grads):
+        steps.append((state, {name.split(".")[0] for name in params}))
+        return original(state, params, grads)
+    monkeypatch.setattr(trainer, "adam_step", spy)
+    return steps
+
+
+ENCODER = {"poi_mlp", "attn", "hgnn"}
+SAMPLERS = {"vgae1", "vgae2"}
 
 
 class TestConfigValidation:
@@ -127,15 +144,18 @@ class TestTrainLoop:
         assert model.graph.n_nodes == 6
         assert len(model.history) == 1
 
-    def test_both_optimizers_step_every_epoch(self, model8):
-        assert model8.encoder_opt.step_count == 3
-        assert model8.sampler_opt.step_count == 3
+    def test_both_optimizers_step_every_epoch(self, ds8, monkeypatch):
+        steps = spy_adam_steps(monkeypatch)
+        train(ds8, small_cfg())
+        assert [groups for _, groups in steps] == [ENCODER, SAMPLERS] * 3
+        encoder_opt, sampler_opt = steps[0][0], steps[1][0]
+        assert encoder_opt is not sampler_opt
+        assert encoder_opt.step_count == sampler_opt.step_count == 3
 
     def test_parameter_groups_partition_tape(self, model8):
         names = set(model8.tape.params)
-        enc = {n for n in names if n.split(".")[0] in
-               {"poi_mlp", "attn", "hgnn"}}
-        smp = {n for n in names if n.split(".")[0] in {"vgae1", "vgae2"}}
+        enc = {n for n in names if n.split(".")[0] in ENCODER}
+        smp = {n for n in names if n.split(".")[0] in SAMPLERS}
         assert enc | smp == names
         assert not enc & smp
         assert enc and smp
@@ -212,6 +232,41 @@ class TestEdgeArrays:
             assert np.isin(view.edges, view.nodes).all()
 
 
+class TestEncodeView:
+    """A view's edges reach its Â through the rank of each endpoint."""
+
+    def view(self, seed, n=40, d=4):
+        rng = np.random.default_rng(seed)
+        params = init_encoder(GradientTape(), "hgnn", d, 2,
+                              [RelationType.MOBILITY], rng)
+        nodes = np.flatnonzero(rng.random(n) < 0.6)
+        edges = canonical_edges(rng.choice(nodes, size=(3 * n, 2)), n)
+        return nodes, edges, Tensor(rng.normal(size=(n, d))), params
+
+    def test_adjacency_equals_searchsorted_remap(self, monkeypatch):
+        built = []
+
+        def spy(n_nodes, edges):
+            built.append(normalized_adjacency(n_nodes, edges))
+            return built[-1]
+        monkeypatch.setattr(trainer, "normalized_adjacency", spy)
+        for seed in range(5):
+            nodes, edges, H0, params = self.view(seed)
+            trainer._encode_view(nodes, edges, H0, params)
+            want = normalized_adjacency(len(nodes),
+                                        np.searchsorted(nodes, edges))
+            for field in ("indptr", "indices", "values"):
+                assert getattr(built[-1], field).tobytes() \
+                    == getattr(want, field).tobytes()
+
+    def test_endpoint_outside_view_rejected(self):
+        nodes, edges, H0, params = self.view(5)
+        outside = np.setdiff1d(np.arange(40), nodes)[0]
+        stray = np.concatenate([edges, [[nodes[0], outside]]])
+        with pytest.raises(DataError, match="out of range"):
+            trainer._encode_view(nodes, stray, H0, params)
+
+
 class TestVariants:
     def test_no_gp_removes_poi_edges_and_weights(self, ds8):
         model = train(ds8, small_cfg(variant="NO_GP", epochs=1))
@@ -225,15 +280,18 @@ class TestVariants:
         assert len(model.graph.edges[RelationType.DISTANCE]) == 0
         assert "hgnn.l0.distance" not in model.tape.params
 
-    def test_no_infomin_pins_reward(self, ds8):
+    def test_no_infomin_pins_reward(self, ds8, monkeypatch):
+        steps = spy_adam_steps(monkeypatch)
         model = train(ds8, small_cfg(variant="NO_INFOMIN"))
         assert all(r.reward == 1.0 for r in model.history)
         # samplers still train, on the unweighted reconstruction loss
-        assert model.sampler_opt.step_count == 3
+        assert [groups for _, groups in steps] == [ENCODER, SAMPLERS] * 3
+        assert steps[1][0].step_count == 3
 
-    def test_random_aug_has_no_samplers(self, ds8):
+    def test_random_aug_has_no_samplers(self, ds8, monkeypatch):
+        steps = spy_adam_steps(monkeypatch)
         model = train(ds8, small_cfg(variant="RANDOM_AUG"))
-        assert model.sampler_opt is None
+        assert [groups for _, groups in steps] == [ENCODER] * 3
         assert not any(n.startswith("vgae") for n in model.tape.params)
         for r in model.history:
             assert r.reward == 1.0

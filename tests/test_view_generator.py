@@ -307,7 +307,7 @@ class TestGenerateViews:
                  for _ in range(2)]
         assert np.array_equal(edges[0], edges[1])
 
-    def test_six_node_fixture_matches_stagewise_oracle(self):
+    def test_six_node_fixture_matches_stagewise_oracle(self, monkeypatch):
         """generate_views equals the four stages composed by hand with a
         replayed RNG stream."""
         g = tiny_hetero(I=2, T=2, seed=43)       # 6 nodes
@@ -315,13 +315,20 @@ class TestGenerateViews:
         p1, p2 = constant_vgae(45, 3), constant_vgae(46, 3)
         cfg = vg.ViewGenConfig(neg_per_node=2, walk_len=3, walks_per_seed=2,
                                seed_frac=0.5)
+        drawn, original = [], vg.candidate_pairs
+
+        def spy(*args):
+            drawn.append(original(*args))
+            return drawn[-1]
+        monkeypatch.setattr(vg, "candidate_pairs", spy)
         got = vg.generate_views(g, H, p1, p2, cfg, RNG(47))
+        monkeypatch.undo()
 
         rng = RNG(47)
         cands = vg.candidate_pairs(g, rng, cfg.neg_per_node)
         n_seeds = max(1, int(round(cfg.seed_frac * g.n_nodes)))
         seeds = rng.choice(g.n_nodes, size=n_seeds, replace=False)
-        assert np.array_equal(got.candidates, cands)
+        assert len(drawn) == 1 and np.array_equal(drawn[0], cands)
         assert np.array_equal(got.seeds, seeds)
         wcfg = vg.WalkConfig(walk_len=cfg.walk_len,
                              walks_per_seed=cfg.walks_per_seed)
@@ -366,6 +373,29 @@ class TestReconstructionLoss:
         assert_allclose(
             vg.reconstruction_loss(P, edge_rows(true_edges)).item(), want,
             atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [60, 61, 62])
+    def test_labels_equal_isin_without_assume_unique(self, seed):
+        """At zero scores the gradient on a pair is -1/2 on an edge and
+        +1/2 off, which reads the labels back out of the loss."""
+        I, T, rng = 30, 6, RNG(seed)
+        trips = np.column_stack([rng.integers(0, I, size=(300, 2)),
+                                 rng.integers(0, T, size=(300, 2))])
+        g = fuse(edge_rows([]), build_mobility_graph(trips, I, T),
+                 edge_rows([]), I, T)
+        n, union = g.n_nodes, g.union_edges()
+        cands = vg.candidate_pairs(g, rng, 5)
+        # np.isin tabulates keys when their range is at most 6x the two
+        # sizes; these keys are spread wider, so it sorts
+        union_keys = union[:, 0] * n + union[:, 1]
+        assert np.ptp(union_keys) > 6 * (len(cands) + len(union))
+        tape = nc.GradientTape()
+        P = vg.SamplingMatrix(pairs=cands, n_nodes=n, scores=tape.parameter(
+            "s", np.zeros(len(cands))))
+        grads = nc.backward(tape, vg.reconstruction_loss(P, union))
+        want = np.isin(cands[:, 0] * n + cands[:, 1], union_keys)
+        assert 0 < want.sum() < len(want)
+        assert np.array_equal(grads["s"] < 0.0, want)
 
     def test_gradients_reach_all_three_mlps(self):
         g = tiny_hetero()
