@@ -14,11 +14,10 @@ flags and reject either when set any other way.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 from . import config as cfgmod
 from .errors import (ConfigError, ContractError, DataError,
@@ -31,7 +30,7 @@ from .gradcheck import run_gradcheck
 from .hetero_graph import dump_jsonl, RelationType
 from .poi_embedding import train_skipgram
 from .region_data import load_dataset, load_dataset_dir, synth_dataset, \
-    write_dataset
+    write_csv, write_dataset
 from .trainer import (VARIANTS, build_graph, config_hash, export_embeddings,
                       load_embeddings, train, write_loss_csv)
 
@@ -69,14 +68,16 @@ def _parse_pairs(text: str) -> list:
     return pairs
 
 
+def _write_json(path: str, obj: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=str)
+        fh.write("\n")
+
+
 def _write_run_record(out_dir: str, command: str, values: dict,
                       extra: dict | None = None) -> None:
-    record = {"command": command, "config": values}
-    if extra:
-        record.update(extra)
-    with open(os.path.join(out_dir, "run.json"), "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "run.json"),
+                {"command": command, "config": values, **(extra or {})})
 
 
 def _resolved(args) -> dict:
@@ -133,9 +134,7 @@ def cmd_build_graph(args) -> int:
     stats = {"n_nodes": graph.n_nodes, "I": graph.I, "T": graph.T,
              "edges": {rel.value: len(graph.edges[rel])
                        for rel in RelationType}}
-    with open(os.path.join(out, "graph_stats.json"), "w") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "graph_stats.json"), stats)
     _write_run_record(out, "build-graph", values, {"stats": stats})
     print(f"built graph n={graph.n_nodes} edges="
           + ",".join(f"{rel.value}:{len(graph.edges[rel])}"
@@ -164,11 +163,8 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     out = _require_out(args)
     matrix, header = _load_model_embeddings(args.model)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["region"] + [f"e{k}" for k in range(header["d"])])
-        for i, row in enumerate(matrix):
-            writer.writerow([i] + [repr(float(x)) for x in row])
+    write_csv(out, ["region"] + [f"e{k}" for k in range(header["d"])],
+              ([i] + row for i, row in enumerate(matrix.tolist())))
     print(f"wrote {header['I']} x {header['d']} embeddings to {out}")
     return 0
 
@@ -184,10 +180,8 @@ def cmd_eval(args) -> int:
     probes = probe_all(matrix, ds, cfgmod.build_eval_config(values))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "eval.csv")
-    with open(path, "w") as fh:
-        fh.write("task,mae,mape,rmse\n")
-        for task, (_, m) in sorted(probes.items()):
-            fh.write(f"{task},{m.mae!r},{m.mape!r},{m.rmse!r}\n")
+    write_csv(path, ["task", "mae", "mape", "rmse"],
+              ([task, *astuple(m)] for task, (_, m) in sorted(probes.items())))
     _write_run_record(out, "eval", values)
     print(f"wrote probe metrics for {len(probes)} tasks to {path}")
     return 0
@@ -237,10 +231,8 @@ def cmd_case(args) -> int:
     pairs = _parse_pairs(args.pairs)
     matrix, _ = _load_model_embeddings(args.model)
     cosines = pair_similarity(matrix, pairs)
-    with open(out, "w") as fh:
-        fh.write("region_a,region_b,cosine\n")
-        for (a, b), c in zip(pairs, cosines):
-            fh.write(f"{a},{b},{float(c)!r}\n")
+    write_csv(out, ["region_a", "region_b", "cosine"],
+              ([a, b, c] for (a, b), c in zip(pairs, cosines.tolist())))
     print(f"wrote {len(pairs)} pair similarities to {out}")
     return 0
 
@@ -285,11 +277,9 @@ def cmd_sweep(args) -> int:
         rows.append((value, mean_metrics(picked)))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "sweep.csv")
-    with open(path, "w") as fh:
-        fh.write("param,value,task,mae,mape,rmse\n")
-        for value, m in rows:
-            fh.write(f"{args.param},{value!r},{args.task},"
-                     f"{m.mae!r},{m.mape!r},{m.rmse!r}\n")
+    write_csv(path, ["param", "value", "task", "mae", "mape", "rmse"],
+              ([args.param, value, args.task, *astuple(m)]
+               for value, m in rows))
     _write_run_record(out, "sweep", values,
                       {"param": args.param, "grid": [repr(v) for v in grid],
                        "seeds": list(seeds), "task": args.task})

@@ -25,26 +25,21 @@ from .trainer import TrainConfig
 from .view_generator import ViewGenConfig
 
 
-def _section(prefix: str, cls, skip=()) -> dict:
-    out = {}
-    for f in dataclasses.fields(cls):
-        if f.name in skip:
-            continue
-        default = f.default if f.default is not dataclasses.MISSING \
-            else f.default_factory()
-        out[f"{prefix}.{f.name}"] = default
-    return out
+def _section(prefix: str, cls) -> dict:
+    return {f"{prefix}.{k}": v for k, v in dataclasses.asdict(cls()).items()}
 
 
-def _train_sections() -> dict:
-    t = TrainConfig()
-    out = {"graph.eps_p": t.eps_p, "graph.eps_d": t.eps_d,
-           "model.d": t.d, "model.heads": t.heads,
-           "model.n_layers": t.n_layers}
-    for name in ("epochs", "lr", "weight_decay", "seed", "variant"):
-        out[f"train.{name}"] = getattr(t, name)
-    return out
+def _build(prefix: str, cls, values: dict):
+    return cls(**{f.name: values[f"{prefix}.{f.name}"]
+                  for f in dataclasses.fields(cls)})
 
+
+# the key of each TrainConfig field that is not a nested config
+TRAIN_KEYS = {"eps_p": "graph.eps_p", "eps_d": "graph.eps_d",
+              "d": "model.d", "heads": "model.heads",
+              "n_layers": "model.n_layers",
+              **{name: f"train.{name}" for name in
+                 ("epochs", "lr", "weight_decay", "seed", "variant")}}
 
 DEFAULTS: dict = {}
 DEFAULTS.update(_section("synth", SynthConfig))
@@ -52,7 +47,8 @@ DEFAULTS.update(_section("poi", SkipgramConfig))
 DEFAULTS.update(_section("view", ViewGenConfig))
 DEFAULTS.update(_section("loss", LossConfig))
 DEFAULTS.update(_section("eval", EvalConfig))
-DEFAULTS.update(_train_sections())
+DEFAULTS.update({key: getattr(TrainConfig(), name)
+                 for name, key in TRAIN_KEYS.items()})
 
 
 def cast_value(key: str, raw: str):
@@ -110,30 +106,19 @@ def resolve(config_path: str | None = None, assignments=(),
 
 
 def build_synth_config(values: dict) -> SynthConfig:
-    return SynthConfig(**{f.name: values[f"synth.{f.name}"]
-                          for f in dataclasses.fields(SynthConfig)})
+    return _build("synth", SynthConfig, values)
 
 
 def build_train_config(values: dict) -> TrainConfig:
-    sg = SkipgramConfig(**{f.name: values[f"poi.{f.name}"]
-                           for f in dataclasses.fields(SkipgramConfig)})
-    view = ViewGenConfig(**{f.name: values[f"view.{f.name}"]
-                            for f in dataclasses.fields(ViewGenConfig)})
-    loss = LossConfig(**{f.name: values[f"loss.{f.name}"]
-                         for f in dataclasses.fields(LossConfig)})
-    return TrainConfig(
-        epochs=values["train.epochs"], lr=values["train.lr"],
-        weight_decay=values["train.weight_decay"],
-        d=values["model.d"], heads=values["model.heads"],
-        n_layers=values["model.n_layers"],
-        eps_p=values["graph.eps_p"], eps_d=values["graph.eps_d"],
-        skipgram=sg, view=view, loss=loss,
-        seed=values["train.seed"], variant=values["train.variant"])
+    return TrainConfig(skipgram=_build("poi", SkipgramConfig, values),
+                       view=_build("view", ViewGenConfig, values),
+                       loss=_build("loss", LossConfig, values),
+                       **{name: values[key]
+                          for name, key in TRAIN_KEYS.items()})
 
 
 def build_eval_config(values: dict) -> EvalConfig:
-    return EvalConfig(**{f.name: values[f"eval.{f.name}"]
-                         for f in dataclasses.fields(EvalConfig)})
+    return _build("eval", EvalConfig, values)
 
 
 def defaults_lines() -> list:

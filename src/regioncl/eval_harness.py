@@ -13,14 +13,14 @@ a bare percentage error is undefined there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 
 import numpy as np
 
 from .errors import ConfigError, ContractError, DataError
 from .numcore import row_cosine
 from .poi_embedding import train_skipgram
-from .region_data import SLOT_TASKS, Dataset, crime_density
+from .region_data import SLOT_TASKS, Dataset, crime_density, write_csv
 from .trainer import TrainConfig, VARIANTS, region_embeddings, train
 
 DENSITY_BINS = (("(0.00,0.25]", 0.0, 0.25),
@@ -210,8 +210,6 @@ def run_ablation(dataset: Dataset, variant: str, train_cfg: TrainConfig,
                  eval_cfg: EvalConfig = EvalConfig(),
                  table: np.ndarray | None = None) -> dict:
     """Train under one variant and probe every task; returns task -> Metrics."""
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
     model = train(dataset, replace(train_cfg, variant=variant), table=table)
     probes = probe_all(region_embeddings(model), dataset, eval_cfg)
     return {task: m for task, (_, m) in probes.items()}
@@ -312,25 +310,18 @@ def run_arms(dataset: Dataset, variants, seeds, train_cfg: TrainConfig,
             per_task = run_ablation(dataset, variant,
                                     replace(train_cfg, seed=seed),
                                     eval_cfg, table=table)
-            rows += [AblationRow(variant=variant, task=task, seed=seed,
-                                 mae=m.mae, mape=m.mape, rmse=m.rmse)
+            rows += [AblationRow(variant, task, seed, *astuple(m))
                      for task, m in per_task.items()]
     rows.sort(key=lambda r: (r.variant, r.task, r.seed))
     return rows
 
 
 def write_ablation_csv(rows, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("variant,task,seed,mae,mape,rmse\n")
-        for r in rows:
-            fh.write(f"{r.variant},{r.task},{r.seed},"
-                     f"{r.mae!r},{r.mape!r},{r.rmse!r}\n")
+    write_csv(path, [f.name for f in fields(AblationRow)], map(astuple, rows))
 
 
 def write_robustness_csv(per_bin: dict, path: str, task: str = "crime") -> None:
-    with open(path, "w") as fh:
-        fh.write("bin,task,mae,mape,rmse\n")
-        for label, _, _ in DENSITY_BINS:
-            if label in per_bin:
-                m = per_bin[label]
-                fh.write(f"{label},{task},{m.mae!r},{m.mape!r},{m.rmse!r}\n")
+    """One row per populated bin, in bin order."""
+    write_csv(path, ["bin", "task", "mae", "mape", "rmse"],
+              ([label, task, *astuple(per_bin[label])]
+               for label, _, _ in DENSITY_BINS if label in per_bin))

@@ -135,14 +135,11 @@ class HeteroGraph:
     T: int
     edges: dict                      # RelationType -> canonical (E, 2) array
     adj: dict                        # RelationType -> CsrMatrix A_hat
+    union: np.ndarray                # canonical union of all the relations
 
     @property
     def n_nodes(self) -> int:
         return self.I * (1 + self.T)
-
-    def union_edges(self) -> np.ndarray:
-        return canonical_edges(np.concatenate(list(self.edges.values())),
-                               self.n_nodes)
 
 
 def fuse(g_p: np.ndarray, g_m: np.ndarray, g_d: np.ndarray, I: int,
@@ -163,7 +160,8 @@ def fuse(g_p: np.ndarray, g_m: np.ndarray, g_d: np.ndarray, I: int,
              np.arange(I, n, dtype=np.int64)], axis=1),
     }
     adj = {rel: normalized_adjacency(n, es) for rel, es in edges.items()}
-    return HeteroGraph(I=I, T=T, edges=edges, adj=adj)
+    union = canonical_edges(np.concatenate(list(edges.values())), n)
+    return HeteroGraph(I=I, T=T, edges=edges, adj=adj, union=union)
 
 
 def edge_records(g: HeteroGraph):

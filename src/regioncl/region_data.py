@@ -318,14 +318,14 @@ def load_dataset_dir(data_dir: str) -> Dataset:
 def write_dataset(ds: Dataset, data_dir: str) -> None:
     """Serialize to the CSV bundle; float formatting round-trips exactly."""
     os.makedirs(data_dir, exist_ok=True)
-    _write_csv(os.path.join(data_dir, POI_FILE),
-               ["region"] + list(ds.poi.category_names),
-               ([r] + row for r, row in enumerate(ds.poi.counts.tolist())))
-    _write_csv(os.path.join(data_dir, TRAJ_FILE),
-               ["src", "dst", "t_start", "t_end"], ds.trajectories.tolist())
-    _write_csv(os.path.join(data_dir, CENTROID_FILE), ["region", "lat", "lon"],
-               ([r, repr(lat), repr(lon)] for r, (lat, lon)
-                in enumerate(ds.dist.centroids.tolist())))
+    write_csv(os.path.join(data_dir, POI_FILE),
+              ["region"] + list(ds.poi.category_names),
+              ([r] + row for r, row in enumerate(ds.poi.counts.tolist())))
+    write_csv(os.path.join(data_dir, TRAJ_FILE),
+              ["src", "dst", "t_start", "t_end"], ds.trajectories.tolist())
+    write_csv(os.path.join(data_dir, CENTROID_FILE), ["region", "lat", "lon"],
+              ([r, lat, lon] for r, (lat, lon)
+               in enumerate(ds.dist.centroids.tolist())))
     if ds.targets:
         # long format, region-major; a static task has the one slot -1
         rows = []
@@ -333,12 +333,18 @@ def write_dataset(ds: Dataset, data_dir: str) -> None:
             slots = [-1] if task in STATIC_TASKS else range(ds.T)
             values = ds.targets[task].reshape(ds.n_regions, -1).tolist()
             for r, row in enumerate(values):
-                rows += ([r, task, t, repr(v)] for t, v in zip(slots, row))
-        _write_csv(os.path.join(data_dir, TARGETS_FILE),
-                   ["region", "task", "slot", "value"], rows)
+                rows += ([r, task, t, v] for t, v in zip(slots, row))
+        write_csv(os.path.join(data_dir, TARGETS_FILE),
+                  ["region", "task", "slot", "value"], rows)
 
 
-def _write_csv(path: str, header: list, rows) -> None:
+def write_csv(path: str, header, rows) -> None:
+    """The package's one CSV dialect, for every table it writes.
+
+    Lines end in a bare newline; a field is quoted only when it holds a
+    comma, quote or line break; a float (numpy's included) is written as
+    its repr, which reads back to the same value.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .numcore import AdamState, GradientTape, Tensor, adam_step, backward
 from .poi_embedding import (SkipgramConfig, init_attention, init_mlp,
                             pooled_vectors, project_regions, self_attention,
                             train_skipgram)
-from .region_data import Dataset
+from .region_data import Dataset, write_csv
 from .view_generator import (ContrastiveView, ViewGenConfig, init_vgae,
                              generate_views, reconstruction_loss, seed_count)
 
@@ -96,6 +96,7 @@ class TrainConfig:
 
 @dataclass
 class EpochRecord:
+    """One loss.csv row; the field order is the column order."""
     epoch: int
     l_nce: float
     l_bn: float
@@ -169,11 +170,10 @@ def _encode_view(nodes: np.ndarray, edges: np.ndarray, H0: Tensor,
 
 def _random_aug_views(graph: HeteroGraph, rng: np.random.Generator):
     """Comparison arm: full node set, uniform edge drops, no samplers."""
-    union = graph.union_edges()
     nodes = np.arange(graph.n_nodes)
     views = []
     for _ in range(2):
-        kept = drop_edges(union, RANDOM_AUG_DROP, rng)
+        kept = drop_edges(graph.union, RANDOM_AUG_DROP, rng)
         views.append(ContrastiveView(nodes=nodes, edges=kept, seeds=nodes))
     return views
 
@@ -292,9 +292,8 @@ def train(dataset: Dataset, cfg: TrainConfig,
                 reward = combined_reward(r1, r2, cfg.loss.w1)
 
             # sampler step on the reward-weighted reconstruction loss
-            union = graph.union_edges()
-            rec1 = reconstruction_loss(gen.sampling[0], union)
-            rec2 = reconstruction_loss(gen.sampling[1], union)
+            rec1 = reconstruction_loss(gen.sampling[0], graph.union)
+            rec2 = reconstruction_loss(gen.sampling[1], graph.union)
             l_rec1, l_rec2 = rec1.item(), rec2.item()
             objective = sampler_objective(reward, rec1, rec2)
             if not np.isfinite(objective.item()):
@@ -324,11 +323,8 @@ def region_embeddings(model: TrainedModel) -> np.ndarray:
 
 
 def write_loss_csv(history, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,L_NCE,L_BN,L,reward,L_Rec1,L_Rec2\n")
-        for r in history:
-            fh.write(f"{r.epoch},{r.l_nce!r},{r.l_bn!r},{r.loss!r},"
-                     f"{r.reward!r},{r.l_rec1!r},{r.l_rec2!r}\n")
+    write_csv(path, ["epoch", "L_NCE", "L_BN", "L", "reward", "L_Rec1",
+                     "L_Rec2"], map(astuple, history))
 
 
 # ---------------------------------------------------------------------------

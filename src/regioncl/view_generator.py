@@ -172,7 +172,7 @@ def candidate_pairs(graph: HeteroGraph,
     partners = rng.integers(0, n, size=(n, neg_per_node))
     drawn = np.stack([np.repeat(np.arange(n), neg_per_node),
                       partners.reshape(-1)], axis=1)
-    return canonical_edges(np.concatenate([graph.union_edges(), drawn]), n)
+    return canonical_edges(np.concatenate([graph.union, drawn]), n)
 
 
 @dataclass
@@ -195,8 +195,7 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
     views, sampling = [], []
     for params in (params1, params2):
         noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 62)))
-        noise = noise_rng.normal(cfg.noise_mu, cfg.noise_sigma, H.data.shape) \
-            if cfg.noise_sigma > 0.0 else np.full(H.data.shape, cfg.noise_mu)
+        noise = noise_rng.normal(cfg.noise_mu, cfg.noise_sigma, H.data.shape)
         h_tilde = vgae_encode(H, params, noise)
         P = score_edges(h_tilde, params, cands)
         edges = sparsify(P, cfg.eps)

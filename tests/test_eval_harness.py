@@ -1,5 +1,7 @@
 """Lasso probes, metrics, ablation arms, density slicing."""
 
+import csv
+
 import numpy as np
 import pytest
 from conftest import NOISY_SYNTH
@@ -488,5 +490,21 @@ class TestCsv:
         write_robustness_csv(per_bin, path)
         lines = open(path).read().splitlines()
         assert lines[0] == "bin,task,mae,mape,rmse"
-        assert lines[1].startswith("(0.00,0.25],crime,")
-        assert lines[2].startswith("(0.50,1.00],crime,")
+        assert lines[1].startswith('"(0.00,0.25]",crime,')
+        assert lines[2].startswith('"(0.50,1.00]",crime,')
+
+    def test_robustness_csv_reads_back_one_field_per_column(self, tmp_path):
+        # every bin label holds a comma, so a reader must see it quoted
+        labels = ["(0.00,0.25]", "(0.25,0.50]", "(0.50,1.00]"]
+        per_bin = {label: Metrics(1.0 + k, 0.1 * k, 2.0 + k)
+                   for k, label in enumerate(labels)}
+        path = str(tmp_path / "robustness.csv")
+        write_robustness_csv(per_bin, path)
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == ["bin", "task", "mae", "mape", "rmse"]
+        assert [len(r) for r in rows] == [5, 5, 5]
+        assert [r["bin"] for r in rows] == labels
+        assert [r["task"] for r in rows] == ["crime"] * 3
+        assert [float(r["rmse"]) for r in rows] == [2.0, 3.0, 4.0]

@@ -371,6 +371,12 @@ class TestFuse:
         # record (0, 1, 0, 1): Slot(0,0) -> index 2, Slot(1,1) -> index 5
         assert_edges(g.edges[hg.RelationType.MOBILITY], {(2, 5)})
 
+    def test_union_holds_every_relation_edge_once(self):
+        g = tiny_fused(I=2, T=2)
+        want = {tuple(e) for rel in hg.RelationType
+                for e in g.edges[rel].tolist()}
+        assert_edges(g.union, want)
+
     def test_edge_records_roundtrip_fields(self):
         g = tiny_fused()
         recs = list(hg.edge_records(g))

@@ -1,5 +1,6 @@
-"""Every name a module imports is read somewhere in that module, and no
-library module dedups through numpy's hash-based ``unique``."""
+"""Every name a module imports is read somewhere in that module, no
+library module dedups through numpy's hash-based ``unique``, and none
+writes a comma-joined row by hand."""
 
 import ast
 from pathlib import Path
@@ -94,3 +95,37 @@ def test_no_library_module_calls_np_unique():
         f"regioncl.hetero_graph.sorted_unique (one sort and a mask of "
         f"adjacent differences), and pass assume_unique=True to set "
         f"routines whose inputs are already unique")
+
+
+def hand_written_rows(source: str) -> list:
+    """Line numbers of ``.write(...)`` calls whose argument holds a string
+    or f-string literal with a comma: a table row joined by hand."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "write" \
+                and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                        and "," in c.value
+                        for arg in node.args for c in ast.walk(arg)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_row_scanner_finds_hand_written_rows():
+    source = ("fh.write('a,b\\n')\n"
+              "fh.write(f'{a},{b!r}\\n')\n"
+              "fh.write('\\n')\n"
+              "fh.write(json.dumps(rec) + '\\n')\n"
+              "fh.write(x + ',' + y)\n"
+              "print('a,b')\n")
+    assert hand_written_rows(source) == [1, 2, 5]
+
+
+def test_no_library_module_writes_a_csv_row_by_hand():
+    found = {str(path.relative_to(REPO)): lines for path in LIBRARY
+             if (lines := hand_written_rows(path.read_text()))}
+    assert found == {}, (
+        f"hand-joined rows at {found}: write tables with "
+        f"regioncl.region_data.write_csv, which quotes a field that holds "
+        f"a comma and writes each float as its repr")

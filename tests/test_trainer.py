@@ -220,7 +220,7 @@ class TestEdgeArrays:
                     for v in pair])
         assert len(views) == 2
         arrays = (list(model.graph.edges.values())
-                  + [model.graph.union_edges()]
+                  + [model.graph.union]
                   + outputs.get("candidate_pairs", [])
                   + outputs.get("sparsify", [])
                   + outputs["drop_edges"] + [v.edges for v in views])

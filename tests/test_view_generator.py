@@ -252,7 +252,7 @@ class TestCandidatePairs:
     def loop_oracle(graph, rng, neg_per_node):
         """One scalar draw per (node, negative), in node order."""
         n = graph.n_nodes
-        pairs = {tuple(e) for e in graph.union_edges().tolist()}
+        pairs = {tuple(e) for e in graph.union.tolist()}
         for u in range(n):
             for _ in range(neg_per_node):
                 v = int(rng.integers(0, n))
@@ -383,7 +383,7 @@ class TestReconstructionLoss:
                                  rng.integers(0, T, size=(300, 2))])
         g = fuse(edge_rows([]), build_mobility_graph(trips, I, T),
                  edge_rows([]), I, T)
-        n, union = g.n_nodes, g.union_edges()
+        n, union = g.n_nodes, g.union
         cands = vg.candidate_pairs(g, rng, 5)
         # np.isin tabulates keys when their range is at most 6x the two
         # sizes; these keys are spread wider, so it sorts
@@ -405,7 +405,7 @@ class TestReconstructionLoss:
         noise = RNG(53).normal(size=H.data.shape)
         P = vg.score_edges(vg.vgae_encode(H, params, noise), params,
                            vg.candidate_pairs(g, RNG(54), 3))
-        grads = nc.backward(tape, vg.reconstruction_loss(P, g.union_edges()))
+        grads = nc.backward(tape, vg.reconstruction_loss(P, g.union))
         for part in ("mean", "std", "score"):
             assert any(np.any(grads[k] != 0.0) for k in grads
                        if k.startswith(f"v1.{part}")), part
@@ -421,6 +421,6 @@ class TestReconstructionLoss:
         def loss_fn():
             P = vg.score_edges(vg.vgae_encode(nc.Tensor(H), params, noise),
                                params, cands)
-            return vg.reconstruction_loss(P, g.union_edges())
+            return vg.reconstruction_loss(P, g.union)
 
         assert check_tape_gradients(loss_fn, tape) < 1e-4
