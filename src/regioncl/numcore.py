@@ -18,7 +18,10 @@ Conventions fixed here because tests depend on them:
     dot_cross_entropy accumulates no gradient.
 
 Sparse operands are CsrMatrix constants; ``spmm`` multiplies one into a
-dense tensor and differentiates only through the dense side.
+dense tensor and differentiates only through the dense side. A CsrMatrix
+groups its rows by nonzero count when it is built, so a product is one
+gather and one batched BLAS product per distinct row length, and each
+row's sum follows BLAS order.
 """
 
 from __future__ import annotations
@@ -77,11 +80,14 @@ class CsrMatrix:
     """A constant sparse matrix in compressed-row form.
 
     Row i holds ``values[indptr[i]:indptr[i+1]]`` at the columns
-    ``indices[indptr[i]:indptr[i+1]]``, ascending within the row.
+    ``indices[indptr[i]:indptr[i+1]]``, ascending within the row. The
+    constructor also groups the rows by their nonzero count (a stable sort
+    of the row lengths, the sliced-ELLPACK layout): each group of m rows of
+    k nonzeros keeps its row ids, an (m, k) column block and an (m, 1, k)
+    value block, which is all ``dot`` reads.
     """
 
-    __slots__ = ("indptr", "indices", "values", "shape", "_starts",
-                 "_nonempty")
+    __slots__ = ("indptr", "indices", "values", "shape", "_groups")
 
     def __init__(self, indptr, indices, values, shape):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -90,12 +96,26 @@ class CsrMatrix:
         self.shape = tuple(int(k) for k in shape)
         if (self.indptr.shape != (self.shape[0] + 1,)
                 or self.indices.shape != self.values.shape
+                or self.indptr[0] != 0
                 or self.indptr[-1] != self.values.size):
             raise ShapeError(f"CsrMatrix: inconsistent arrays for shape "
                              f"{self.shape}")
-        starts = self.indptr[:-1]
-        self._nonempty = starts < self.indptr[1:]
-        self._starts = starts[self._nonempty]
+        lengths = np.diff(self.indptr)
+        if np.any(lengths < 0):
+            raise ShapeError("CsrMatrix: indptr decreases")
+        if self.indices.size and (self.indices.min() < 0 or
+                                  self.indices.max() >= self.shape[1]):
+            raise ShapeError(f"CsrMatrix: column index out of range for "
+                             f"shape {self.shape}")
+        order = np.argsort(lengths, kind="stable")
+        order = order[lengths[order] > 0]       # empty rows stay zero in dot
+        cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+        self._groups = []
+        for grp in np.split(order, cuts):
+            if grp.size:
+                pos = self.indptr[grp, None] + np.arange(lengths[grp[0]])
+                self._groups.append((grp, self.indices[pos],
+                                     self.values[pos][:, None, :]))
 
     @property
     def nnz(self) -> int:
@@ -108,18 +128,13 @@ class CsrMatrix:
         return out
 
     def dot(self, x: np.ndarray) -> np.ndarray:
-        """self @ x for a dense 2-d x, as segment sums of the gathered terms.
-
-        The terms are laid out column-major, (d, nnz), because reduceat
-        sums long contiguous segments about twice as fast as short rows.
-        """
-        out = np.zeros((x.shape[1], self.shape[0]))
-        if self.values.size:
-            terms = np.take(np.ascontiguousarray(x.T), self.indices, axis=1)
-            terms *= self.values
-            out[:, self._nonempty] = np.add.reduceat(terms, self._starts,
-                                                     axis=1)
-        return np.ascontiguousarray(out.T)
+        """self @ x for a dense 2-d x: per row-length group, one gather of
+        the (m, k, d) neighbour rows and one batched (1, k) @ (k, d)
+        product; rows with no nonzeros stay zero."""
+        out = np.zeros((self.shape[0], x.shape[1]))
+        for grp, cols, vals in self._groups:
+            out[grp] = np.matmul(vals, x[cols])[:, 0]
+        return out
 
 
 @contextlib.contextmanager
@@ -258,10 +273,13 @@ def dot_cross_entropy(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
     The softmax cross-entropy of each row of c a b^T against its diagonal
     entry, without forming a b^T: the forward walks ``DOT_CE_BLOCK`` rows
     of a at a time, shifts each slab's row max out before exponentiating and
-    keeps only the per-row logsumexp. While recording, the same pass turns
-    each exponentiated slab E (row sums s) into the softmax parts of both
-    gradients, (E / s) B and (E / s)^T a, so the backward only subtracts the
-    diagonal terms and scales by g c.
+    keeps only the per-row logsumexp. c scales the (DOT_CE_BLOCK, d) rows of
+    a before the slab product, not the slab after it (the same bits when c
+    is a power of two). While recording, the same pass turns each
+    exponentiated slab E (row sums s) into the softmax parts of both
+    gradients, (E / s) B and (E / s)^T a, the latter accumulated transposed
+    as (a / s)^T E into one (d, n) buffer, so the backward only subtracts
+    the diagonal terms and scales by g c.
     """
     a, b = constant(a), constant(b)
     if a.data.ndim != 2 or a.data.shape != b.data.shape:
@@ -270,12 +288,11 @@ def dot_cross_entropy(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
     A, B, c = a.data, b.data, float(scale)
     grad = _recording
     if grad:
-        dA, dB = np.empty_like(A), np.zeros_like(B)
+        dA, dBt = np.empty_like(A), np.zeros(A.shape[::-1])
     lse = np.empty(A.shape[0])
     for i in range(0, A.shape[0], DOT_CE_BLOCK):
         blk = slice(i, i + DOT_CE_BLOCK)
-        z = A[blk] @ B.T
-        z *= c
+        z = (A[blk] * c) @ B.T
         top = z.max(axis=1)
         z -= top[:, None]
         np.exp(z, out=z)
@@ -283,12 +300,12 @@ def dot_cross_entropy(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
         lse[blk] = np.log(s) + top
         if grad:
             dA[blk] = (z @ B) / s[:, None]
-            dB += z.T @ (A[blk] / s[:, None])
+            dBt += (A[blk] / s[:, None]).T @ z
     loss = (lse - c * (A * B).sum(axis=1)).sum()
     if not grad:
         return Tensor(loss)
     dA -= B
-    dB -= A
+    dB = np.subtract(dBt.T, A, order="C")
 
     def vjp(g):
         gc = float(g) * c

@@ -107,6 +107,18 @@ class TestStageTable:
                 assert np.array_equal(a[key].data, b[key].data), (name, key)
             assert loss_a().item() == loss_b().item(), name
 
+    @staticmethod
+    def _reached(builder, seed, points):
+        """Parameter name -> whether any of the points gives it a nonzero
+        analytic gradient, the points drawn as ``run_gradcheck`` draws them."""
+        rng = np.random.default_rng(seed)
+        reached = {}
+        for _ in range(points):
+            loss_fn, tape = builder(rng)
+            for key, g in nc.backward(tape, loss_fn()).items():
+                reached[key] = reached.get(key, False) or bool(np.any(g != 0))
+        return reached
+
     def test_loss_reaches_every_live_parameter(self):
         # a loss_fn that closes over copies of its parameters would give zero
         # analytic and zero numeric gradients, which agree. vgae_encode does
@@ -116,15 +128,20 @@ class TestStageTable:
         unused = {"vgae_encode": ("vg.score.",),
                   "reconstruction_loss": ("vg.mean.", "vg.std.")}
         for name, builder in stagechecks.STAGES.items():
-            rng = np.random.default_rng(7)
-            reached = {}
-            for _ in range(3):
-                loss_fn, tape = builder(rng)
-                for key, g in nc.backward(tape, loss_fn()).items():
-                    reached[key] = reached.get(key, False) or np.any(g != 0)
+            reached = self._reached(builder, seed=7, points=3)
             for key, hit in reached.items():
                 live = not key.startswith(unused.get(name, ()))
                 assert hit == live, (name, key)
+
+    @pytest.mark.parametrize("stage", ["hgnn_encoder", "overall_loss"])
+    def test_criterion_points_reach_the_spmm_backward(self, stage):
+        """Every weight below an encoder's last layer gets its gradient
+        through spmm's backward; at criterion 1's 20 points (seed 0) each
+        parameter of these stages must be checked against a nonzero
+        gradient at least once, not only as 0 against 0."""
+        reached = self._reached(stagechecks.STAGES[stage], seed=0, points=20)
+        assert all(reached.values()), sorted(k for k, v in reached.items()
+                                             if not v)
 
     def test_loss_fn_returns_scalar(self):
         for name, builder in stagechecks.STAGES.items():

@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -148,6 +148,17 @@ class TestForward:
         got = nc.spmm(csr(dense), nc.Tensor(H)).data
         assert_allclose(got, dense @ H, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("indptr, indices", [
+        ([0, 1, 2], [-1, 0]),        # would read x[-1], the last row
+        ([0, 1, 2], [0, 2]),         # column 2 of a 2-column matrix
+        ([1, 1, 2], [0, 1]),         # would drop the first nonzero
+        ([0, 2, 1, 2], [0, 1]),      # a row of length -1
+    ])
+    def test_csr_rejects_malformed_arrays(self, indptr, indices):
+        shape = (len(indptr) - 1, 2)
+        with pytest.raises(ShapeError):
+            nc.CsrMatrix(indptr, indices, np.ones(len(indices)), shape)
+
     def test_spmm_shape_mismatch(self):
         with pytest.raises(ShapeError):
             nc.spmm(csr(SYM), nc.Tensor(np.ones((4, 2))))
@@ -160,16 +171,15 @@ class TestForward:
         grads = nc.backward(tape, nc.tsum(out))
         assert_allclose(grads["h"], SYM.T @ np.ones((3, 2)), atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
-    def test_dot_cross_entropy_matches_softmax_composition(self, n):
-        """Row counts on both sides of every block edge up to 600."""
+    @staticmethod
+    def _check_against_composition(n, c):
         rng = RNG(20 + n)
         tape = nc.GradientTape()
         a = tape.parameter("a", rng.normal(size=(n, 5)))
         b = tape.parameter("b", rng.normal(size=(n, 5)))
-        fused = nc.dot_cross_entropy(a, b, 2.0)
+        fused = nc.dot_cross_entropy(a, b, c)
         g_fused = nc.backward(tape, fused)
-        probs = nc.softmax_rows(nc.scale(nc.matmul(a, nc.transpose(b)), 2.0))
+        probs = nc.softmax_rows(nc.scale(nc.matmul(a, nc.transpose(b)), c))
         composed = nc.neg(nc.tsum(nc.mul(nc.log(probs),
                                          nc.Tensor(np.eye(n)))))
         g_composed = nc.backward(tape, composed)
@@ -177,6 +187,17 @@ class TestForward:
         for name in ("a", "b"):
             assert_allclose(g_fused[name], g_composed[name], rtol=0,
                             atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+    def test_dot_cross_entropy_matches_softmax_composition(self, n):
+        """Row counts on both sides of every block edge up to 600."""
+        self._check_against_composition(n, 2.0)
+
+    @pytest.mark.parametrize("n", [255, 256, 257])
+    def test_dot_cross_entropy_matches_composition_off_power_of_two(self, n):
+        """c = 1/0.3 scales a's rows before the slab product, which rounds
+        differently from scaling the slab; the result must still agree."""
+        self._check_against_composition(n, 1 / 0.3)
 
     def test_dot_cross_entropy_large_logits_stay_finite(self):
         S = np.array([[800.0, -800.0], [0.0, 900.0]])
@@ -189,6 +210,40 @@ class TestForward:
         with pytest.raises(ShapeError):
             nc.dot_cross_entropy(nc.Tensor(np.ones((2, 3))),
                                  nc.Tensor(np.ones((3, 3))))
+
+
+@st.composite
+def sparse_and_dense(draw):
+    """A random sparse (rows, cols) matrix and a dense (cols, d) operand."""
+    rows, cols, d = (draw(st.integers(1, 9)) for _ in range(3))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=rows * cols,
+                                  max_size=rows * cols))).reshape(rows, cols)
+    rng = RNG(draw(st.integers(0, 2 ** 32 - 1)))
+    return rng.normal(size=(rows, cols)) * mask, rng.normal(size=(cols, d))
+
+
+def _staircase():
+    """Every row a different length, from 0 to all 5 columns, out of order."""
+    lengths = np.array([3, 0, 5, 1, 4, 2])
+    dense = (np.arange(5) < lengths[:, None]) * RNG(9).normal(size=(6, 5))
+    return dense, RNG(10).normal(size=(5, 3))
+
+
+class TestCsrDot:
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_and_dense())
+    @example((np.zeros((3, 4)), RNG(1).normal(size=(4, 2))))          # nnz 0
+    @example((np.array([[2.5]]), np.array([[-1.0, 3.0]])))             # n = 1
+    @example((SYM, RNG(2).normal(size=(3, 4))))                 # empty row
+    @example((RNG(3).normal(size=(3, 7)), RNG(4).normal(size=(7, 2))))  # full
+    @example(_staircase())
+    def test_dot_matches_dense_product(self, case):
+        dense, x = case
+        A = csr(dense)
+        got = A.dot(x)
+        assert got.shape == (dense.shape[0], x.shape[1])
+        assert_allclose(got, dense @ x, rtol=0, atol=1e-12)
+        assert got.tobytes() == A.dot(x).tobytes()
 
 
 def _peak_bytes(fn):
