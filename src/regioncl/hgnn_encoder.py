@@ -8,8 +8,9 @@ differentiable; adjacencies enter as constant sparse matrices (CsrMatrix),
 so a layer costs O(|E| d) per relation and no gradient is formed for them.
 
 The same code encodes both the fused multi-relation graph and the sampled
-single-relation contrastive views (the caller picks which weight bank, and
-which adjacency dict, to pass).
+single-relation contrastive views: the caller passes the whole weight bank
+and picks the relations through the adjacency dict, since ``encode`` reads
+the weights of only the relations that dict holds.
 """
 
 from __future__ import annotations

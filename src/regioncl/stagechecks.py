@@ -16,13 +16,13 @@ import numpy as np
 from . import numcore as nc
 from .hetero_graph import RelationType, normalized_adjacency
 from .hgnn_encoder import encode, init_encoder, init_features
-from .losses import ViewEmbeddings, info_bn, info_nce, overall_loss
+from .losses import LossConfig, ViewEmbeddings, info_bn, info_nce
 from .numcore import GradientTape, Tensor
 from .poi_embedding import (init_attention, init_mlp, project_regions,
                             self_attention)
 from .region_data import PoiMatrix
-from .trainer import _encode_view
-from .view_generator import (init_vgae, reconstruction_loss, score_edges,
+from .trainer import contrastive_loss, view_adjacency
+from .view_generator import (VgaeParams, reconstruction_loss, score_edges,
                              vgae_encode)
 
 
@@ -41,6 +41,19 @@ def _random_edges(rng, nodes, p: float) -> np.ndarray:
     nodes = np.asarray(nodes)
     pairs = nodes[np.stack(np.triu_indices(len(nodes), k=1), axis=1)]
     return pairs[rng.random(len(pairs)) < p]
+
+
+def _vgae(tape: GradientTape, d: int, rng, read) -> VgaeParams:
+    """``init_vgae``'s draws, with only the MLPs the loss reads on ``tape``:
+    an unread one would only ever be checked as 0 against 0."""
+    scratch = GradientTape()
+
+    def mlp(name, d_out):
+        return init_mlp(tape if name in read else scratch, f"vg.{name}",
+                        d, d, d_out, rng)
+
+    return VgaeParams(mean_mlp=mlp("mean", d), std_mlp=mlp("std", d),
+                      score_mlp=mlp("score", 1))
 
 
 def _projection_loss(out: Tensor, P: np.ndarray) -> Tensor:
@@ -85,7 +98,7 @@ def stage_vgae_encode(rng):
     noise = noise_rng.normal(size=(n, d))
     P = rng.normal(size=(n, d))
     tape = GradientTape()
-    params = init_vgae(tape, "vg", d, rng)
+    params = _vgae(tape, d, rng, read=("mean", "std"))
     h = tape.parameter("h", rng.normal(size=(n, d)))
 
     def loss_fn() -> Tensor:
@@ -99,7 +112,7 @@ def stage_reconstruction(rng):
     candidates = np.stack(np.triu_indices(n, k=1), axis=1)
     true_edges = _random_edges(rng, range(n), 0.4)
     tape = GradientTape()
-    params = init_vgae(tape, "vg", d, rng)
+    params = _vgae(tape, d, rng, read=("score",))
     h = tape.parameter("h", rng.normal(size=(n, d)))
 
     def loss_fn() -> Tensor:
@@ -131,28 +144,32 @@ def stage_info_bn(rng):
 
 
 def stage_overall(rng):
-    """Full contrastive path: POI projection through both loss terms."""
+    """Full contrastive path: POI projection through the trainer's loss."""
     I, T, C, d_sg, d, heads, n_layers = 3, 1, 3, 4, 4, 2, 2
-    relations = [RelationType.MOBILITY]
+    n = I * (1 + T)
     poi = _poi_fixture(rng, I, C)
     table = rng.normal(size=(C, d_sg))
     # two views on overlapping nodes, then the InfoBN drop of each
-    nodes = (np.arange(5), np.arange(1, 6)) * 2
-    edges = [_random_edges(rng, v, p) for v, p in zip(nodes, (.6, .6, .4, .4))]
+    nodes = (np.arange(5), np.arange(1, 6))
+    edges = [_random_edges(rng, v, p)
+             for v, p in zip(nodes * 2, (.6, .6, .4, .4))]
+    adjs = [(view_adjacency(n, v, e), view_adjacency(n, v, e_aug))
+            for v, e, e_aug in zip(nodes, edges[:2], edges[2:])]
     tape = GradientTape()
     mlp = init_mlp(tape, "pm", d_sg, d, d, rng)
     attn = init_attention(tape, "at", d, heads, rng)
-    enc_params = init_encoder(tape, "enc", d, n_layers, relations, rng)
+    enc_params = init_encoder(tape, "enc", d, n_layers,
+                              [RelationType.MOBILITY], rng)
+    # a dead hidden layer with the zero-initialized output bias would make
+    # every region's projection exactly 0, where normalize_rows has no
+    # derivative; drawn last, so every earlier draw stays where it was
+    mlp.b2.data[...] = rng.normal(size=mlp.b2.data.shape)
+    loss_cfg = LossConfig(beta=0.1, tau=0.5)
 
     def loss_fn() -> Tensor:
         E = project_regions(table, poi, mlp)
         H0 = init_features(self_attention(E, attn), I, T)
-        h1, h2, h1a, h2a = (_encode_view(v, e, H0, enc_params)
-                            for v, e in zip(nodes, edges))
-        views = ViewEmbeddings(h1=h1, nodes1=nodes[0], h2=h2, nodes2=nodes[1])
-        nce = info_nce(views, tau=0.5)
-        bn = info_bn(h1, h1a, h2, h2a, tau=0.5)
-        return overall_loss(nce, bn, beta=0.1)
+        return contrastive_loss(H0, nodes, adjs, enc_params, loss_cfg)[3]
 
     return loss_fn, tape
 

@@ -58,14 +58,21 @@ class SamplingMatrix:
 
 def score_edges(H_tilde: Tensor, params: VgaeParams,
                 candidates) -> SamplingMatrix:
-    """p_{u,v} = score-MLP(h_u * h_v), scored once per unordered pair."""
+    """p_{u,v} = score-MLP(h_u * h_v), scored once per unordered pair.
+
+    ``candidates`` must be canonical, as ``candidate_pairs`` returns them:
+    an (E, 2) int64 array of in-range rows with u < v, in strictly
+    increasing key order u * n + v. One O(E) pass checks that.
+    """
     n = H_tilde.data.shape[0]
-    cands = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
-    bad = (cands[:, 0] == cands[:, 1]) | ((cands < 0) | (cands >= n)).any(1)
+    pairs = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    bad = (pairs[:, 0] < 0) | (pairs[:, 0] >= pairs[:, 1]) | (pairs[:, 1] >= n)
     if bad.any():
-        u, v = cands[bad][0]
+        u, v = pairs[bad][0]
         raise ContractError(f"bad candidate pair ({u}, {v}) for {n} nodes")
-    pairs = canonical_edges(cands, n)
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    if np.any(keys[1:] <= keys[:-1]):
+        raise ContractError("candidate pairs repeat or are out of order")
     if not len(pairs):
         return SamplingMatrix(pairs=pairs, scores=Tensor(np.zeros(0)),
                               n_nodes=n)
@@ -81,12 +88,6 @@ def sparsify(P: SamplingMatrix, eps: float) -> np.ndarray:
     return P.pairs[nc.expit(P.scores.data) >= eps]
 
 
-@dataclass(frozen=True)
-class WalkConfig:
-    walk_len: int = 8
-    walks_per_seed: int = 4
-
-
 @dataclass(frozen=True, eq=False)
 class ContrastiveView:
     """Subgraph cut by random walks; nodes are HeteroGraph indices."""
@@ -96,7 +97,7 @@ class ContrastiveView:
 
 
 def random_walk_sample(n_nodes: int, edges: np.ndarray, seeds,
-                       cfg: WalkConfig,
+                       cfg: ViewGenConfig,
                        rng: np.random.Generator) -> ContrastiveView:
     """Union of uniform random walks from each seed; induced edge set.
 
@@ -179,7 +180,6 @@ def candidate_pairs(graph: HeteroGraph,
 class GeneratedViews:
     views: tuple             # (ContrastiveView, ContrastiveView)
     sampling: tuple          # (SamplingMatrix, SamplingMatrix)
-    seeds: np.ndarray
 
 
 def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
@@ -189,8 +189,6 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
     cands = candidate_pairs(graph, rng, cfg.neg_per_node)
     n = graph.n_nodes
     seed_nodes = rng.choice(n, size=seed_count(cfg, n), replace=False)
-    walk_cfg = WalkConfig(walk_len=cfg.walk_len,
-                          walks_per_seed=cfg.walks_per_seed)
 
     views, sampling = [], []
     for params in (params1, params2):
@@ -199,10 +197,9 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
         h_tilde = vgae_encode(H, params, noise)
         P = score_edges(h_tilde, params, cands)
         edges = sparsify(P, cfg.eps)
-        views.append(random_walk_sample(n, edges, seed_nodes, walk_cfg, rng))
+        views.append(random_walk_sample(n, edges, seed_nodes, cfg, rng))
         sampling.append(P)
-    return GeneratedViews(views=tuple(views), sampling=tuple(sampling),
-                          seeds=seed_nodes)
+    return GeneratedViews(views=tuple(views), sampling=tuple(sampling))
 
 
 def reconstruction_loss(P: SamplingMatrix, true_edges: np.ndarray) -> Tensor:

@@ -357,7 +357,7 @@ def test_criterion_9_invariants():
     H = Tensor(vrng.normal(size=(graph.n_nodes, 8)))
     views = generate_views(graph, H, g1, g2, cfg.view, vrng)
     checks["seeds in both views"] = all(
-        set(views.seeds.tolist()) <= set(view.nodes.tolist())
+        set(views.views[0].seeds.tolist()) <= set(view.nodes.tolist())
         for view in views.views)
 
     rmse_ok = True

@@ -9,8 +9,7 @@ from regioncl import trainer, view_generator
 from regioncl.errors import ConfigError, DataError, TrainingAborted
 from regioncl.hetero_graph import (RelationType, build_mobility_graph,
                                    canonical_edges, normalized_adjacency)
-from regioncl.hgnn_encoder import init_encoder
-from regioncl.numcore import GradientTape, Tensor
+from regioncl.numcore import Tensor
 from regioncl.poi_embedding import SkipgramConfig
 from regioncl.region_data import SynthConfig, synth_dataset
 from regioncl.trainer import (TrainConfig, config_hash, export_embeddings,
@@ -60,6 +59,12 @@ class TestConfigValidation:
     def test_lr_must_be_positive(self):
         with pytest.raises(ConfigError):
             TrainConfig(lr=0.0)
+
+    def test_distance_threshold_must_be_positive(self):
+        # rejected when built, not after skip-gram training in build_graph
+        for eps_d in (0.0, -1.0):
+            with pytest.raises(ConfigError, match="eps_d"):
+                TrainConfig(eps_d=eps_d)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError, match="variant"):
@@ -232,39 +237,34 @@ class TestEdgeArrays:
             assert np.isin(view.edges, view.nodes).all()
 
 
-class TestEncodeView:
+class TestViewAdjacency:
     """A view's edges reach its Â through the rank of each endpoint."""
 
-    def view(self, seed, n=40, d=4):
+    N = 40
+
+    def view(self, seed):
         rng = np.random.default_rng(seed)
-        params = init_encoder(GradientTape(), "hgnn", d, 2,
-                              [RelationType.MOBILITY], rng)
-        nodes = np.flatnonzero(rng.random(n) < 0.6)
-        edges = canonical_edges(rng.choice(nodes, size=(3 * n, 2)), n)
-        return nodes, edges, Tensor(rng.normal(size=(n, d))), params
+        nodes = np.flatnonzero(rng.random(self.N) < 0.6)
+        edges = canonical_edges(rng.choice(nodes, size=(3 * self.N, 2)),
+                                self.N)
+        return nodes, edges
 
-    def test_adjacency_equals_searchsorted_remap(self, monkeypatch):
-        built = []
-
-        def spy(n_nodes, edges):
-            built.append(normalized_adjacency(n_nodes, edges))
-            return built[-1]
-        monkeypatch.setattr(trainer, "normalized_adjacency", spy)
+    def test_adjacency_equals_searchsorted_remap(self):
         for seed in range(5):
-            nodes, edges, H0, params = self.view(seed)
-            trainer._encode_view(nodes, edges, H0, params)
+            nodes, edges = self.view(seed)
+            got = trainer.view_adjacency(self.N, nodes, edges)
             want = normalized_adjacency(len(nodes),
                                         np.searchsorted(nodes, edges))
             for field in ("indptr", "indices", "values"):
-                assert getattr(built[-1], field).tobytes() \
+                assert getattr(got, field).tobytes() \
                     == getattr(want, field).tobytes()
 
     def test_endpoint_outside_view_rejected(self):
-        nodes, edges, H0, params = self.view(5)
-        outside = np.setdiff1d(np.arange(40), nodes)[0]
+        nodes, edges = self.view(5)
+        outside = np.setdiff1d(np.arange(self.N), nodes)[0]
         stray = np.concatenate([edges, [[nodes[0], outside]]])
         with pytest.raises(DataError, match="out of range"):
-            trainer._encode_view(nodes, stray, H0, params)
+            trainer.view_adjacency(self.N, nodes, stray)
 
 
 class TestVariants:

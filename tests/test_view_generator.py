@@ -65,13 +65,14 @@ class TestVgaeEncode:
 
 class TestScoreEdges:
     def test_symmetric_by_construction(self):
+        """A pair is scored in its one orientation u < v; (v, u) is an
+        uncanonical candidate and is rejected, not re-oriented."""
         params = constant_vgae(6, 3)
         H = nc.Tensor(RNG(7).normal(size=(4, 3)))
-        a = vg.score_edges(H, params, [(0, 1)])
-        b = vg.score_edges(H, params, [(1, 0)])
-        assert_edges(a.pairs, {(0, 1)})
-        assert_edges(b.pairs, {(0, 1)})
-        assert_allclose(a.scores.data, b.scores.data)
+        assert_edges(vg.score_edges(H, params, [(0, 1)]).pairs, {(0, 1)})
+        with pytest.raises(ContractError,
+                           match=r"bad candidate pair \(1, 0\)"):
+            vg.score_edges(H, params, [(1, 0)])
 
     def test_zero_row_scores_equal_bias_response(self):
         params = constant_vgae(8, 3)
@@ -84,7 +85,7 @@ class TestScoreEdges:
     def test_four_node_fixture_hand_oracle(self):
         params = constant_vgae(10, 3)
         H = RNG(11).normal(size=(4, 3))
-        pairs = [(0, 1), (1, 2), (2, 3), (0, 3)]
+        pairs = [(0, 1), (0, 3), (1, 2), (2, 3)]
         P = vg.score_edges(nc.Tensor(H), params, pairs)
         assert_edges(P.pairs, set(pairs))
         m = params.score_mlp
@@ -107,12 +108,18 @@ class TestScoreEdges:
                                [(0, 1)] + bad)
 
     def test_pairs_canonical_and_scored_once(self):
+        """Canonical candidates are scored as given, one score per row; a
+        repeated or out-of-order pair is rejected, not deduplicated."""
         params = constant_vgae(6, 3)
         H = nc.Tensor(RNG(7).normal(size=(4, 3)))
-        P = vg.score_edges(H, params, [(2, 1), (0, 3), (1, 2), (0, 1)])
-        assert_edges(P.pairs, {(0, 1), (0, 3), (1, 2)})
-        alone = vg.score_edges(H, params, [(0, 1), (0, 3), (1, 2)])
-        assert np.array_equal(P.scores.data, alone.scores.data)
+        cands = edge_rows({(0, 1), (0, 3), (1, 2)})
+        P = vg.score_edges(H, params, cands)
+        assert np.array_equal(P.pairs, cands)
+        assert P.scores.data.shape == (3,)
+        for bad in ([(0, 1), (0, 3), (0, 3)], [(0, 3), (0, 1), (1, 2)]):
+            with pytest.raises(ContractError,
+                               match="repeat or are out of order"):
+                vg.score_edges(H, params, bad)
 
 
 class TestSparsify:
@@ -180,18 +187,18 @@ class TestRandomWalk:
 
     def test_zero_length_walk_keeps_seeds_only(self):
         view = vg.random_walk_sample(4, self.PATH, [1, 2],
-                                     vg.WalkConfig(walk_len=0), RNG(0))
+                                     vg.ViewGenConfig(walk_len=0), RNG(0))
         assert view.nodes.tolist() == [1, 2]
         assert_edges(view.edges, {(1, 2)})
 
     def test_isolated_seed_is_singleton(self):
         view = vg.random_walk_sample(3, edge_rows({(0, 1)}), [2],
-                                     vg.WalkConfig(), RNG(0))
+                                     vg.ViewGenConfig(), RNG(0))
         assert view.nodes.tolist() == [2]
         assert_edges(view.edges, set())
 
     def test_path_graph_matches_rng_replay(self):
-        cfg = vg.WalkConfig(walk_len=2, walks_per_seed=3)
+        cfg = vg.ViewGenConfig(walk_len=2, walks_per_seed=3)
         view = vg.random_walk_sample(4, self.PATH, [0], cfg, RNG(21))
         want = replay_walk_oracle(4, self.PATH.tolist(), [0], cfg, 21)
         assert view.nodes.tolist() == sorted(want)
@@ -201,7 +208,7 @@ class TestRandomWalk:
         pairs = {tuple(sorted(p)) for p in
                  rng.integers(0, 30, size=(60, 2)).tolist() if p[0] != p[1]}
         edges = edge_rows(pairs)
-        cfg = vg.WalkConfig(walk_len=5, walks_per_seed=3)
+        cfg = vg.ViewGenConfig(walk_len=5, walks_per_seed=3)
         seeds = [7, 3, 21, 0]
         walk_rng, oracle_rng = RNG(24), RNG(24)
         view = vg.random_walk_sample(30, edges, seeds, cfg, walk_rng)
@@ -216,16 +223,19 @@ class TestRandomWalk:
 
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ContractError, match="empty seed"):
-            vg.random_walk_sample(4, self.PATH, [], vg.WalkConfig(), RNG(0))
+            vg.random_walk_sample(4, self.PATH, [], vg.ViewGenConfig(),
+                                  RNG(0))
 
     def test_out_of_range_seed_rejected(self):
         with pytest.raises(ContractError):
-            vg.random_walk_sample(4, self.PATH, [9], vg.WalkConfig(), RNG(0))
+            vg.random_walk_sample(4, self.PATH, [9], vg.ViewGenConfig(),
+                                  RNG(0))
 
     def test_edges_induced_on_visited_nodes(self):
         view = vg.random_walk_sample(4, self.PATH, [0, 3],
-                                     vg.WalkConfig(walk_len=5,
-                                                   walks_per_seed=4), RNG(22))
+                                     vg.ViewGenConfig(walk_len=5,
+                                                      walks_per_seed=4),
+                                     RNG(22))
         for u, v in view.edges:
             assert u in view.nodes and v in view.nodes
 
@@ -277,9 +287,10 @@ class TestGenerateViews:
         out = vg.generate_views(g, H, constant_vgae(32, 3),
                                 constant_vgae(33, 3),
                                 vg.ViewGenConfig(), RNG(34))
+        seeds = out.views[0].seeds
         for view in out.views:
-            assert set(out.seeds.tolist()) <= set(view.nodes.tolist())
-            assert np.array_equal(view.seeds, out.seeds)
+            assert set(seeds.tolist()) <= set(view.nodes.tolist())
+            assert np.array_equal(view.seeds, seeds)
 
     def test_zero_sigma_pipeline_deterministic(self):
         g = tiny_hetero()
@@ -329,9 +340,6 @@ class TestGenerateViews:
         n_seeds = max(1, int(round(cfg.seed_frac * g.n_nodes)))
         seeds = rng.choice(g.n_nodes, size=n_seeds, replace=False)
         assert len(drawn) == 1 and np.array_equal(drawn[0], cands)
-        assert np.array_equal(got.seeds, seeds)
-        wcfg = vg.WalkConfig(walk_len=cfg.walk_len,
-                             walks_per_seed=cfg.walks_per_seed)
         for view, P, params in zip(got.views, got.sampling, (p1, p2)):
             noise = RNG(int(rng.integers(0, 2 ** 62))).normal(
                 cfg.noise_mu, cfg.noise_sigma, H.data.shape)
@@ -340,7 +348,7 @@ class TestGenerateViews:
             assert_allclose(P.scores.data, P_want.scores.data, atol=1e-12)
             edges = vg.sparsify(P_want, cfg.eps)
             view_want = vg.random_walk_sample(g.n_nodes, edges, seeds,
-                                              wcfg, rng)
+                                              cfg, rng)
             assert_same_view(view, view_want)
 
 
