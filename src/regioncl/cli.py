@@ -2,13 +2,14 @@
 
 Commands are pure functions of config plus input files to output files:
 ``synth``, ``ingest``, ``build-graph``, ``train``, ``embed``, ``eval``,
-``ablate``, ``robustness``, ``case``, ``gradcheck``, ``sweep``. Every
-command exits 0 on success and 1 with a single ``error: ...`` line on
-stderr otherwise. ``--config FILE``, ``--set key=value``, ``--seed`` and
-``--out`` are accepted everywhere; the master ``--seed`` overrides both
-``train.seed`` and ``synth.seed``, except that ``ablate``, ``robustness``
-and ``sweep`` take ``train.seed`` and ``train.variant`` only from their own
-flags and reject either when set any other way.
+``ablate``, ``case``, ``gradcheck``, ``sweep``. Every command exits 0 on
+success and 1 with a single ``error: ...`` line on stderr otherwise.
+``--config FILE``, ``--set key=value``, ``--seed`` and ``--out`` are
+accepted everywhere; the master ``--seed`` overrides both ``train.seed`` and
+``synth.seed``, except that ``ablate`` and ``sweep`` take ``train.seed`` and
+``train.variant`` only from their own flags and reject either when set any
+other way. ``ablate`` writes ``ablation.csv``, and ``robustness.csv`` from
+the same arms when the bundle has crime targets.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 from . import config as cfgmod
 from .errors import (ConfigError, ContractError, DataError,
                      DegenerateBatchError, ShapeError, TrainingAborted)
-from .eval_harness import (average_bins, mean_metrics, probe_all,
-                           robustness_by_density, run_arms,
-                           pair_similarity, write_ablation_csv,
-                           write_robustness_csv)
+from .eval_harness import (ablation_rows, density_table, mean_metrics,
+                           pair_similarity, probe_all, run_arms,
+                           write_ablation_csv, write_robustness_csv)
 from .gradcheck import run_gradcheck
 from .hetero_graph import dump_jsonl, RelationType
 from .poi_embedding import train_skipgram
@@ -44,12 +44,15 @@ def _require_out(args) -> str:
     return args.out
 
 
-def _parse_int_list(text: str, flag: str) -> tuple:
+def _parse_seeds(text: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(",") if part != "")
+        seeds = tuple(int(part) for part in text.split(",") if part != "")
     except ValueError:
-        raise ConfigError(f"{flag}: expected comma-separated integers, "
+        raise ConfigError(f"--seeds: expected comma-separated integers, "
                           f"got {text!r}") from None
+    if not seeds:
+        raise ConfigError("--seeds: names no seed")
+    return seeds
 
 
 def _parse_pairs(text: str) -> list:
@@ -191,38 +194,22 @@ def cmd_ablate(args) -> int:
     out = _require_out(args)
     values = _resolved(args)
     _reject_arm_keys(args, values, "use --variants")
+    seeds = _parse_seeds(args.seeds)
     ds = load_dataset_dir(args.data)
     variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    rows = run_arms(ds, variants, seeds, cfgmod.build_train_config(values),
+    arms = run_arms(ds, variants, seeds, cfgmod.build_train_config(values),
                     cfgmod.build_eval_config(values))
     os.makedirs(out, exist_ok=True)
+    rows = ablation_rows(arms)
     write_ablation_csv(rows, os.path.join(out, "ablation.csv"))
+    print(f"wrote {len(rows)} ablation rows to {out}/ablation.csv")
+    if "crime" in ds.targets:
+        write_robustness_csv(density_table(ds, arms),
+                             os.path.join(out, "robustness.csv"))
+        print(f"wrote crime metrics per density bin to "
+              f"{out}/robustness.csv")
     _write_run_record(out, "ablate", values,
                       {"variants": list(variants), "seeds": list(seeds)})
-    print(f"wrote {len(rows)} ablation rows to {out}/ablation.csv")
-    return 0
-
-
-def cmd_robustness(args) -> int:
-    out = _require_out(args)
-    values = _resolved(args)
-    _reject_arm_keys(args, values, "use --variant")
-    ds = load_dataset_dir(args.data)
-    seeds = _parse_int_list(args.seeds, "--seeds")
-    train_cfg = cfgmod.build_train_config(values)
-    train_cfg = replace(train_cfg, variant=args.variant)
-    eval_cfg = cfgmod.build_eval_config(values)
-    table = train_skipgram(ds.poi, train_cfg.skipgram)
-    per_seed = [robustness_by_density(ds, replace(train_cfg, seed=s),
-                                      eval_cfg, table=table) for s in seeds]
-    mean_bins = average_bins(per_seed)
-    os.makedirs(out, exist_ok=True)
-    write_robustness_csv(mean_bins, os.path.join(out, "robustness.csv"))
-    _write_run_record(out, "robustness", values,
-                      {"seeds": list(seeds), "variant": args.variant,
-                       "bins": sorted(mean_bins)})
-    print(f"wrote {len(mean_bins)} density bins to {out}/robustness.csv")
     return 0
 
 
@@ -260,8 +247,10 @@ def cmd_sweep(args) -> int:
                           f"cannot vary {args.param!r}")
     _reject_arm_keys(args, values, "sweep trains FULL only, compare "
                                    "variants with ablate --variants")
+    seeds = _parse_seeds(args.seeds)
     ds = load_dataset_dir(args.data)
-    seeds = _parse_int_list(args.seeds, "--seeds")
+    if args.task not in ds.targets:
+        raise DataError(f"task {args.task!r} absent from dataset targets")
     grid = [cfgmod.cast_value(args.param, raw)
             for raw in args.values.split(",")]
     eval_cfg = cfgmod.build_eval_config(values)
@@ -269,12 +258,10 @@ def cmd_sweep(args) -> int:
     for value in grid:
         point = dict(values)
         point[args.param] = value
-        arm_rows = run_arms(ds, ("FULL",), seeds,
-                            cfgmod.build_train_config(point), eval_cfg)
-        picked = [r for r in arm_rows if r.task == args.task]
-        if not picked:
-            raise DataError(f"task {args.task!r} absent from dataset targets")
-        rows.append((value, mean_metrics(picked)))
+        arms = run_arms(ds, ("FULL",), seeds,
+                        cfgmod.build_train_config(point), eval_cfg)
+        rows.append((value, mean_metrics(
+            [arms["FULL", seed][args.task][1] for seed in sorted(seeds)])))
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "sweep.csv")
     write_csv(path, ["param", "value", "task", "mae", "mape", "rmse"],
@@ -337,12 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list, default all variants")
     p.add_argument("--seeds", default="0,1,2,3,4")
 
-    p = sub.add_parser("robustness", parents=[common],
-                       help="crime metrics per density bin")
-    p.add_argument("--data", required=True)
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--variant", default="FULL", choices=VARIANTS)
-
     p = sub.add_parser("case", parents=[common],
                        help="cosine similarity for region pairs")
     p.add_argument("--model", required=True)
@@ -372,7 +353,6 @@ _COMMANDS = {
     "embed": cmd_embed,
     "eval": cmd_eval,
     "ablate": cmd_ablate,
-    "robustness": cmd_robustness,
     "case": cmd_case,
     "gradcheck": cmd_gradcheck,
     "sweep": cmd_sweep,

@@ -3,9 +3,9 @@
 Downstream quality is measured with Lasso probes: out-of-fold predictions
 from k-fold cross-validation over regions, scored with MAE / MAPE / RMSE.
 Slotted targets (crime, traffic) are totaled over time slots so every task
-is a per-region regression. Ablation arms retrain the model under a variant
-and probe identically; density robustness reuses the FULL model's crime
-predictions and slices them by how many slots saw any incident.
+is a per-region regression. ``run_arms`` trains and probes every
+(variant, seed) arm; density robustness slices each arm's crime predictions
+by how many slots saw any incident.
 
 MAPE uses the denominator max(|truth|, 1): crime targets contain zeros and
 a bare percentage error is undefined there.
@@ -206,15 +206,6 @@ def probe_all(E: np.ndarray, dataset: Dataset, cfg: EvalConfig) -> dict:
             for task, y in sorted(task_targets(dataset).items())}
 
 
-def run_ablation(dataset: Dataset, variant: str, train_cfg: TrainConfig,
-                 eval_cfg: EvalConfig = EvalConfig(),
-                 table: np.ndarray | None = None) -> dict:
-    """Train under one variant and probe every task; returns task -> Metrics."""
-    model = train(dataset, replace(train_cfg, variant=variant), table=table)
-    probes = probe_all(region_embeddings(model), dataset, eval_cfg)
-    return {task: m for task, (_, m) in probes.items()}
-
-
 def bin_regions(density: np.ndarray) -> dict:
     """Region indices per density bin; empty bins are absent, zeros excluded."""
     density = np.asarray(density, dtype=np.float64)
@@ -226,18 +217,11 @@ def bin_regions(density: np.ndarray) -> dict:
     return out
 
 
-def robustness_by_density(dataset: Dataset,
-                          train_cfg: TrainConfig,
-                          eval_cfg: EvalConfig = EvalConfig(),
-                          table: np.ndarray | None = None,
-                          predictions: np.ndarray | None = None) -> dict:
-    """Crime metrics per density bin; reuses ``predictions`` when given."""
+def robustness_by_density(dataset: Dataset, predictions: np.ndarray) -> dict:
+    """Metrics of the crime ``predictions`` per density bin of their region."""
     if "crime" not in dataset.targets:
         raise DataError("crime targets not present")
     y = task_targets(dataset)["crime"]
-    if predictions is None:
-        model = train(dataset, train_cfg, table=table)
-        predictions, _ = probe_task(region_embeddings(model), y, eval_cfg)
     predictions = np.asarray(predictions, dtype=np.float64)
     if predictions.shape != y.shape:
         raise ContractError(f"predictions shape {predictions.shape} vs "
@@ -295,33 +279,54 @@ class AblationRow:
 
 
 def run_arms(dataset: Dataset, variants, seeds, train_cfg: TrainConfig,
-             eval_cfg: EvalConfig = EvalConfig()) -> list:
-    """All (variant, seed) arms as sorted AblationRows.
+             eval_cfg: EvalConfig = EvalConfig()) -> dict:
+    """Train every (variant, seed) arm and probe it; returns
+    (variant, seed) -> ``probe_all``'s task -> (predictions, Metrics).
 
     The skip-gram table depends only on the POI corpus, so it is shared.
     """
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError(f"unknown variant {v!r}")
+    for what, names in (("variant", variants), ("seed", seeds)):
+        if len(set(names)) != len(names):
+            raise ConfigError(f"a {what} is named twice in {list(names)}")
     table = train_skipgram(dataset.poi, train_cfg.skipgram)
-    rows = []
+    arms = {}
     for variant in variants:
         for seed in seeds:
-            per_task = run_ablation(dataset, variant,
-                                    replace(train_cfg, seed=seed),
-                                    eval_cfg, table=table)
-            rows += [AblationRow(variant, task, seed, *astuple(m))
-                     for task, m in per_task.items()]
-    rows.sort(key=lambda r: (r.variant, r.task, r.seed))
-    return rows
+            model = train(dataset, replace(train_cfg, variant=variant,
+                                           seed=seed), table=table)
+            arms[variant, seed] = probe_all(region_embeddings(model),
+                                            dataset, eval_cfg)
+    return arms
+
+
+def ablation_rows(arms: dict) -> list:
+    """``run_arms``'s result as AblationRows sorted by variant, task, seed."""
+    return sorted((AblationRow(variant, task, seed, *astuple(m))
+                   for (variant, seed), probes in arms.items()
+                   for task, (_, m) in probes.items()),
+                  key=lambda r: (r.variant, r.task, r.seed))
+
+
+def density_table(dataset: Dataset, arms: dict) -> dict:
+    """variant -> crime Metrics per density bin, averaged over its seeds."""
+    per_seed = {}
+    for (variant, _), probes in arms.items():
+        per_seed.setdefault(variant, []).append(
+            robustness_by_density(dataset, probes["crime"][0]))
+    return {variant: average_bins(bins) for variant, bins in per_seed.items()}
 
 
 def write_ablation_csv(rows, path: str) -> None:
     write_csv(path, [f.name for f in fields(AblationRow)], map(astuple, rows))
 
 
-def write_robustness_csv(per_bin: dict, path: str, task: str = "crime") -> None:
-    """One row per populated bin, in bin order."""
-    write_csv(path, ["bin", "task", "mae", "mape", "rmse"],
-              ([label, task, *astuple(per_bin[label])]
+def write_robustness_csv(table: dict, path: str) -> None:
+    """One row per variant and populated bin, variants sorted, bins in
+    order; ``table`` is ``density_table``'s variant -> bin -> Metrics."""
+    write_csv(path, ["variant", "bin", "task", "mae", "mape", "rmse"],
+              ([variant, label, "crime", *astuple(per_bin[label])]
+               for variant, per_bin in sorted(table.items())
                for label, _, _ in DENSITY_BINS if label in per_bin))

@@ -14,6 +14,7 @@ the synthesizer plants latent clusters so probe quality is measurable.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -100,6 +101,8 @@ def validate(ds: Dataset) -> None:
     if ds.dist.km.shape != (I, I):
         raise DataError(f"POI matrix has {I} regions but distance matrix "
                         f"is {ds.dist.km.shape[0]}x{ds.dist.km.shape[1]}")
+    if not np.all(np.isfinite(ds.dist.centroids)):
+        raise DataError("centroids contain non-finite values")
     if ds.T < 1:
         raise DataError(f"T must be >= 1, got {ds.T}")
     trips = ds.trajectories
@@ -248,10 +251,17 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
                         f"{len(ctable)}")
     centroids = np.zeros((I, 2))
     for r, (lineno, row) in ctable.items():
-        centroids[r, 0] = _to_float(centroid_path, lineno, row[1], "lat")
-        centroids[r, 1] = _to_float(centroid_path, lineno, row[2], "lon")
+        lat = _to_float(centroid_path, lineno, row[1], "lat")
+        lon = _to_float(centroid_path, lineno, row[2], "lon")
+        # NaN fails both comparisons, so a NaN or infinite value is caught
+        if not (-90.0 <= lat <= 90.0 and math.isfinite(lon)):
+            raise DataError(f"{centroid_path}:{lineno}: centroid needs a "
+                            f"latitude in [-90, 90] and a finite longitude, "
+                            f"got ({row[1]}, {row[2]})")
+        centroids[r] = lat, lon
 
-    raw_targets = []
+    # (region, task, slot) -> (line, value): one entry per target cell
+    cells: dict[tuple[int, str, int], tuple[int, float]] = {}
     if targets_path is not None:
         _, rows = _read_rows(targets_path, ["region", "task", "slot", "value"])
         for lineno, row in rows:
@@ -275,10 +285,13 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
             if not static and slot < 0:
                 raise DataError(f"{targets_path}:{lineno}: slotted task "
                                 f"{task!r} requires slot >= 0, got {slot}")
-            raw_targets.append((r, task, slot, value))
+            first = cells.setdefault((r, task, slot), (lineno, value))[0]
+            if first != lineno:
+                raise DataError(f"{targets_path}:{lineno}: region {r} task "
+                                f"{task!r} slot {slot} already set on line "
+                                f"{first}")
 
-    target_slots = [slot for _, task, slot, _ in raw_targets
-                    if task in SLOT_TASKS]
+    target_slots = [slot for _, task, slot in cells if task in SLOT_TASKS]
     if target_slots:
         # slotted targets fix T: a trip past them is a typo, not a longer day
         T = max(target_slots) + 1
@@ -292,11 +305,11 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
         T = int(trajectories[:, 3].max(initial=0)) + 1
 
     targets: dict[str, np.ndarray] = {}
-    for r, task, slot, value in raw_targets:
-        if task in STATIC_TASKS:
-            targets.setdefault(task, np.zeros(I))[r] = value
-        else:
-            targets.setdefault(task, np.zeros((I, T)))[r, slot] = value
+    for (r, task, slot), (_, value) in cells.items():
+        if task not in targets:
+            targets[task] = np.zeros(I if task in STATIC_TASKS else (I, T))
+        # a static task's one slot is -1
+        targets[task][r if slot < 0 else (r, slot)] = value
 
     ds = Dataset(poi=PoiMatrix(counts=counts, category_names=category_names),
                  trajectories=trajectories,

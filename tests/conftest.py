@@ -14,11 +14,10 @@ import time
 import numpy as np
 import pytest
 
-from regioncl.eval_harness import (EvalConfig, bin_regions, probe_task,
-                                   task_targets)
+from regioncl.eval_harness import density_table, run_arms
 from regioncl.poi_embedding import SkipgramConfig, train_skipgram
-from regioncl.region_data import SynthConfig, crime_density, synth_dataset
-from regioncl.trainer import TrainConfig, region_embeddings, train
+from regioncl.region_data import SynthConfig, synth_dataset
+from regioncl.trainer import TrainConfig, train
 from regioncl.view_generator import ViewGenConfig
 
 ACCEPT_SEEDS = (0, 1, 2, 3, 4)
@@ -72,32 +71,14 @@ def clean_runs():
 
 @pytest.fixture(scope="session")
 def noisy_eval():
-    """Probe results for every ablation arm on the noisy fixture.
-
-    Returns targets, density bins, and per-variant out-of-fold MAEs plus
-    the crime predictions needed for the per-bin comparison.
-    """
+    """Every ablation arm on the noisy fixture, trained and probed by
+    ``run_arms`` as ``regioncl ablate`` does (it sets each arm's variant
+    and seed): the (variant, seed) -> probe results, and the seed-averaged
+    crime metrics per density bin for each variant."""
     ds = synth_dataset(NOISY_SYNTH)
-    table = train_skipgram(ds.poi, SkipgramConfig(d_sg=32, seed=11))
-    ys = task_targets(ds)
-    density = np.array([crime_density(ds, i) for i in range(ds.n_regions)])
-    ecfg = EvalConfig()
-    results = {}
-    for variant in ABLATION_VARIANTS:
-        task_maes = {task: [] for task in ys}
-        crime_preds = []
-        for seed in ACCEPT_SEEDS:
-            model = train(ds, accept_cfg(seed, epochs=30, variant=variant),
-                          table=table)
-            E = region_embeddings(model)
-            for task, y in ys.items():
-                pred, m = probe_task(E, y, ecfg)
-                task_maes[task].append(m.mae)
-                if task == "crime":
-                    crime_preds.append(pred)
-        results[variant] = {"task_maes": task_maes,
-                            "crime_preds": crime_preds}
-    return {"targets": ys, "bins": bin_regions(density), "results": results}
+    arms = run_arms(ds, ABLATION_VARIANTS, ACCEPT_SEEDS,
+                    accept_cfg(0, epochs=30))
+    return {"arms": arms, "bins": density_table(ds, arms)}
 
 
 _CRITERION_LINES: list[tuple[int, str]] = []

@@ -1,17 +1,22 @@
 """Command-line behavior: pipelines, reproducibility, error reporting."""
 
+import csv
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from regioncl.cli import main
+from regioncl.eval_harness import (average_bins, bin_regions,
+                                   robustness_by_density, run_arms)
+from regioncl.region_data import crime_density, load_dataset_dir
 from regioncl.trainer import load_embeddings
 
 REPO = Path(__file__).resolve().parents[1]
@@ -199,14 +204,50 @@ class TestAblate:
 
 
 class TestRobustness:
-    def test_emits_bins(self, data_dir, tmp_path):
+    """ablate writes robustness.csv next to ablation.csv from the same
+    arms, whenever the bundle has crime targets."""
+
+    def test_emits_bins(self, data_dir, tmp_path, monkeypatch):
+        arms = {}
+
+        def recording_run_arms(*args, **kwargs):
+            arms.update(run_arms(*args, **kwargs))
+            return arms
+
+        monkeypatch.setattr("regioncl.cli.run_arms", recording_run_arms)
         out = str(tmp_path / "rob")
-        assert main(["robustness", "--data", data_dir, "--seeds", "0",
-                     "--out", out] + SMALL) == 0
-        lines = open(os.path.join(out, "robustness.csv")).read().splitlines()
-        assert lines[0] == "bin,task,mae,mape,rmse"
-        assert len(lines) >= 2
-        assert all(",crime," in line for line in lines[1:])
+        assert main(["ablate", "--data", data_dir, "--variants",
+                     "FULL,RANDOM_AUG", "--seeds", "0,1", "--out", out]
+                    + SMALL) == 0
+        with open(os.path.join(out, "robustness.csv"), newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+            rows = list(reader)
+        assert header == ["variant", "bin", "task", "mae", "mape", "rmse"]
+        ds = load_dataset_dir(data_dir)
+        density = np.array([crime_density(ds, i)
+                            for i in range(ds.n_regions)])
+        bins = list(bin_regions(density))
+        assert bins
+        assert [r[:3] for r in rows] == [[v, label, "crime"]
+                                         for v in ("FULL", "RANDOM_AUG")
+                                         for label in bins]
+        full = average_bins([robustness_by_density(ds, arms["FULL", s]
+                                                   ["crime"][0])
+                             for s in (0, 1)])
+        assert [r[3:] for r in rows if r[0] == "FULL"] \
+            == [[repr(x) for x in astuple(full[label])] for label in bins]
+
+    def test_no_crime_targets_no_table(self, data_dir, tmp_path):
+        bundle = tmp_path / "no_crime"
+        shutil.copytree(data_dir, bundle)
+        targets = (bundle / "targets.csv").read_text().splitlines(True)
+        (bundle / "targets.csv").write_text(
+            "".join(line for line in targets if ",crime," not in line))
+        out = tmp_path / "ablate"
+        assert main(["ablate", "--data", str(bundle), "--variants", "FULL",
+                     "--seeds", "0", "--out", str(out)] + SMALL) == 0
+        assert sorted(os.listdir(out)) == ["ablation.csv", "run.json"]
 
 
 class TestCase:
@@ -271,15 +312,14 @@ class TestSweep:
 
 ARM_COMMANDS = {
     "ablate": ["ablate", "--variants", "FULL", "--seeds", "0"],
-    "robustness": ["robustness", "--seeds", "0"],
     "sweep": ["sweep", "--param", "loss.beta", "--values", "0.1",
               "--seeds", "0"],
 }
 
 
 class TestRunArmOverrides:
-    """ablate, robustness and sweep set train.variant and train.seed per
-    run from their own flags, so any other source of either is refused."""
+    """ablate and sweep set train.variant and train.seed per run from
+    their own flags, so any other source of either is refused."""
 
     @pytest.mark.parametrize("command", sorted(ARM_COMMANDS))
     @pytest.mark.parametrize("key,source", [
@@ -302,6 +342,34 @@ class TestRunArmOverrides:
         assert main(ARM_COMMANDS[command] + ["--data", str(tmp_path),
                                              "--out", out] + source) == 1
         assert key in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
+class TestStudyRequestsRejectedUpFront:
+    """A --seeds that names no seed, a variant or seed named twice, and a
+    sweep --task the bundle lacks are refused before any arm trains."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["ablate", "--seeds", ""], "--seeds"),
+        (["ablate", "--seeds", ",", "--variants", "FULL"], "--seeds"),
+        (["ablate", "--seeds", "0,1,0"], "seed is named twice"),
+        (["ablate", "--variants", "FULL,NO_GP,FULL"], "variant is named twice"),
+        (["sweep", "--seeds", "", "--param", "loss.beta", "--values", "0.1"],
+         "--seeds"),
+        (["sweep", "--seeds", "0,1", "--task", "rainfall",
+          "--param", "loss.beta", "--values", "0.1"], "'rainfall'"),
+    ])
+    def test_no_arm_trains(self, data_dir, tmp_path, monkeypatch, capsys,
+                           argv, needle):
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("regioncl.eval_harness.train", no_work)
+        out = str(tmp_path / "x")
+        assert main(argv + ["--data", data_dir, "--out", out] + SMALL) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert needle in err[0]
         assert not os.path.exists(out)
 
 

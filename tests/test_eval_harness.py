@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from regioncl.errors import ConfigError, ContractError, DataError
 from regioncl.eval_harness import (AblationRow, EvalConfig, Metrics,
-                                   bin_regions, cv_folds, lasso_fit, metrics,
-                                   pair_similarity, probe_all, probe_task,
-                                   robustness_by_density, run_ablation,
+                                   ablation_rows, average_bins, bin_regions,
+                                   cv_folds, density_table, lasso_fit,
+                                   metrics, pair_similarity, probe_all,
+                                   probe_task, robustness_by_density,
                                    run_arms, task_targets, write_ablation_csv,
                                    write_robustness_csv)
 from regioncl.poi_embedding import SkipgramConfig
@@ -325,28 +326,44 @@ class TestEvalConfig:
             EvalConfig(folds=1)
 
 
+def probe_metrics(probes: dict) -> dict:
+    return {task: m for task, (_, m) in probes.items()}
+
+
 class TestAblation:
     def test_full_is_bit_identical_to_plain_pipeline(self, ds10):
         cfg = small_cfg()
         eval_cfg = EvalConfig()
-        via_ablation = run_ablation(ds10, "FULL", cfg, eval_cfg)
+        arms = run_arms(ds10, ("FULL",), (cfg.seed,), cfg, eval_cfg)
         model = train(ds10, cfg)
-        plain = {task: m for task, (_, m) in
-                 probe_all(region_embeddings(model), ds10, eval_cfg).items()}
-        assert via_ablation == plain
+        plain = probe_all(region_embeddings(model), ds10, eval_cfg)
+        assert list(arms) == [("FULL", cfg.seed)]
+        via_arms = arms["FULL", cfg.seed]
+        assert probe_metrics(via_arms) == probe_metrics(plain)
+        for task, (pred, _) in plain.items():
+            assert np.array_equal(via_arms[task][0], pred), task
 
     def test_unknown_variant_rejected(self, ds10):
         with pytest.raises(ConfigError):
-            run_ablation(ds10, "HALF", small_cfg())
+            run_arms(ds10, ("HALF",), (0,), small_cfg())
+
+    @pytest.mark.parametrize("variants,seeds", [(("FULL", "FULL"), (0,)),
+                                                (("FULL",), (1, 0, 1))])
+    def test_arm_named_twice_rejected(self, ds10, variants, seeds):
+        # arms are keyed by (variant, seed), so a repeat would be dropped
+        with pytest.raises(ConfigError, match="named twice"):
+            run_arms(ds10, variants, seeds, small_cfg())
 
     def test_no_gp_is_noop_when_poi_graph_empty(self, ds10):
         # cosine never exceeds 1, so this threshold empties the POI view
         cfg = small_cfg(eps_p=1.5)
-        assert run_ablation(ds10, "FULL", cfg) \
-            == run_ablation(ds10, "NO_GP", cfg)
+        arms = run_arms(ds10, ("FULL", "NO_GP"), (cfg.seed,), cfg)
+        assert probe_metrics(arms["FULL", cfg.seed]) \
+            == probe_metrics(arms["NO_GP", cfg.seed])
 
     def test_run_arms_rows_complete_and_sorted(self, ds10):
-        rows = run_arms(ds10, ("FULL", "RANDOM_AUG"), (0, 1), small_cfg())
+        rows = ablation_rows(run_arms(ds10, ("RANDOM_AUG", "FULL"), (1, 0),
+                                      small_cfg()))
         tasks = sorted(ds10.targets)
         assert len(rows) == 2 * 2 * len(tasks)
         keys = [(r.variant, r.task, r.seed) for r in rows]
@@ -387,8 +404,7 @@ class TestRobustness:
         ds = handcrafted
         y = ds.targets["crime"].sum(axis=1)
         pred = np.arange(ds.n_regions, dtype=np.float64)
-        per_bin = robustness_by_density(ds, small_cfg(), EvalConfig(),
-                                        predictions=pred)
+        per_bin = robustness_by_density(ds, pred)
         density = np.array([crime_density(ds, i)
                             for i in range(ds.n_regions)])
         for label, members in bin_regions(density).items():
@@ -398,8 +414,7 @@ class TestRobustness:
 
     def test_zero_density_regions_excluded(self, handcrafted):
         ds = handcrafted
-        per_bin = robustness_by_density(ds, small_cfg(), EvalConfig(),
-                                        predictions=np.ones(ds.n_regions))
+        per_bin = robustness_by_density(ds, np.ones(ds.n_regions))
         density = np.array([crime_density(ds, i)
                             for i in range(ds.n_regions)])
         binned = {int(i) for members in
@@ -414,16 +429,26 @@ class TestRobustness:
                                              n_clusters=2, seed=0))
         del stripped.targets["crime"]
         with pytest.raises(DataError):
-            robustness_by_density(stripped, small_cfg())
+            robustness_by_density(stripped, np.zeros(stripped.n_regions))
+
+    def test_prediction_shape_checked(self, ds10):
+        with pytest.raises(ContractError):
+            robustness_by_density(ds10, np.zeros(ds10.n_regions + 1))
 
     def test_end_to_end_on_synthetic(self):
         ds = synth_dataset(SynthConfig(n_regions=12, n_categories=6,
                                        n_slots=4, n_trips=300, n_clusters=3,
                                        seed=6))
-        per_bin = robustness_by_density(ds, small_cfg(), EvalConfig())
-        assert per_bin, "synthetic crime data should populate some bin"
-        for m in per_bin.values():
-            assert np.isfinite((m.mae, m.mape, m.rmse)).all()
+        arms = run_arms(ds, ("FULL", "RANDOM_AUG"), (0, 1), small_cfg())
+        table = density_table(ds, arms)
+        assert sorted(table) == ["FULL", "RANDOM_AUG"]
+        for variant, per_bin in table.items():
+            assert per_bin, "synthetic crime data should populate some bin"
+            for m in per_bin.values():
+                assert np.isfinite((m.mae, m.mape, m.rmse)).all()
+            assert per_bin == average_bins(
+                [robustness_by_density(ds, arms[variant, s]["crime"][0])
+                 for s in (0, 1)])
 
 
 class TestPairSimilarity:
@@ -484,14 +509,17 @@ class TestCsv:
         assert len(lines) == 3
 
     def test_robustness_csv_ordered_by_bin(self, tmp_path):
-        per_bin = {"(0.50,1.00]": Metrics(3.0, 0.3, 4.0),
-                   "(0.00,0.25]": Metrics(1.0, 0.1, 2.0)}
+        table = {"RANDOM_AUG": {"(0.00,0.25]": Metrics(5.0, 0.5, 6.0)},
+                 "FULL": {"(0.50,1.00]": Metrics(3.0, 0.3, 4.0),
+                          "(0.00,0.25]": Metrics(1.0, 0.1, 2.0)}}
         path = str(tmp_path / "robustness.csv")
-        write_robustness_csv(per_bin, path)
+        write_robustness_csv(table, path)
         lines = open(path).read().splitlines()
-        assert lines[0] == "bin,task,mae,mape,rmse"
-        assert lines[1].startswith('"(0.00,0.25]",crime,')
-        assert lines[2].startswith('"(0.50,1.00]",crime,')
+        assert lines[0] == "variant,bin,task,mae,mape,rmse"
+        assert lines[1].startswith('FULL,"(0.00,0.25]",crime,1.0,')
+        assert lines[2].startswith('FULL,"(0.50,1.00]",crime,3.0,')
+        assert lines[3].startswith('RANDOM_AUG,"(0.00,0.25]",crime,5.0,')
+        assert len(lines) == 4
 
     def test_robustness_csv_reads_back_one_field_per_column(self, tmp_path):
         # every bin label holds a comma, so a reader must see it quoted
@@ -499,12 +527,14 @@ class TestCsv:
         per_bin = {label: Metrics(1.0 + k, 0.1 * k, 2.0 + k)
                    for k, label in enumerate(labels)}
         path = str(tmp_path / "robustness.csv")
-        write_robustness_csv(per_bin, path)
+        write_robustness_csv({"FULL": per_bin}, path)
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             rows = list(reader)
-        assert reader.fieldnames == ["bin", "task", "mae", "mape", "rmse"]
-        assert [len(r) for r in rows] == [5, 5, 5]
+        assert reader.fieldnames == ["variant", "bin", "task", "mae", "mape",
+                                     "rmse"]
+        assert [len(r) for r in rows] == [6, 6, 6]
+        assert [r["variant"] for r in rows] == ["FULL"] * 3
         assert [r["bin"] for r in rows] == labels
         assert [r["task"] for r in rows] == ["crime"] * 3
         assert [float(r["rmse"]) for r in rows] == [2.0, 3.0, 4.0]

@@ -178,6 +178,36 @@ class TestLoad:
         with pytest.raises(DataError, match="slot=-1"):
             rd.load_dataset(poi, trj, cen, tgt)
 
+    @pytest.mark.parametrize("rows", [
+        "0,house_price,-1,100.0\n0,house_price,-1,200.0\n",
+        "0,crime,1,2.0\n1,crime,1,3.0\n0,crime,1,2.0\n",
+    ])
+    def test_repeated_target_cell_names_both_lines(self, tmp_path, rows):
+        poi, trj, cen = two_region_files(tmp_path)
+        tgt = write(tmp_path / "tgt.csv", "region,task,slot,value\n" + rows)
+        last = 1 + rows.count("\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{tgt}:{last}: region 0 task")) as err:
+            rd.load_dataset(poi, trj, cen, tgt)
+        assert str(err.value).endswith("already set on line 2")
+
+    @pytest.mark.parametrize("lat,lon", [
+        ("nan", "1.0"), ("inf", "1.0"), ("-inf", "1.0"), ("90.5", "1.0"),
+        ("-91", "1.0"), ("0.0", "nan"), ("0.0", "inf")])
+    def test_bad_centroid_names_file_and_line(self, tmp_path, lat, lon):
+        poi, trj, _ = two_region_files(tmp_path)
+        cen = write(tmp_path / "cen.csv",
+                    f"region,lat,lon\n0,0.0,0.0\n1,{lat},{lon}\n")
+        with pytest.raises(DataError, match=re.escape(f"{cen}:3: centroid")):
+            rd.load_dataset(poi, trj, cen)
+
+    def test_poles_and_any_finite_longitude_load(self, tmp_path):
+        poi, trj, _ = two_region_files(tmp_path)
+        cen = write(tmp_path / "cen.csv",
+                    "region,lat,lon\n0,-90,540.0\n1,90,-200.0\n")
+        ds = rd.load_dataset(poi, trj, cen)
+        assert ds.dist.centroids.tolist() == [[-90.0, 540.0], [90.0, -200.0]]
+
 
 class TestValidate:
     @pytest.mark.parametrize("trip,message", [
@@ -200,6 +230,13 @@ class TestValidate:
         ds.trajectories = np.array([[0, 1, 0, 1], [1, 7, 0, 0],
                                     [5, 0, 0, 0]])
         with pytest.raises(DataError, match=r"out of range: 7 \(I=3\)"):
+            rd.validate(ds)
+
+    def test_non_finite_centroid_rejected(self):
+        ds = rd.synth_dataset(rd.SynthConfig(n_regions=2, n_trips=3,
+                                             n_clusters=1, seed=0))
+        ds.dist.centroids[1, 0] = np.nan
+        with pytest.raises(DataError, match="centroids"):
             rd.validate(ds)
 
     def test_trips_must_have_four_columns(self):
