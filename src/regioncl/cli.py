@@ -26,7 +26,7 @@ from .errors import (ConfigError, ContractError, DataError,
 from .eval_harness import (ablation_rows, density_table, mean_metrics,
                            pair_similarity, probe_all, run_arms,
                            write_ablation_csv, write_robustness_csv)
-from .gradcheck import run_gradcheck
+from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
 from .hetero_graph import dump_jsonl, RelationType
 from .poi_embedding import train_skipgram
 from .region_data import load_dataset, load_dataset_dir, synth_dataset, \
@@ -88,12 +88,14 @@ def _resolved(args) -> dict:
                           seed=args.seed)
 
 
-def _reject_arm_keys(args, values: dict, variant_hint: str) -> None:
-    """Refuse train keys the command's own flags overwrite per run."""
+def _reject_arm_keys(args, variant_hint: str) -> None:
+    """Refuse train keys the command's own flags overwrite per run, even
+    when they are set to their defaults."""
+    given = cfgmod.assigned(args.config, args.set, args.seed)
     for key, hint in (("train.variant", variant_hint),
                       ("train.seed", "use --seeds")):
-        if values[key] != cfgmod.DEFAULTS[key]:
-            raise ConfigError(f"{args.command} ignores {key}={values[key]!r} "
+        if key in given:
+            raise ConfigError(f"{args.command} ignores {key}={given[key]!r} "
                               f"from --config, --set or --seed: {hint}")
 
 
@@ -193,7 +195,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     out = _require_out(args)
     values = _resolved(args)
-    _reject_arm_keys(args, values, "use --variants")
+    _reject_arm_keys(args, "use --variants")
     seeds = _parse_seeds(args.seeds)
     ds = load_dataset_dir(args.data)
     variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
@@ -225,12 +227,12 @@ def cmd_case(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradcheck(n_points=args.points,
-                           seed=args.seed if args.seed is not None else 0,
-                           tolerance=args.tol)
-    for line in report.lines():
-        print(line)
-    if not report.passed:
+    worst = run_gradcheck(n_points=args.points,
+                          seed=args.seed if args.seed is not None else 0)
+    for stage, err in worst.items():
+        print(f"{stage:24s} points={args.points:3d} max_rel_err={err:.3e}  "
+              f"{'ok' if err < args.tol else 'FAIL'}")
+    if not all(err < args.tol for err in worst.values()):
         print("error: gradient check failed", file=sys.stderr)
         return 1
     return 0
@@ -245,8 +247,8 @@ def cmd_sweep(args) -> int:
     if args.param in ("train.seed", "train.variant"):
         raise ConfigError(f"sweep trains FULL once per --seeds value, so it "
                           f"cannot vary {args.param!r}")
-    _reject_arm_keys(args, values, "sweep trains FULL only, compare "
-                                   "variants with ablate --variants")
+    _reject_arm_keys(args, "sweep trains FULL only, compare variants "
+                           "with ablate --variants")
     seeds = _parse_seeds(args.seeds)
     ds = load_dataset_dir(args.data)
     if args.task not in ds.targets:
@@ -332,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", parents=[common],
                        help="finite-difference gradient verification")
     p.add_argument("--points", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="grid over one config key, one row per value")

@@ -15,6 +15,7 @@ starting with ``#`` are ignored.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from .errors import ConfigError
 from .eval_harness import EvalConfig
@@ -52,16 +53,21 @@ DEFAULTS.update({key: getattr(TrainConfig(), name)
 
 
 def cast_value(key: str, raw: str):
-    """Cast the raw string to the type of the key's default."""
+    """Cast the raw string to the type of the key's default; a float must
+    be finite."""
     if key not in DEFAULTS:
         raise ConfigError(f"unknown config key {key!r}")
     kind = type(DEFAULTS[key])
     raw = raw.strip()
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigError(f"config key {key!r} expects "
                           f"{kind.__name__}, got {raw!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} expects a finite float, "
+                          f"got {raw!r}")
+    return value
 
 
 def apply_assignment(values: dict, text: str, where: str = "--set") -> None:
@@ -91,18 +97,23 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def resolve(config_path: str | None = None, assignments=(),
-            seed: int | None = None) -> dict:
-    """Defaults, then config file, then --set overrides, then --seed."""
-    values = dict(DEFAULTS)
-    if config_path is not None:
-        values.update(load_config_file(config_path))
+def assigned(config_path: str | None = None, assignments=(),
+             seed: int | None = None) -> dict:
+    """Only the keys that the config file, then the --set overrides, then
+    --seed assign, whatever their values."""
+    values = load_config_file(config_path) if config_path is not None else {}
     for text in assignments:
         apply_assignment(values, text)
     if seed is not None:
         values["train.seed"] = int(seed)
         values["synth.seed"] = int(seed)
     return values
+
+
+def resolve(config_path: str | None = None, assignments=(),
+            seed: int | None = None) -> dict:
+    """Defaults, then config file, then --set overrides, then --seed."""
+    return {**DEFAULTS, **assigned(config_path, assignments, seed)}
 
 
 def build_synth_config(values: dict) -> SynthConfig:

@@ -81,8 +81,6 @@ def train_skipgram(poi: PoiMatrix, cfg: SkipgramConfig) -> np.ndarray:
 
     token_counts = np.minimum(poi.counts, cfg.window_cap).sum(axis=0)
     noise = np.power(token_counts.astype(np.float64), 0.75)
-    if noise.sum() == 0.0:
-        raise DataError("empty POI corpus")
     noise = noise / noise.sum()
 
     for _ in range(cfg.epochs):

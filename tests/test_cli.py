@@ -16,6 +16,7 @@ import pytest
 from regioncl.cli import main
 from regioncl.eval_harness import (average_bins, bin_regions,
                                    robustness_by_density, run_arms)
+from regioncl.gradcheck import STAGES
 from regioncl.region_data import crime_density, load_dataset_dir
 from regioncl.trainer import load_embeddings
 
@@ -270,8 +271,10 @@ class TestGradcheckCommand:
     def test_prints_stage_lines_and_passes(self, capsys):
         assert main(["gradcheck", "--points", "2"]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert len(out) == 7
-        assert all(line.endswith("ok") for line in out)
+        assert len(out) == len(STAGES) == 7
+        for line, name in zip(out, STAGES):
+            assert line.startswith(name)
+            assert line.endswith("ok")
 
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["gradcheck", "--points", "1", "--tol", "1e-300"]) == 1
@@ -317,9 +320,14 @@ ARM_COMMANDS = {
 }
 
 
+CONFIG_TEXT = {"config": "train.variant = NO_GD\n",
+               "default-config": "train.variant = FULL\n"}
+
+
 class TestRunArmOverrides:
     """ablate and sweep set train.variant and train.seed per run from
-    their own flags, so any other source of either is refused."""
+    their own flags, so any other source of either is refused, even one
+    that sets the default value."""
 
     @pytest.mark.parametrize("command", sorted(ARM_COMMANDS))
     @pytest.mark.parametrize("key,source", [
@@ -327,16 +335,21 @@ class TestRunArmOverrides:
         ("train.seed", ["--set", "train.seed=3"]),
         ("train.seed", ["--seed", "3"]),
         ("train.variant", "config"),
+        ("train.seed", ["--seed", "0", "--seeds", "1"]),
+        ("train.seed", ["--set", "train.seed=0"]),
+        ("train.variant", ["--set", "train.variant=FULL"]),
+        ("train.variant", "default-config"),
     ])
     def test_rejected_before_any_work(self, tmp_path, monkeypatch, capsys,
                                       command, key, source):
         def no_work(*args, **kwargs):
-            raise AssertionError("data loaded")
+            raise AssertionError("data loaded or arm trained")
 
         monkeypatch.setattr("regioncl.cli.load_dataset_dir", no_work)
-        if source == "config":
+        monkeypatch.setattr("regioncl.eval_harness.train", no_work)
+        if isinstance(source, str):
             path = tmp_path / "run.cfg"
-            path.write_text("train.variant = NO_GD\n")
+            path.write_text(CONFIG_TEXT[source])
             source = ["--config", str(path)]
         out = str(tmp_path / "x")
         assert main(ARM_COMMANDS[command] + ["--data", str(tmp_path),

@@ -4,10 +4,10 @@ import dataclasses
 
 import pytest
 
-from regioncl.config import (DEFAULTS, apply_assignment, build_eval_config,
-                             build_synth_config, build_train_config,
-                             cast_value, defaults_lines, load_config_file,
-                             resolve)
+from regioncl.config import (DEFAULTS, apply_assignment, assigned,
+                             build_eval_config, build_synth_config,
+                             build_train_config, cast_value, defaults_lines,
+                             load_config_file, resolve)
 from regioncl.errors import ConfigError
 from regioncl.trainer import TrainConfig
 
@@ -63,6 +63,14 @@ class TestCasting:
         with pytest.raises(ConfigError, match="model.d"):
             cast_value("model.d", "1.5")
 
+    @pytest.mark.parametrize("key,raw", [
+        ("graph.eps_d", "nan"), ("graph.eps_p", "NaN"), ("train.lr", "nan"),
+        ("loss.tau", "inf"), ("eval.lam", "nan"), ("view.noise_mu", "-inf"),
+        ("train.weight_decay", "1e999"), ("synth.skew_exponent", "nan")])
+    def test_non_finite_float_rejected_by_name(self, key, raw):
+        with pytest.raises(ConfigError, match=f"{key}.*finite"):
+            cast_value(key, raw)
+
 
 class TestConfigFile:
     def test_comments_and_blanks_ignored(self, tmp_path):
@@ -105,6 +113,14 @@ class TestResolve:
 
     def test_no_inputs_gives_defaults(self):
         assert resolve() == DEFAULTS
+
+    def test_assigned_keeps_keys_set_to_their_defaults(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("train.variant = FULL\n")
+        assert assigned(str(path), ["train.seed=0"]) == {
+            "train.variant": "FULL", "train.seed": 0}
+        assert assigned(seed=0) == {"train.seed": 0, "synth.seed": 0}
+        assert assigned() == {}
 
 
 class TestMaterialization:

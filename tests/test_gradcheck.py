@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from regioncl import stagechecks
+from regioncl import gradcheck
+from regioncl.cli import main
 from regioncl.gradcheck import (DEFAULT_TOLERANCE, check_tape_gradients,
                                 numeric_gradient, relative_error,
                                 run_gradcheck)
@@ -84,7 +85,7 @@ class TestCheckTapeGradients:
     def test_parameters_left_bit_identical(self):
         # (x + h) - h rounds back to x unless |x| is well below h, so half
         # of the scalars are made tiny to catch a restore by arithmetic
-        for name, builder in stagechecks.STAGES.items():
+        for name, builder in gradcheck.STAGES.items():
             loss_fn, tape = builder(np.random.default_rng(3))
             for t in tape.params.values():
                 t.data.reshape(-1)[::2] *= 1e-7
@@ -96,12 +97,12 @@ class TestCheckTapeGradients:
 
 class TestStageTable:
     def test_expected_stages_present(self):
-        assert list(stagechecks.STAGES) == [
+        assert list(gradcheck.STAGES) == [
             "attention", "hgnn_encoder", "vgae_encode",
             "reconstruction_loss", "info_nce", "info_bn", "overall_loss"]
 
     def test_builders_deterministic_given_rng(self):
-        for name, builder in stagechecks.STAGES.items():
+        for name, builder in gradcheck.STAGES.items():
             loss_a, a = builder(np.random.default_rng(5))
             loss_b, b = builder(np.random.default_rng(5))
             assert list(a.params) == list(b.params), name
@@ -126,18 +127,18 @@ class TestStageTable:
         # analytic and zero numeric gradients, which agree; a relu layer of
         # these tiny stages can be dead at one point, so a parameter counts
         # as reached if any of three points gives it a gradient
-        for name, builder in stagechecks.STAGES.items():
+        for name, builder in gradcheck.STAGES.items():
             reached = self._reached(builder, seed=7, points=3)
             assert all(reached.values()), (name, sorted(
                 k for k, hit in reached.items() if not hit))
 
-    @pytest.mark.parametrize("stage", list(stagechecks.STAGES))
+    @pytest.mark.parametrize("stage", list(gradcheck.STAGES))
     def test_criterion_points_reach_the_spmm_backward(self, stage):
         """At criterion 1's 20 points (seed 0) each registered parameter of
         every stage is checked against a nonzero gradient at least once, not
         only as 0 against 0; an encoder's weights below its last layer get
         theirs through spmm's backward."""
-        reached = self._reached(stagechecks.STAGES[stage], seed=0, points=20)
+        reached = self._reached(gradcheck.STAGES[stage], seed=0, points=20)
         assert all(reached.values()), sorted(k for k, v in reached.items()
                                              if not v)
 
@@ -148,7 +149,7 @@ class TestStageTable:
         does."""
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
         tape, ref = nc.GradientTape(), nc.GradientTape()
-        stagechecks._vgae(tape, 4, rng, read)
+        gradcheck._vgae(tape, 4, rng, read)
         init_vgae(ref, "vg", 4, ref_rng)
         assert list(tape.params) == [k for k in ref.params
                                      if k.split(".")[1] in read]
@@ -157,7 +158,7 @@ class TestStageTable:
         assert rng.integers(2 ** 62) == ref_rng.integers(2 ** 62)
 
     def test_loss_fn_returns_scalar(self):
-        for name, builder in stagechecks.STAGES.items():
+        for name, builder in gradcheck.STAGES.items():
             loss_fn, tape = builder(np.random.default_rng(2))
             out = loss_fn()
             assert isinstance(out, Tensor), name
@@ -166,10 +167,9 @@ class TestStageTable:
 
 class TestRunGradcheck:
     def test_all_stages_pass_at_few_points(self):
-        report = run_gradcheck(n_points=3, seed=1)
-        assert report.passed, "\n".join(report.lines())
-        assert len(report.stages) == 7
-        assert all(s.points == 3 for s in report.stages)
+        worst = run_gradcheck(n_points=3, seed=1)
+        assert list(worst) == list(gradcheck.STAGES)
+        assert all(err < DEFAULT_TOLERANCE for err in worst.values()), worst
 
     def test_overall_loss_passes_at_seed_1(self):
         """At seed 1's points 3, 12 and 17 the POI MLP's hidden layer is all
@@ -177,14 +177,15 @@ class TestRunGradcheck:
         0, where normalize_rows has no derivative, and the check failed on
         correct gradients."""
         rng = np.random.default_rng(1)
-        worst = max(check_tape_gradients(*stagechecks.stage_overall(rng))
+        worst = max(check_tape_gradients(*gradcheck.stage_overall(rng))
                     for _ in range(20))
         assert worst < DEFAULT_TOLERANCE
 
-    def test_lines_carry_status(self):
-        report = run_gradcheck(n_points=1, seed=4)
-        lines = report.lines()
+    def test_lines_carry_status(self, capsys):
+        main(["gradcheck", "--points", "1", "--seed", "4"])
+        lines = capsys.readouterr().out.splitlines()
+        worst = run_gradcheck(n_points=1, seed=4)
         assert len(lines) == 7
-        for line, name in zip(lines, stagechecks.STAGES):
+        for line, (name, err) in zip(lines, worst.items()):
             assert line.startswith(name)
-            assert line.endswith("ok") or line.endswith("FAIL")
+            assert line.endswith("ok" if err < DEFAULT_TOLERANCE else "FAIL")

@@ -1,6 +1,6 @@
 """Every name a module imports is read somewhere in that module, no
-library module dedups through numpy's hash-based ``unique``, and none
-writes a comma-joined row by hand."""
+library module imports inside a function, dedups through numpy's
+hash-based ``unique``, or writes a comma-joined row by hand."""
 
 import ast
 from pathlib import Path
@@ -47,6 +47,36 @@ def test_no_module_imports_a_name_it_never_reads():
     found = {str(path.relative_to(REPO)): names for path in MODULES
              if (names := unused_imports(path.read_text()))}
     assert found == {}
+
+
+def function_imports(source: str) -> list:
+    """Line numbers of imports inside a function or method body, nested
+    functions included."""
+    return sorted({inner.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.FunctionDef,
+                                        ast.AsyncFunctionDef))
+                   for inner in ast.walk(node)
+                   if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def test_function_import_scanner_finds_nested_imports():
+    source = ("import os\n"
+              "from x import y\n"
+              "def f():\n    import json\n    return json\n"
+              "class C:\n    from z import w\n"
+              "    def m(self):\n"
+              "        def g():\n            from . import q\n"
+              "        return g\n"
+              "async def h():\n    import re\n")
+    assert function_imports(source) == [4, 10, 13]
+
+
+def test_no_library_module_imports_inside_a_function():
+    found = {str(path.relative_to(REPO)): lines for path in LIBRARY
+             if (lines := function_imports(path.read_text()))}
+    assert found == {}, (
+        f"imports inside functions at {found}: import at module level, so "
+        f"a module's dependencies are read from its head")
 
 
 # set routines that dedup their input with np.unique unless told it is unique
