@@ -197,8 +197,11 @@ def cmd_ablate(args) -> int:
     values = _resolved(args)
     _reject_arm_keys(args, "use --variants")
     seeds = _parse_seeds(args.seeds)
+    variants = VARIANTS if args.variants is None else \
+        tuple(part for part in args.variants.split(",") if part != "")
+    if not variants:
+        raise ConfigError("--variants: names no variant")
     ds = load_dataset_dir(args.data)
-    variants = tuple(args.variants.split(",")) if args.variants else VARIANTS
     arms = run_arms(ds, variants, seeds, cfgmod.build_train_config(values),
                     cfgmod.build_eval_config(values))
     os.makedirs(out, exist_ok=True)

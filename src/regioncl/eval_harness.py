@@ -291,6 +291,13 @@ def run_arms(dataset: Dataset, variants, seeds, train_cfg: TrainConfig,
     for what, names in (("variant", variants), ("seed", seeds)):
         if len(set(names)) != len(names):
             raise ConfigError(f"a {what} is named twice in {list(names)}")
+    n = dataset.n_regions
+    rest = min(n - len(fold)
+               for fold in cv_folds(n, eval_cfg.folds, eval_cfg.cv_seed))
+    if rest < 2:
+        raise DataError(f"{n} regions are too few to probe: with "
+                        f"eval.folds={eval_cfg.folds} a fold leaves {rest} "
+                        f"training rows, and the lasso needs 2")
     table = train_skipgram(dataset.poi, train_cfg.skipgram)
     arms = {}
     for variant in variants:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import numcore as nc
+from .errors import ConfigError
 from .hetero_graph import RelationType, normalized_adjacency
 from .hgnn_encoder import encode, init_encoder, init_features
 from .losses import LossConfig, ViewEmbeddings, info_bn, info_nce
@@ -256,6 +257,8 @@ def run_gradcheck(n_points: int = 20, seed: int = 0) -> dict:
     random parameter settings; returns ``{stage: worst relative error}`` in
     ``STAGES`` order.
     """
+    if n_points < 1:
+        raise ConfigError(f"gradcheck needs --points >= 1, got {n_points}")
     worst = {}
     for stage_name, builder in STAGES.items():
         rng = np.random.default_rng(seed)

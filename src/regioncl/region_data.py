@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,45 +91,6 @@ def distance_matrix(centroids: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(km=upper + upper.T, centroids=centroids)
 
 
-def validate(ds: Dataset) -> None:
-    """Cross-consistency checks shared by the loader and the synthesizer."""
-    I = ds.poi.n_regions
-    if I < 1 or ds.poi.n_categories < 1:
-        raise DataError(f"need at least one region and one category, "
-                        f"got {ds.poi.counts.shape}")
-    if np.any(ds.poi.counts < 0):
-        raise DataError("negative POI count")
-    if ds.dist.km.shape != (I, I):
-        raise DataError(f"POI matrix has {I} regions but distance matrix "
-                        f"is {ds.dist.km.shape[0]}x{ds.dist.km.shape[1]}")
-    if not np.all(np.isfinite(ds.dist.centroids)):
-        raise DataError("centroids contain non-finite values")
-    if ds.T < 1:
-        raise DataError(f"T must be >= 1, got {ds.T}")
-    trips = ds.trajectories
-    if trips.ndim != 2 or trips.shape[1] != 4:
-        raise DataError(f"trajectories must be an (N, 4) array, "
-                        f"got shape {trips.shape}")
-    ends = trips[:, :2]
-    bad = ends[(ends < 0) | (ends >= I)]
-    if bad.size:
-        raise DataError(f"region index out of range: {bad[0]} (I={I})")
-    ts, te = trips[:, 2], trips[:, 3]
-    bad = np.flatnonzero((ts < 0) | (te < ts) | (te >= ds.T))
-    if bad.size:
-        k = bad[0]
-        raise DataError(f"bad slot range ({ts[k]}, {te[k]}) with T={ds.T}")
-    for task, arr in ds.targets.items():
-        if task not in TASKS:
-            raise DataError(f"unknown task {task!r}")
-        want = (I,) if task in STATIC_TASKS else (I, ds.T)
-        if arr.shape != want:
-            raise DataError(f"targets[{task}] has shape {arr.shape}, "
-                            f"expected {want} for I={I}, T={ds.T}")
-        if not np.all(np.isfinite(arr)):
-            raise DataError(f"targets[{task}] contains non-finite values")
-
-
 def crime_density(ds: Dataset, region: int) -> float:
     """Fraction of time slots in which the region records any crime."""
     if "crime" not in ds.targets:
@@ -145,7 +107,12 @@ def crime_density(ds: Dataset, region: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _read_rows(path: str, expected_header: list[str] | None = None):
-    """Yield (line_number, row) pairs, validating the header line."""
+    """Return the header and the (line_number, row) pairs of the non-blank
+    rows, each with one field per header column.
+
+    Without ``expected_header`` the header must be ``region`` and at least
+    one more column, as the POI file's is.
+    """
     try:
         fh = open(path, newline="")
     except OSError as e:
@@ -156,12 +123,20 @@ def _read_rows(path: str, expected_header: list[str] | None = None):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}:1: empty file") from None
-        if expected_header is not None and header != expected_header:
-            raise DataError(f"{path}:1: expected header "
-                            f"{','.join(expected_header)!r}, got "
+        if expected_header is None:
+            ok = len(header) >= 2 and header[0] == "region"
+            want = "region,cat_0,..."
+        else:
+            ok, want = header == expected_header, ",".join(expected_header)
+        if not ok:
+            raise DataError(f"{path}:1: expected header {want!r}, got "
                             f"{','.join(header)!r}")
         rows = [(lineno, row) for lineno, row in enumerate(reader, start=2)
                 if row]
+    for lineno, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} "
+                            f"fields, got {len(row)}")
     return header, rows
 
 
@@ -181,13 +156,10 @@ def _to_float(path: str, lineno: int, text: str, what: str) -> float:
                         f"{text!r}") from None
 
 
-def _region_table(path: str, rows, n_fields: int) -> dict[int, tuple[int, list[str]]]:
+def _region_table(path: str, rows) -> dict[int, tuple[int, list[str]]]:
     """Map region id -> (lineno, fields) enforcing dense coverage of [0, I)."""
     table: dict[int, tuple[int, list[str]]] = {}
     for lineno, row in rows:
-        if len(row) != n_fields:
-            raise DataError(f"{path}:{lineno}: expected {n_fields} fields, "
-                            f"got {len(row)}")
         r = _to_int(path, lineno, row[0], "region")
         if r in table:
             raise DataError(f"{path}:{lineno}: duplicate region {r}")
@@ -202,33 +174,32 @@ def _region_table(path: str, rows, n_fields: int) -> dict[int, tuple[int, list[s
 
 def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
                  targets_path: str | None = None) -> Dataset:
-    """Read the CSV bundle.
+    """Read the CSV bundle; every fact is checked once, here, and a bad one
+    raises a DataError naming its file, and its line where it has one.
 
     T is one past the largest slot of the slotted targets when there are
     any, and a trip slot at or beyond it is an error; without them T is
-    inferred from the trips.
+    inferred from the trips. Each task the targets name must give a value
+    for every region, and for every slot 0..T-1 when it is slotted.
     """
     header, rows = _read_rows(poi_path)
-    if len(header) < 2 or header[0] != "region":
-        raise DataError(f"{poi_path}:1: expected header "
-                        f"'region,cat_0,...', got {','.join(header)!r}")
     category_names = header[1:]
-    table = _region_table(poi_path, rows, len(header))
+    table = _region_table(poi_path, rows)
     I = len(table)
+    if I == 0:
+        raise DataError(f"{poi_path}: no region rows")
     counts = np.zeros((I, len(category_names)), dtype=np.int64)
     for r, (lineno, row) in table.items():
         for c, text in enumerate(row[1:]):
             v = _to_int(poi_path, lineno, text, f"cat_{c}")
-            if v < 0:
-                raise DataError(f"{poi_path}:{lineno}: negative POI count {v}")
+            if not 0 <= v < 2 ** 63:                # int64 counts
+                raise DataError(f"{poi_path}:{lineno}: POI count {v} is "
+                                f"negative or too large for int64")
             counts[r, c] = v
 
     _, rows = _read_rows(traj_path, ["src", "dst", "t_start", "t_end"])
     trips, trip_lines = [], []
     for lineno, row in rows:
-        if len(row) != 4:
-            raise DataError(f"{traj_path}:{lineno}: expected 4 fields, "
-                            f"got {len(row)}")
         src = _to_int(traj_path, lineno, row[0], "src")
         dst = _to_int(traj_path, lineno, row[1], "dst")
         ts = _to_int(traj_path, lineno, row[2], "t_start")
@@ -245,10 +216,10 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
     trajectories = np.array(trips, dtype=np.int64).reshape(-1, 4)
 
     _, rows = _read_rows(centroid_path, ["region", "lat", "lon"])
-    ctable = _region_table(centroid_path, rows, 3)
+    ctable = _region_table(centroid_path, rows)
     if len(ctable) != I:
-        raise DataError(f"POI matrix has {I} regions but centroids file has "
-                        f"{len(ctable)}")
+        raise DataError(f"{centroid_path}: {poi_path} has {I} regions but "
+                        f"this file has {len(ctable)}")
     centroids = np.zeros((I, 2))
     for r, (lineno, row) in ctable.items():
         lat = _to_float(centroid_path, lineno, row[1], "lat")
@@ -265,9 +236,6 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
     if targets_path is not None:
         _, rows = _read_rows(targets_path, ["region", "task", "slot", "value"])
         for lineno, row in rows:
-            if len(row) != 4:
-                raise DataError(f"{targets_path}:{lineno}: expected 4 "
-                                f"fields, got {len(row)}")
             r = _to_int(targets_path, lineno, row[0], "region")
             if not 0 <= r < I:
                 raise DataError(f"{targets_path}:{lineno}: region index out "
@@ -278,6 +246,9 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
                                 f"{task!r} (expected one of {list(TASKS)})")
             slot = _to_int(targets_path, lineno, row[2], "slot")
             value = _to_float(targets_path, lineno, row[3], "value")
+            if not math.isfinite(value):
+                raise DataError(f"{targets_path}:{lineno}: non-finite value "
+                                f"{row[3]!r} for task {task!r}")
             static = task in STATIC_TASKS
             if static and slot != -1:
                 raise DataError(f"{targets_path}:{lineno}: static task "
@@ -304,6 +275,21 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
     else:
         T = int(trajectories[:, 3].max(initial=0)) + 1
 
+    # every cell is in range and none repeats, so a task covers its grid
+    # exactly when it has one cell per grid point; only a short task's grid
+    # is walked, and only up to its first gap
+    n_cells = Counter(task for _, task, _ in cells)
+    for task in TASKS:
+        static = task in STATIC_TASKS
+        if 0 < n_cells[task] < I * (1 if static else T):
+            slots = [-1] if static else range(T)
+            r, t = next((r, t) for r in range(I) for t in slots
+                        if (r, task, t) not in cells)
+            where = f"region {r}" if static else \
+                f"region {r} slot {t} of the T={T} slots the targets imply"
+            raise DataError(f"{targets_path}: task {task!r} has no value "
+                            f"for {where}")
+
     targets: dict[str, np.ndarray] = {}
     for (r, task, slot), (_, value) in cells.items():
         if task not in targets:
@@ -311,12 +297,10 @@ def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
         # a static task's one slot is -1
         targets[task][r if slot < 0 else (r, slot)] = value
 
-    ds = Dataset(poi=PoiMatrix(counts=counts, category_names=category_names),
-                 trajectories=trajectories,
-                 dist=distance_matrix(centroids),
-                 T=T, targets=targets)
-    validate(ds)
-    return ds
+    return Dataset(poi=PoiMatrix(counts, category_names),
+                   trajectories=trajectories,
+                   dist=distance_matrix(centroids),
+                   T=T, targets=targets)
 
 
 def load_dataset_dir(data_dir: str) -> Dataset:
@@ -455,7 +439,7 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
                                   size=(I, T))
     crime = np.where(nonzero, magnitude.astype(np.float64), 0.0)
 
-    ds = Dataset(
+    return Dataset(
         poi=PoiMatrix(counts=counts,
                       category_names=[f"cat_{c}" for c in range(C)]),
         trajectories=trajectories,
@@ -463,5 +447,3 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
         T=T,
         targets={"crime": crime, "traffic": traffic,
                  "house_price": house_price})
-    validate(ds)
-    return ds

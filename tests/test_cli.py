@@ -17,7 +17,9 @@ from regioncl.cli import main
 from regioncl.eval_harness import (average_bins, bin_regions,
                                    robustness_by_density, run_arms)
 from regioncl.gradcheck import STAGES
-from regioncl.region_data import crime_density, load_dataset_dir
+from regioncl.region_data import (SynthConfig, crime_density,
+                                  load_dataset_dir, synth_dataset,
+                                  write_dataset)
 from regioncl.trainer import load_embeddings
 
 REPO = Path(__file__).resolve().parents[1]
@@ -31,6 +33,16 @@ SMALL = ["--set", "model.d=8", "--set", "model.heads=2",
 
 def file_hash(path) -> str:
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def set_field(row: str, k: int, text: str) -> str:
+    fields = row.split(",")
+    fields[k] = text
+    return ",".join(fields)
+
+
+def drop_last_field(rows: list) -> list:
+    return rows[:-1] + [rows[-1].rsplit(",", 1)[0]]
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +95,42 @@ class TestIngest:
                      "targets.csv"):
             assert file_hash(os.path.join(out, name)) \
                 == file_hash(os.path.join(data_dir, name))
+
+    @pytest.mark.parametrize("name,edit,needle", [
+        ("poi.csv", drop_last_field, "fields"),
+        ("trajectories.csv", drop_last_field, "fields"),
+        ("centroids.csv", drop_last_field, "fields"),
+        ("targets.csv", drop_last_field, "fields"),
+        ("poi.csv", lambda rows: [], "no region rows"),
+        ("poi.csv", lambda rows: [set_field(rows[0], 1, "1" + "0" * 20)]
+         + rows[1:], "too large for int64"),
+        ("targets.csv", lambda rows: [set_field(rows[0], 3, "nan")]
+         + rows[1:], "non-finite value"),
+        ("targets.csv", lambda rows: rows[:-1], "has no value for region"),
+        ("targets.csv", lambda rows: rows + ["0,crime,100000000000,1.0"],
+         "T=100000000001"),
+    ], ids=["short-poi-row", "short-trip-row", "short-centroid-row",
+            "short-target-row", "poi-without-regions", "poi-count-past-int64",
+            "non-finite-target", "missing-target-cell", "far-target-slot"])
+    def test_malformed_bundle_is_one_error_line_naming_the_file(
+            self, data_dir, tmp_path, capsys, name, edit, needle):
+        paths = {}
+        for f in ("poi.csv", "trajectories.csv", "centroids.csv",
+                  "targets.csv"):
+            header, *rows = Path(data_dir, f).read_text().splitlines()
+            paths[f] = tmp_path / f
+            paths[f].write_text("\n".join([header, *(
+                edit(rows) if f == name else rows)]) + "\n")
+        out = tmp_path / "out"
+        assert main(["ingest", "--poi", str(paths["poi.csv"]),
+                     "--traj", str(paths["trajectories.csv"]),
+                     "--centroids", str(paths["centroids.csv"]),
+                     "--targets", str(paths["targets.csv"]),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {paths[name]}")
+        assert needle in err[0]
+        assert not out.exists()
 
     def test_missing_input_file_reports_error(self, tmp_path, capsys):
         assert main(["ingest", "--poi", "/nonexistent.csv",
@@ -281,6 +329,14 @@ class TestGradcheckCommand:
         captured = capsys.readouterr()
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_no_points_rejected_before_any_stage(self, capsys, points):
+        assert main(["gradcheck", "--points", points]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gradcheck needs --points >= 1, " \
+                               f"got {points}\n"
+
 
 class TestSweep:
     def test_one_row_per_grid_value(self, data_dir, tmp_path):
@@ -359,8 +415,22 @@ class TestRunArmOverrides:
 
 
 class TestStudyRequestsRejectedUpFront:
-    """A --seeds that names no seed, a variant or seed named twice, and a
-    sweep --task the bundle lacks are refused before any arm trains."""
+    """A --seeds or --variants that names nothing, a variant or seed named
+    twice, a sweep --task the bundle lacks and a city too small for the
+    probe's folds are refused before any arm trains."""
+
+    @staticmethod
+    def refusal(argv, out, monkeypatch, capsys) -> str:
+        """Run argv with training stubbed out; return its one error line."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("regioncl.eval_harness.train", no_work)
+        assert main(argv + ["--out", out] + SMALL) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not os.path.exists(out)
+        return err[0]
 
     @pytest.mark.parametrize("argv,needle", [
         (["ablate", "--seeds", ""], "--seeds"),
@@ -371,19 +441,26 @@ class TestStudyRequestsRejectedUpFront:
          "--seeds"),
         (["sweep", "--seeds", "0,1", "--task", "rainfall",
           "--param", "loss.beta", "--values", "0.1"], "'rainfall'"),
+        (["ablate", "--variants", ""], "--variants: names no variant"),
     ])
     def test_no_arm_trains(self, data_dir, tmp_path, monkeypatch, capsys,
                            argv, needle):
-        def no_work(*args, **kwargs):
-            raise AssertionError("training started")
+        assert needle in self.refusal(argv + ["--data", data_dir],
+                                      str(tmp_path / "x"), monkeypatch, capsys)
 
-        monkeypatch.setattr("regioncl.eval_harness.train", no_work)
-        out = str(tmp_path / "x")
-        assert main(argv + ["--data", data_dir, "--out", out] + SMALL) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
-        assert needle in err[0]
-        assert not os.path.exists(out)
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--variants", "FULL,RANDOM_AUG", "--seeds", "0,1"],
+        ["sweep", "--param", "loss.beta", "--values", "0.1,0.3"],
+    ], ids=["ablate", "sweep"])
+    def test_city_too_small_for_the_probe(self, tmp_path, monkeypatch,
+                                          capsys, argv):
+        """Two regions in two folds leave one training row per fold."""
+        tiny = str(tmp_path / "tiny")
+        write_dataset(synth_dataset(SynthConfig(
+            n_regions=2, n_slots=2, n_trips=20, n_clusters=1)), tiny)
+        err = self.refusal(argv + ["--data", tiny], str(tmp_path / "x"),
+                           monkeypatch, capsys)
+        assert "2 regions" in err and "eval.folds=5" in err
 
 
 class TestConsoleScript:

@@ -7,6 +7,7 @@ without reference to the package.
 """
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,9 +122,11 @@ class TestLoad:
     def test_t_inferred_from_trips_and_targets(self, tmp_path):
         poi, trj, cen = two_region_files(
             tmp_path, traj="src,dst,t_start,t_end\n0,1,1,2\n")
+        crime = "".join(f"{r},crime,{t},{2.0 if (r, t) == (0, 5) else 0.0}\n"
+                        for r in range(2) for t in range(6))
         tgt = write(tmp_path / "tgt.csv",
-                    "region,task,slot,value\n0,crime,5,2.0\n"
-                    "1,house_price,-1,100.0\n")
+                    "region,task,slot,value\n" + crime +
+                    "0,house_price,-1,90.0\n1,house_price,-1,100.0\n")
         ds = rd.load_dataset(poi, trj, cen, tgt)
         assert ds.T == 6
         assert ds.targets["crime"][0, 5] == 2.0
@@ -147,7 +150,8 @@ class TestLoad:
         poi, trj, cen = two_region_files(
             tmp_path, traj="src,dst,t_start,t_end\n0,1,1,7\n")
         tgt = write(tmp_path / "tgt.csv",
-                    "region,task,slot,value\n1,house_price,-1,100.0\n")
+                    "region,task,slot,value\n0,house_price,-1,90.0\n"
+                    "1,house_price,-1,100.0\n")
         assert rd.load_dataset(poi, trj, cen, tgt).T == 8
 
     def test_synthetic_bundle_takes_t_from_its_targets(self, tmp_path):
@@ -208,43 +212,104 @@ class TestLoad:
         ds = rd.load_dataset(poi, trj, cen)
         assert ds.dist.centroids.tolist() == [[-90.0, 540.0], [90.0, -200.0]]
 
+    @pytest.mark.parametrize("index", range(4), ids=[
+        "poi", "trajectories", "centroids", "targets"])
+    def test_short_row_names_file_and_line(self, tmp_path, index):
+        files = [*two_region_files(tmp_path), write(
+            tmp_path / "tgt.csv", "region,task,slot,value\n"
+                                  "0,house_price,-1,90.0\n"
+                                  "1,house_price,-1,100.0\n")]
+        lines = open(files[index]).read().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+        write(Path(files[index]), "\n".join(lines) + "\n")
+        width = lines[0].count(",") + 1
+        with pytest.raises(DataError, match=re.escape(
+                f"{files[index]}:{len(lines)}: expected {width} fields, "
+                f"got {width - 1}")):
+            rd.load_dataset(*files)
 
-class TestValidate:
     @pytest.mark.parametrize("trip,message", [
-        ((0, 2, 0, 0), r"^region index out of range: 2 \(I=2\)$"),
-        ((-1, 0, 0, 0), r"^region index out of range: -1 \(I=2\)$"),
-        ((0, 1, 1, 0), r"^bad slot range \(1, 0\) with T=3$"),
-        ((0, 1, -1, 0), r"^bad slot range \(-1, 0\) with T=3$"),
-        ((0, 1, 0, 3), r"^bad slot range \(0, 3\) with T=3$"),
-    ])
-    def test_bad_trip_named_in_message(self, trip, message):
-        ds = rd.synth_dataset(rd.SynthConfig(n_regions=2, n_slots=3,
-                                             n_trips=5, n_clusters=1, seed=0))
-        ds.trajectories = np.vstack([ds.trajectories, [trip, (1, 1, 2, 2)]])
-        with pytest.raises(DataError, match=message):
-            rd.validate(ds)
+        ("0,2,0,0", "region index out of range: 2 (I=2)"),
+        ("-1,0,0,0", "region index out of range: -1 (I=2)"),
+        ("0,1,1,0", "bad slot range (1, 0)"),
+        ("0,1,-1,0", "bad slot range (-1, 0)"),
+    ], ids=["dst-too-high", "src-negative", "end-before-start",
+            "start-negative"])
+    def test_first_bad_trip_names_file_and_line(self, tmp_path, trip,
+                                                message):
+        poi, trj, cen = two_region_files(
+            tmp_path, traj=f"src,dst,t_start,t_end\n0,1,0,0\n{trip}\n"
+                           f"5,0,0,0\n")
+        with pytest.raises(DataError, match=re.escape(f"{trj}:3: {message}")):
+            rd.load_dataset(poi, trj, cen)
 
-    def test_first_bad_trip_is_named(self):
-        ds = rd.synth_dataset(rd.SynthConfig(n_regions=3, n_slots=2,
-                                             n_trips=0, n_clusters=1, seed=0))
-        ds.trajectories = np.array([[0, 1, 0, 1], [1, 7, 0, 0],
-                                    [5, 0, 0, 0]])
-        with pytest.raises(DataError, match=r"out of range: 7 \(I=3\)"):
-            rd.validate(ds)
+    def test_poi_file_without_regions_names_it(self, tmp_path):
+        poi, trj, cen = two_region_files(tmp_path)
+        write(Path(poi), "region,cat_0,cat_1,cat_2\n")
+        with pytest.raises(DataError, match=re.escape(f"{poi}: no region")):
+            rd.load_dataset(poi, trj, cen)
 
-    def test_non_finite_centroid_rejected(self):
-        ds = rd.synth_dataset(rd.SynthConfig(n_regions=2, n_trips=3,
-                                             n_clusters=1, seed=0))
-        ds.dist.centroids[1, 0] = np.nan
-        with pytest.raises(DataError, match="centroids"):
-            rd.validate(ds)
+    @pytest.mark.parametrize("count", [
+        "-1", "9223372036854775808", "100000000000000000000"])
+    def test_poi_count_outside_int64_names_file_and_line(self, tmp_path,
+                                                         count):
+        poi, trj, cen = two_region_files(tmp_path)
+        write(Path(poi), f"region,cat_0,cat_1,cat_2\n0,1,2,3\n"
+                              f"1,0,{count},0\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{poi}:3: POI count {count} is negative or too large")):
+            rd.load_dataset(poi, trj, cen)
 
-    def test_trips_must_have_four_columns(self):
-        ds = rd.synth_dataset(rd.SynthConfig(n_regions=2, n_trips=3,
-                                             n_clusters=1, seed=0))
-        ds.trajectories = ds.trajectories[:, :3]
-        with pytest.raises(DataError, match=r"\(N, 4\) array"):
-            rd.validate(ds)
+    def test_poi_count_at_int64_max_loads(self, tmp_path):
+        poi, trj, cen = two_region_files(tmp_path)
+        write(Path(poi), f"region,cat_0\n0,{2 ** 63 - 1}\n1,0\n")
+        assert rd.load_dataset(poi, trj, cen).poi.counts[0, 0] == 2 ** 63 - 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_target_names_file_and_line(self, tmp_path, value):
+        poi, trj, cen = two_region_files(tmp_path)
+        tgt = write(tmp_path / "tgt.csv",
+                    f"region,task,slot,value\n0,house_price,-1,90.0\n"
+                    f"1,house_price,-1,{value}\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{tgt}:3: non-finite value {value!r}")):
+            rd.load_dataset(poi, trj, cen, tgt)
+
+    @pytest.mark.parametrize("dropped,message", [
+        (["1,house_price,-1,"], "task 'house_price' has no value for "
+                                "region 1"),
+        (["2,traffic,3,"], "task 'traffic' has no value for region 2 slot 3 "
+                           "of the T=4 slots"),
+        (["0,crime,0,", "1,house_price,-1,"], "task 'crime' has no value for "
+                                              "region 0 slot 0 of the T=4"),
+    ], ids=["static", "slotted", "first-task-named"])
+    def test_target_gap_names_task_and_first_missing_cell(
+            self, tmp_path, dropped, message):
+        """A cell the targets omit used to load as 0.0. The check counts
+        cells, so it holds in any row order."""
+        rd.write_dataset(rd.synth_dataset(rd.SynthConfig(
+            n_regions=3, n_slots=4, n_trips=20, n_clusters=1, seed=0)),
+            str(tmp_path))
+        path = tmp_path / rd.TARGETS_FILE
+        header, *rows = path.read_text().splitlines()
+        rows = [row for row in rows if not row.startswith(tuple(dropped))]
+        for order in (rows, rows[::-1]):
+            write(path, "\n".join([header, *order]) + "\n")
+            with pytest.raises(DataError, match=re.escape(
+                    f"{path}: {message}")):
+                rd.load_dataset_dir(str(tmp_path))
+
+    def test_far_target_slot_is_a_gap_not_an_allocation(self, tmp_path):
+        """One far slot implies T = 10**11 + 1; the gap is named without
+        allocating the I x T grid."""
+        poi, trj, cen = two_region_files(tmp_path)
+        tgt = write(tmp_path / "tgt.csv", "region,task,slot,value\n"
+                                          "0,crime,0,1.0\n"
+                                          "0,crime,100000000000,1.0\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{tgt}: task 'crime' has no value for region 0 slot 1 of "
+                f"the T=100000000001 slots")):
+            rd.load_dataset(poi, trj, cen, tgt)
 
 
 class TestCrimeDensity:
@@ -291,7 +356,6 @@ class TestSynth:
         assert ds.targets["crime"].shape == (30, 5)
         assert ds.targets["traffic"].shape == (30, 5)
         assert ds.targets["house_price"].shape == (30,)
-        rd.validate(ds)
 
     def test_no_skew_gives_near_uniform_sources(self):
         cfg = rd.SynthConfig(n_regions=50, n_trips=10000, noise_rate=0.0,
