@@ -253,11 +253,13 @@ def cmd_sweep(args) -> int:
     _reject_arm_keys(args, "sweep trains FULL only, compare variants "
                            "with ablate --variants")
     seeds = _parse_seeds(args.seeds)
+    grid = [cfgmod.cast_value(args.param, raw)
+            for raw in args.values.split(",")]
+    if len(set(grid)) != len(grid):
+        raise ConfigError(f"--values: a value is named twice in {grid}")
     ds = load_dataset_dir(args.data)
     if args.task not in ds.targets:
         raise DataError(f"task {args.task!r} absent from dataset targets")
-    grid = [cfgmod.cast_value(args.param, raw)
-            for raw in args.values.split(",")]
     eval_cfg = cfgmod.build_eval_config(values)
     rows = []
     for value in grid:

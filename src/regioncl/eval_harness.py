@@ -20,7 +20,8 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError
 from .numcore import row_cosine
 from .poi_embedding import train_skipgram
-from .region_data import SLOT_TASKS, Dataset, crime_density, write_csv
+from .region_data import (SLOT_TASKS, TARGETS_FILE, Dataset, crime_density,
+                          write_csv)
 from .trainer import TrainConfig, VARIANTS, region_embeddings, train
 
 DENSITY_BINS = (("(0.00,0.25]", 0.0, 0.25),
@@ -193,7 +194,11 @@ def probe_task(E: np.ndarray, y: np.ndarray, cfg: EvalConfig):
 
 
 def task_targets(dataset: Dataset) -> dict:
-    """Per-region target vector per task; slotted tasks total their slots."""
+    """Per-region target vector per task; slotted tasks total their slots.
+    A dataset without targets has nothing to probe and is refused."""
+    if not dataset.targets:
+        raise DataError(f"no task targets to probe: the bundle's "
+                        f"{TARGETS_FILE} is missing or empty")
     out = {}
     for task, values in dataset.targets.items():
         out[task] = values.sum(axis=1) if task in SLOT_TASKS \
@@ -291,6 +296,7 @@ def run_arms(dataset: Dataset, variants, seeds, train_cfg: TrainConfig,
     for what, names in (("variant", variants), ("seed", seeds)):
         if len(set(names)) != len(names):
             raise ConfigError(f"a {what} is named twice in {list(names)}")
+    task_targets(dataset)  # refuses a dataset with no task to probe
     n = dataset.n_regions
     rest = min(n - len(fold)
                for fold in cv_folds(n, eval_cfg.folds, eval_cfg.cv_seed))

@@ -15,7 +15,9 @@ Conventions fixed here because tests depend on them:
     each block of rows once and accumulates both operand gradients in the
     same pass, so its backward is a scaling of two (n, d) arrays;
   * inside ``no_grad()`` ops record no parents and no VJP, and
-    dot_cross_entropy accumulates no gradient.
+    dot_cross_entropy accumulates no gradient;
+  * ``backward`` drops each non-leaf gradient once that node's VJP has
+    read it, so only the leaf gradients it returns outlive their use.
 
 Sparse operands are CsrMatrix constants; ``spmm`` multiplies one into a
 dense tensor and differentiates only through the dense side. A CsrMatrix
@@ -448,8 +450,12 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
     for node in reversed(_topo_order(loss)):
-        g = grads.get(id(node))
-        if g is None or node.vjp is None:
+        if node.vjp is None:
+            continue
+        # every consumer of node came earlier, so its gradient is complete
+        # and its VJP is the last reader
+        g = grads.pop(id(node), None)
+        if g is None:
             continue
         parent_grads = node.vjp(g)
         for parent, pg in zip(node.parents, parent_grads):

@@ -10,6 +10,9 @@ groups; the full-graph embeddings are encoded under ``no_grad`` before
 entering the samplers, so no gradient crosses the boundary in either
 direction. Every pass whose result is only read (that encode, the reward's
 re-forward and the final export) runs under ``no_grad`` and keeps no graph.
+A recorded graph is dropped at its last use: the encoder step's right after
+its Adam step, and the samplers' when their step ends, before the next
+epoch draws its views.
 
 Reward convention: computed after the encoder step (re-encoding the same
 views with the same InfoBN drop patterns under the updated weights), since
@@ -279,8 +282,8 @@ def train(dataset: Dataset, cfg: TrainConfig,
 
         # encoder step on the combined contrastive loss
         nodes = [v.nodes for v in views]
-        _, nce, bn, total = contrastive_loss(
-            H0, nodes, view_adjacencies(views, bn_drops), hgnn, cfg.loss)
+        nce, bn, total = contrastive_loss(
+            H0, nodes, view_adjacencies(views, bn_drops), hgnn, cfg.loss)[1:]
         l_nce, l_bn, l_total = nce.item(), bn.item(), total.item()
         if not np.isfinite(l_total):
             raise TrainingAborted(
@@ -293,6 +296,9 @@ def train(dataset: Dataset, cfg: TrainConfig,
                   {k: grads[k] for k in encoder_group})
         assert _checksums(sampler_group) == sampler_before, \
             "encoder step touched sampler parameters"
+        # a graph holds every activation of its forward pass: drop this one
+        # now, so the reward re-forward and the sampler step run without it
+        del H0, nce, bn, total, grads
 
         reward, l_rec1, l_rec2 = 1.0, 0.0, 0.0
         if sampling_on:
@@ -322,6 +328,7 @@ def train(dataset: Dataset, cfg: TrainConfig,
                       {k: grads[k] for k in sampler_group})
             assert _checksums(encoder_group) == encoder_before, \
                 "sampler step touched encoder parameters"
+            del gen, rec1, rec2, objective, grads
 
         history.append(EpochRecord(epoch=epoch, l_nce=l_nce, l_bn=l_bn,
                                    loss=l_total, reward=reward,

@@ -415,9 +415,10 @@ class TestRunArmOverrides:
 
 
 class TestStudyRequestsRejectedUpFront:
-    """A --seeds or --variants that names nothing, a variant or seed named
-    twice, a sweep --task the bundle lacks and a city too small for the
-    probe's folds are refused before any arm trains."""
+    """A --seeds or --variants that names nothing, a variant, seed or sweep
+    value named twice, a sweep --task the bundle lacks, a bundle without
+    targets and a city too small for the probe's folds are refused before
+    any arm trains."""
 
     @staticmethod
     def refusal(argv, out, monkeypatch, capsys) -> str:
@@ -442,6 +443,8 @@ class TestStudyRequestsRejectedUpFront:
         (["sweep", "--seeds", "0,1", "--task", "rainfall",
           "--param", "loss.beta", "--values", "0.1"], "'rainfall'"),
         (["ablate", "--variants", ""], "--variants: names no variant"),
+        (["sweep", "--param", "loss.beta", "--values", "0.1,0.3,0.10"],
+         "a value is named twice in [0.1, 0.3, 0.1]"),
     ])
     def test_no_arm_trains(self, data_dir, tmp_path, monkeypatch, capsys,
                            argv, needle):
@@ -461,6 +464,25 @@ class TestStudyRequestsRejectedUpFront:
         err = self.refusal(argv + ["--data", tiny], str(tmp_path / "x"),
                            monkeypatch, capsys)
         assert "2 regions" in err and "eval.folds=5" in err
+
+    @pytest.fixture
+    def untargeted(self, data_dir, tmp_path) -> str:
+        bundle = tmp_path / "untargeted"
+        shutil.copytree(data_dir, bundle)
+        (bundle / "targets.csv").unlink()
+        return str(bundle)
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--variants", "FULL,RANDOM_AUG", "--seeds", "0"],
+        ["eval"],
+    ], ids=["ablate", "eval"])
+    def test_bundle_without_targets(self, untargeted, model_dir, tmp_path,
+                                    monkeypatch, capsys, argv):
+        if argv[0] == "eval":
+            argv = argv + ["--model", model_dir]
+        err = self.refusal(argv + ["--data", untargeted],
+                           str(tmp_path / "x"), monkeypatch, capsys)
+        assert "no task targets" in err and "targets.csv" in err
 
 
 class TestConsoleScript:

@@ -480,6 +480,20 @@ class TestGradients:
         for k in g1:
             assert np.array_equal(g1[k], g2[k])
 
+    def test_spent_gradients_are_freed(self):
+        """Down a chain of 40 scales, each intermediate gradient is dropped
+        once its VJP has read it: about 2 arrays live at a time, not 41."""
+        tape = nc.GradientTape()
+        x = tape.parameter("x", np.ones((500, 200)))
+        y = x
+        for _ in range(40):
+            y = nc.scale(y, 1.01)
+        loss = nc.tsum(y)
+        grads = {}
+        peak = _peak_bytes(lambda: grads.update(nc.backward(tape, loss)))
+        assert_allclose(grads["x"], np.full((500, 200), 1.01 ** 40))
+        assert peak / x.data.nbytes < 3.0
+
 
 def reference_adam(x0, grad_seq, lr, weight_decay=0.0,
                    beta1=0.9, beta2=0.999, eps=1e-8):

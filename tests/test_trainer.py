@@ -1,5 +1,6 @@
 """Training loop: determinism, variants, export format."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -326,6 +327,44 @@ class TestForwardOnlyPasses:
         monkeypatch.setattr(trainer, "encode", spy)
         train(ds8, small_cfg(epochs=1, variant=variant))
         assert recorded == self.RECORDED[variant]
+
+    @pytest.mark.parametrize("variant", sorted(RECORDED))
+    def test_no_graph_outlives_its_step(self, ds8, monkeypatch, variant):
+        """Each sampler graph (its edge scores) is gone when the next views
+        are drawn, and each loss graph (its root) when the next backward
+        starts or the next views are drawn."""
+        scores, roots, verdicts = [], [], []
+
+        def audit(*groups):
+            verdicts.append([ref() is not None
+                             for refs in groups for ref in refs])
+            for refs in groups:
+                refs.clear()
+
+        def views_spy(make):
+            def spy(*args, **kwargs):
+                audit(scores, roots)
+                out = make(*args, **kwargs)
+                if hasattr(out, "sampling"):
+                    scores.extend(weakref.ref(P.scores.data)
+                                  for P in out.sampling)
+                return out
+            return spy
+
+        def backward_spy(tape, loss):
+            audit(roots)
+            roots.append(weakref.ref(loss.data))
+            return backward(tape, loss)
+
+        backward = trainer.backward
+        monkeypatch.setattr(trainer, "backward", backward_spy)
+        for name in ("generate_views", "_random_aug_views"):
+            monkeypatch.setattr(trainer, name,
+                                views_spy(getattr(trainer, name)))
+        train(ds8, small_cfg(epochs=3, variant=variant))
+        steps = 2 if variant != "RANDOM_AUG" else 1
+        assert len(verdicts) == 3 * (1 + steps)
+        assert not any(any(v) for v in verdicts), verdicts
 
 
 class TestEmbeddings:
