@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import astuple
@@ -230,6 +231,10 @@ def cmd_case(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    # nan or a negative bound fails every stage, inf passes every one
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"gradcheck needs a finite --tol > 0, "
+                          f"got {args.tol}")
     worst = run_gradcheck(n_points=args.points,
                           seed=args.seed if args.seed is not None else 0)
     for stage, err in worst.items():

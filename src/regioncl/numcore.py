@@ -17,7 +17,11 @@ Conventions fixed here because tests depend on them:
   * inside ``no_grad()`` ops record no parents and no VJP, and
     dot_cross_entropy accumulates no gradient;
   * ``backward`` drops each non-leaf gradient once that node's VJP has
-    read it, so only the leaf gradients it returns outlive their use.
+    read it, so only the leaf gradients it returns outlive their use;
+  * ``checkpoint(fn, *inputs)`` keeps only fn's output: its parents are
+    exactly the inputs, and its VJP recomputes fn's graph and
+    backpropagates through it with the same traversal as ``backward``,
+    so the gradients carry the same bits as fn recorded in place.
 
 Sparse operands are CsrMatrix constants; ``spmm`` multiplies one into a
 dense tensor and differentiates only through the dense side. A CsrMatrix
@@ -45,7 +49,7 @@ __all__ = [
     "adam_step", "no_grad", "constant", "matmul", "spmm", "add", "mul",
     "scale", "neg", "relu", "expit", "row_cosine", "softplus", "softmax_rows",
     "dot_cross_entropy", "log", "tsum", "concat_cols", "transpose",
-    "reshape", "rows", "normalize_rows",
+    "reshape", "rows", "normalize_rows", "checkpoint",
 ]
 
 
@@ -140,14 +144,18 @@ class CsrMatrix:
 
 
 @contextlib.contextmanager
-def no_grad():
-    """Forward-only block: the tensors made inside record no graph."""
+def _recording_as(flag: bool):
     global _recording
-    previous, _recording = _recording, False
+    previous, _recording = _recording, flag
     try:
         yield
     finally:
         _recording = previous
+
+
+def no_grad():
+    """Forward-only block: the tensors made inside record no graph."""
+    return _recording_as(False)
 
 
 def constant(x) -> Tensor:
@@ -396,6 +404,32 @@ def normalize_rows(a: Tensor) -> Tensor:
     return Tensor(np.where(nonzero, y, 0.0), (a,), vjp)
 
 
+def checkpoint(fn, *inputs) -> Tensor:
+    """fn(*inputs), recorded as one node that keeps only its output.
+
+    The forward runs ``fn`` under ``no_grad``, so none of its intermediate
+    arrays outlives the call. The VJP runs ``fn`` again, recording, over
+    fresh leaves that share the inputs' data, pushes the incoming gradient
+    back through that short-lived graph and returns one gradient per input:
+    one recomputed forward buys the memory of every activation inside
+    ``fn`` (Chen et al., arXiv 1604.06174). ``fn`` must be a pure function
+    of its inputs' values.
+    """
+    inputs = tuple(constant(x) for x in inputs)
+    with no_grad():
+        out = fn(*inputs).data
+
+    def vjp(g):
+        leaves = tuple(Tensor(x.data, requires_grad=x.requires_grad)
+                       for x in inputs)
+        with _recording_as(True):
+            root = fn(*leaves)
+        grads = _backprop(root, g)
+        return tuple(grads.get(id(leaf)) for leaf in leaves)
+
+    return Tensor(out, inputs, vjp)
+
+
 # ---------------------------------------------------------------------------
 # tape, backward, Adam
 # ---------------------------------------------------------------------------
@@ -444,12 +478,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss w.r.t. every parameter on the tape."""
-    if loss.data.shape != ():
-        raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    for node in reversed(_topo_order(loss)):
+def _backprop(root: Tensor, seed: np.ndarray) -> dict[int, np.ndarray]:
+    """Push ``seed``, the gradient at ``root``, back through root's graph;
+    returns the gradient of every leaf it reaches, keyed by ``id``."""
+    grads: dict[int, np.ndarray] = {id(root): seed}
+    for node in reversed(_topo_order(root)):
         if node.vjp is None:
             continue
         # every consumer of node came earlier, so its gradient is complete
@@ -465,6 +498,14 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
                 grads[id(parent)] = grads[id(parent)] + pg
             else:
                 grads[id(parent)] = pg
+    return grads
+
+
+def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss w.r.t. every parameter on the tape."""
+    if loss.data.shape != ():
+        raise ContractError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    grads = _backprop(loss, np.ones(()))
     out = {}
     for name, p in tape.params.items():
         g = grads.get(id(p))

@@ -11,6 +11,12 @@ so the contrastive losses always have aligned positives.
 Candidate pairs are the union of existing graph edges plus a few sampled
 non-edges per node; scoring all |V|^2 pairs would be quadratic and the
 reconstruction loss needs negatives anyway.
+
+The recorded sampler graph that ``generate_views`` hands to the sampler
+step holds H_tilde's (n, d) VGAE graph and the (E,) scores, and no
+pair-level array: ``score_edges`` runs its pair chain through
+``numcore.checkpoint``, which recomputes the (E, d) activations in the
+sampler backward.
 """
 
 from __future__ import annotations
@@ -76,8 +82,14 @@ def score_edges(H_tilde: Tensor, params: VgaeParams,
     if not len(pairs):
         return SamplingMatrix(pairs=pairs, scores=Tensor(np.zeros(0)),
                               n_nodes=n)
-    prod = nc.mul(nc.rows(H_tilde, pairs[:, 0]), nc.rows(H_tilde, pairs[:, 1]))
-    scores = nc.reshape(mlp_forward(prod, params.score_mlp), (len(pairs),))
+
+    def pair_scores(h, *score_mlp):
+        prod = nc.mul(nc.rows(h, pairs[:, 0]), nc.rows(h, pairs[:, 1]))
+        return nc.reshape(mlp_forward(prod, MlpParams(*score_mlp)),
+                          (len(pairs),))
+
+    m = params.score_mlp
+    scores = nc.checkpoint(pair_scores, H_tilde, m.w1, m.b1, m.w2, m.b2)
     return SamplingMatrix(pairs=pairs, scores=scores, n_nodes=n)
 
 

@@ -337,6 +337,16 @@ class TestGradcheckCommand:
         assert captured.err == f"error: gradcheck needs --points >= 1, " \
                                f"got {points}\n"
 
+    @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("-1", "-1.0"),
+                                            ("inf", "inf")])
+    def test_bad_tolerance_rejected_before_any_stage(self, capsys, tol,
+                                                     shown):
+        assert main(["gradcheck", "--points", "1", "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: gradcheck needs a finite --tol > 0, " \
+                               f"got {shown}\n"
+
 
 class TestSweep:
     def test_one_row_per_grid_value(self, data_dir, tmp_path):

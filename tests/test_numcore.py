@@ -347,6 +347,61 @@ class TestNoGrad:
             assert_allclose(gh, 0.5 * g1, rtol=1e-15, atol=0)
 
 
+class TestCheckpoint:
+    U, V = [0, 2, 2, 3, 1], [1, 3, 4, 4, 4]
+
+    def _fn(self, h, w):
+        """rows(h, u) * rows(h, v) -> relu MLP: reads h twice."""
+        prod = nc.mul(nc.rows(h, self.U), nc.rows(h, self.V))
+        return nc.reshape(nc.relu(nc.matmul(prod, w)), (len(self.U),))
+
+    def _run(self, through_checkpoint):
+        """Loss and gradients of every leaf, where h has its own upstream
+        graph so the outer backward continues past the checkpoint."""
+        rng = RNG(70)
+        tape = nc.GradientTape()
+        x = nc.Tensor(rng.normal(size=(5, 3)))
+        a = tape.parameter("a", rng.normal(size=(3, 4)))
+        b = tape.parameter("b", rng.normal(size=(1, 4)))
+        w = tape.parameter("w", rng.normal(size=(4, 1)))
+        h = nc.add(nc.matmul(x, a), b)
+        out = (nc.checkpoint(self._fn, h, w) if through_checkpoint
+               else self._fn(h, w))
+        loss = nc.tsum(nc.softplus(out))
+        return out, loss, nc.backward(tape, loss), (h, w)
+
+    def test_value_and_gradients_bit_identical_to_recording(self):
+        out, loss, grads, _ = self._run(True)
+        ref_out, ref_loss, ref_grads, _ = self._run(False)
+        assert np.array_equal(out.data, ref_out.data)
+        assert np.array_equal(loss.data, ref_loss.data)
+        assert sorted(grads) == ["a", "b", "w"]
+        for name, g in grads.items():
+            assert np.any(g != 0), name
+            assert np.array_equal(g, ref_grads[name]), name
+
+    def test_parents_are_exactly_the_inputs(self):
+        out, _, _, inputs = self._run(True)
+        assert len(out.parents) == len(inputs)
+        assert all(p is q for p, q in zip(out.parents, inputs))
+
+    def test_constant_input_gets_no_gradient(self):
+        rng = RNG(71)
+        h = nc.Tensor(rng.normal(size=(5, 4)))
+        w = nc.GradientTape().parameter("w", rng.normal(size=(4, 1)))
+        out = nc.checkpoint(self._fn, h, w)
+        g_h, g_w = out.vjp(np.ones(len(self.U)))
+        assert g_h is None and g_w.shape == (4, 1)
+
+    def test_no_grad_records_no_parents_and_no_vjp(self):
+        _, _, _, (h, w) = self._run(True)
+        with nc.no_grad():
+            out = nc.checkpoint(self._fn, h, w)
+        assert out.parents == () and out.vjp is None
+        assert not out.requires_grad
+        assert np.array_equal(out.data, self._fn(h, w).data)
+
+
 def _away_from_kinks(x, margin=0.05):
     """Shift values near 0 so finite differences do not straddle a kink."""
     return x + np.sign(x + 1e-12) * margin

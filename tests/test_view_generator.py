@@ -6,6 +6,8 @@ pairs and random walks, and a term-by-term BCE sum for the reconstruction
 loss.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import assert_edges, edge_rows
@@ -350,6 +352,30 @@ class TestGenerateViews:
             view_want = vg.random_walk_sample(g.n_nodes, edges, seeds,
                                               cfg, rng)
             assert_same_view(view, view_want)
+
+
+    def test_no_pair_activation_outlives_view_generation(self):
+        """Between generate_views and the sampler step only H_tilde's (n, d)
+        graph and the (E,) scores stay alive: with E d >> n d, what the call
+        leaves behind is less than two (E, d) arrays, where recording the
+        pair-MLP graph would keep about seven per sampler."""
+        g = tiny_hetero(I=100, T=2)
+        d = 16
+        tape = nc.GradientTape()
+        p1, p2 = (vg.init_vgae(tape, f"vgae{k}", d, RNG(k)) for k in (1, 2))
+        H = nc.Tensor(RNG(3).normal(size=(g.n_nodes, d)))
+        cfg = vg.ViewGenConfig(neg_per_node=60)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = vg.generate_views(g, H, p1, p2, cfg, RNG(4))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        E = len(out.sampling[0].pairs)
+        assert E > 20 * g.n_nodes
+        assert all(P.scores.requires_grad for P in out.sampling)
+        assert retained < 2 * 8 * E * d
 
 
 class TestReconstructionLoss:
