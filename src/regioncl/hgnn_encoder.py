@@ -11,6 +11,12 @@ The same code encodes both the fused multi-relation graph and the sampled
 single-relation contrastive views: the caller passes the whole weight bank
 and picks the relations through the adjacency dict, since ``encode`` reads
 the weights of only the relations that dict holds.
+
+A recorded ``encode`` is one ``numcore.checkpoint`` node over H^(0) and
+those weights: it keeps only the (n, d) output, and the backward
+recomputes the layer loop's activations (about 21 (n, d) arrays for 3
+layers of 2 relations) from the same numpy calls, so values and
+gradients keep their bits.
 """
 
 from __future__ import annotations
@@ -52,7 +58,12 @@ def init_features(E: Tensor, I: int, T: int) -> Tensor:
 
 
 def encode(adj: dict, H0: Tensor, params: EncoderParams) -> Tensor:
-    """Multi-order aggregation: returns sum of H^(0) .. H^(L)."""
+    """Multi-order aggregation: returns sum of H^(0) .. H^(L).
+
+    The layer loop runs through ``numcore.checkpoint`` over H0 and the
+    weights of the relations in ``adj``, so a recorded encode keeps only
+    its output and the backward recomputes every layer's activations.
+    """
     H0 = nc.constant(H0)
     n = H0.data.shape[0]
     for layer in params.layers:
@@ -64,16 +75,22 @@ def encode(adj: dict, H0: Tensor, params: EncoderParams) -> Tensor:
         if A.shape != (n, n):
             raise ShapeError(f"adjacency for {rel} is {A.shape}, "
                              f"expected ({n}, {n})")
+    if params.layers and not adj:
+        raise ShapeError("encode: empty adjacency dict")
 
-    total = H0
-    H = H0
-    for layer in params.layers:
-        msg = None
-        for rel, A in adj.items():
-            term = nc.matmul(nc.spmm(A, H), nc.transpose(layer[rel]))
-            msg = term if msg is None else nc.add(msg, term)
-        if msg is None:
-            raise ShapeError("encode: empty adjacency dict")
-        H = nc.relu(msg)
-        total = nc.add(total, H)
-    return total
+    # weights[k * len(adj) + r] is layer k's matrix of adj's r-th relation
+    adjs = list(adj.values())
+    weights = [layer[rel] for layer in params.layers for rel in adj]
+
+    def propagate(H, *Ws):
+        total = H
+        for k in range(0, len(Ws), len(adjs)):
+            msg = None
+            for A, W in zip(adjs, Ws[k:k + len(adjs)]):
+                term = nc.matmul(nc.spmm(A, H), nc.transpose(W))
+                msg = term if msg is None else nc.add(msg, term)
+            H = nc.relu(msg)
+            total = nc.add(total, H)
+        return total
+
+    return nc.checkpoint(propagate, H0, *weights)

@@ -21,7 +21,10 @@ Conventions fixed here because tests depend on them:
   * ``checkpoint(fn, *inputs)`` keeps only fn's output: its parents are
     exactly the inputs, and its VJP recomputes fn's graph and
     backpropagates through it with the same traversal as ``backward``,
-    so the gradients carry the same bits as fn recorded in place.
+    so the gradients carry the same bits as fn recorded in place;
+  * a checkpoint VJP whose recomputed output differs from the stored one
+    by more than 1e-12 max(1, |out|), in the max norm, raises
+    ContractError: an input changed between the forward and the backward.
 
 Sparse operands are CsrMatrix constants; ``spmm`` multiplies one into a
 dense tensor and differentiates only through the dense side. A CsrMatrix
@@ -413,7 +416,10 @@ def checkpoint(fn, *inputs) -> Tensor:
     back through that short-lived graph and returns one gradient per input:
     one recomputed forward buys the memory of every activation inside
     ``fn`` (Chen et al., arXiv 1604.06174). ``fn`` must be a pure function
-    of its inputs' values.
+    of its inputs' values, and the inputs must not change before the
+    backward: a recomputed output that drifts from the stored one by more
+    than 1e-12 max(1, |out|) in the max norm raises ContractError rather
+    than return gradients taken at other values.
     """
     inputs = tuple(constant(x) for x in inputs)
     with no_grad():
@@ -424,6 +430,11 @@ def checkpoint(fn, *inputs) -> Tensor:
                        for x in inputs)
         with _recording_as(True):
             root = fn(*leaves)
+        drift = np.max(np.abs(root.data - out), initial=0.0)
+        if drift > 1e-12 * max(1.0, np.max(np.abs(out), initial=0.0)):
+            raise ContractError(
+                f"checkpoint: the recomputed output drifts from the stored "
+                f"one by {drift:.3g}; an input changed after the forward")
         grads = _backprop(root, g)
         return tuple(grads.get(id(leaf)) for leaf in leaves)
 

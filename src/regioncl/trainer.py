@@ -13,9 +13,10 @@ re-forward and the final export) runs under ``no_grad`` and keeps no graph.
 A recorded graph is dropped at its last use: the encoder step's right after
 its Adam step, and the samplers' when their step ends, before the next
 epoch draws its views. The samplers' graph, alive from view generation to
-the sampler step, holds H_tilde's (n, d) VGAE graph and the (E,) edge
-scores; the (E, d) pair activations behind the scores are recomputed in
-the sampler backward (``numcore.checkpoint``), not kept.
+the sampler step, holds H_tilde and the (E,) edge scores; the VGAE and
+(E, d) pair activations behind them are recomputed in the sampler
+backward (``numcore.checkpoint``), not kept. Likewise each recorded view
+encode keeps only its output, and the encoder backward recomputes it.
 
 Reward convention: computed after the encoder step (re-encoding the same
 views with the same InfoBN drop patterns under the updated weights), since

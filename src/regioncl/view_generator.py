@@ -13,10 +13,10 @@ non-edges per node; scoring all |V|^2 pairs would be quadratic and the
 reconstruction loss needs negatives anyway.
 
 The recorded sampler graph that ``generate_views`` hands to the sampler
-step holds H_tilde's (n, d) VGAE graph and the (E,) scores, and no
-pair-level array: ``score_edges`` runs its pair chain through
-``numcore.checkpoint``, which recomputes the (E, d) activations in the
-sampler backward.
+step holds H_tilde, its noise draw and the (E,) scores, and no VGAE or
+pair-level activation: ``vgae_encode`` and ``score_edges`` each run
+through ``numcore.checkpoint``, which recomputes the MLP activations in
+the sampler backward.
 """
 
 from __future__ import annotations
@@ -48,10 +48,19 @@ def init_vgae(tape: GradientTape, prefix: str, d: int,
 
 
 def vgae_encode(H: Tensor, params: VgaeParams, noise: np.ndarray) -> Tensor:
-    """Reparameterized encoding noise * std(H) + mean(H) for a given draw."""
-    H = nc.constant(H)
-    return nc.add(nc.mul(Tensor(noise), mlp_forward(H, params.std_mlp)),
-                  mlp_forward(H, params.mean_mlp))
+    """Reparameterized encoding noise * std(H) + mean(H) for a given draw.
+
+    Runs through ``numcore.checkpoint`` over H and the two MLPs, so a
+    recorded call keeps only its output and the (n, d) ``noise``.
+    """
+    def reparameterize(h, *mlps):
+        mean, std = MlpParams(*mlps[:4]), MlpParams(*mlps[4:])
+        return nc.add(nc.mul(Tensor(noise), mlp_forward(h, std)),
+                      mlp_forward(h, mean))
+
+    m, s = params.mean_mlp, params.std_mlp
+    return nc.checkpoint(reparameterize, H, m.w1, m.b1, m.w2, m.b2,
+                         s.w1, s.b1, s.w2, s.b2)
 
 
 @dataclass

@@ -525,6 +525,15 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "sweep" in proc.stdout
 
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "regioncl", "--help"],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0
+        assert "sweep" in proc.stdout
+
     @pytest.mark.skipif(shutil.which("regioncl") is None,
                         reason="regioncl console script not installed "
                                "(pip install -e .)")

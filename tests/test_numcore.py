@@ -401,6 +401,21 @@ class TestCheckpoint:
         assert not out.requires_grad
         assert np.array_equal(out.data, self._fn(h, w).data)
 
+    def test_input_changed_before_backward_is_rejected(self):
+        """An optimizer step between the forward and the backward would
+        make the recompute differentiate at the new parameters."""
+        rng = RNG(72)
+        tape = nc.GradientTape()
+        h = tape.parameter("h", rng.normal(size=(5, 4)))
+        w = tape.parameter("w", rng.normal(size=(4, 1)))
+        loss = nc.tsum(nc.softplus(nc.checkpoint(self._fn, h, w)))
+        grads = nc.backward(tape, loss)
+        assert all(np.any(g != 0) for g in grads.values())
+        # the graph is still alive, so a second backward recomputes again
+        w.data += 1e-3
+        with pytest.raises(ContractError, match="checkpoint"):
+            nc.backward(tape, loss)
+
 
 def _away_from_kinks(x, margin=0.05):
     """Shift values near 0 so finite differences do not straddle a kink."""

@@ -64,6 +64,24 @@ class TestVgaeEncode:
                                RNG(6).normal(size=rows.shape)).data[:, 0]
         assert abs(draws.mean() - mean_val) < 3.0 * std_val / np.sqrt(n)
 
+    def test_recorded_call_keeps_only_its_output(self):
+        """n=2000, d=16: recording both MLPs would keep about 12 (n, d)
+        arrays alive until the sampler backward."""
+        n, d = 2000, 16
+        tape = nc.GradientTape()
+        params = vg.init_vgae(tape, "v", d, RNG(7))
+        H = nc.Tensor(RNG(8).normal(size=(n, d)))
+        noise = RNG(9).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = vg.vgae_encode(H, params, noise)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert retained <= 2 * 8 * n * d
+
 
 class TestScoreEdges:
     def test_symmetric_by_construction(self):
