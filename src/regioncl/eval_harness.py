@@ -20,9 +20,8 @@ import numpy as np
 from .errors import ConfigError, ContractError, DataError
 from .numcore import row_cosine
 from .poi_embedding import train_skipgram
-from .region_data import (SLOT_TASKS, TARGETS_FILE, Dataset, crime_density,
-                          write_csv)
-from .trainer import TrainConfig, VARIANTS, region_embeddings, train
+from .region_data import SLOT_TASKS, TARGETS_FILE, Dataset, write_csv
+from .trainer import TrainConfig, region_embeddings, train
 
 DENSITY_BINS = (("(0.00,0.25]", 0.0, 0.25),
                 ("(0.25,0.50]", 0.25, 0.50),
@@ -37,9 +36,11 @@ class EvalConfig:
 
     def __post_init__(self):
         if self.lam < 0.0:
-            raise ConfigError(f"lasso weight must be >= 0, got {self.lam}")
+            raise ConfigError(f"lam must be >= 0, got {self.lam}")
         if self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds}")
+        if self.cv_seed < 0:
+            raise ConfigError(f"cv_seed must be >= 0, got {self.cv_seed}")
 
 
 @dataclass(frozen=True)
@@ -78,8 +79,6 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float,
     ``max_sweeps`` caps the number of steps. Constant columns are absorbed
     by the intercept and keep weight 0.
     """
-    if lam < 0.0:
-        raise ConfigError(f"lasso weight must be >= 0, got {lam}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -222,36 +221,11 @@ def bin_regions(density: np.ndarray) -> dict:
     return out
 
 
-def robustness_by_density(dataset: Dataset, predictions: np.ndarray) -> dict:
-    """Metrics of the crime ``predictions`` per density bin of their region."""
-    if "crime" not in dataset.targets:
-        raise DataError("crime targets not present")
-    y = task_targets(dataset)["crime"]
-    predictions = np.asarray(predictions, dtype=np.float64)
-    if predictions.shape != y.shape:
-        raise ContractError(f"predictions shape {predictions.shape} vs "
-                            f"targets {y.shape}")
-    density = np.array([crime_density(dataset, i)
-                        for i in range(dataset.n_regions)])
-    return {label: metrics(predictions[members], y[members])
-            for label, members in bin_regions(density).items()}
-
-
 def mean_metrics(rows) -> Metrics:
     """Mean MAE, MAPE and RMSE over rows that each carry those three fields."""
     return Metrics(mae=float(np.mean([r.mae for r in rows])),
                    mape=float(np.mean([r.mape for r in rows])),
                    rmse=float(np.mean([r.rmse for r in rows])))
-
-
-def average_bins(per_seed: list) -> dict:
-    """Mean Metrics per bin across seeds, skipping seeds where a bin is absent."""
-    out = {}
-    for label, _, _ in DENSITY_BINS:
-        found = [bins[label] for bins in per_seed if label in bins]
-        if found:
-            out[label] = mean_metrics(found)
-    return out
 
 
 def pair_similarity(E: np.ndarray, pairs) -> np.ndarray:
@@ -290,12 +264,12 @@ def run_arms(dataset: Dataset, variants, seeds, train_cfg: TrainConfig,
 
     The skip-gram table depends only on the POI corpus, so it is shared.
     """
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError(f"unknown variant {v!r}")
     for what, names in (("variant", variants), ("seed", seeds)):
         if len(set(names)) != len(names):
             raise ConfigError(f"a {what} is named twice in {list(names)}")
+    # each arm's TrainConfig checks its variant and seed before any training
+    cfgs = {(v, s): replace(train_cfg, variant=v, seed=s)
+            for v in variants for s in seeds}
     task_targets(dataset)  # refuses a dataset with no task to probe
     n = dataset.n_regions
     rest = min(n - len(fold)
@@ -306,12 +280,9 @@ def run_arms(dataset: Dataset, variants, seeds, train_cfg: TrainConfig,
                         f"training rows, and the lasso needs 2")
     table = train_skipgram(dataset.poi, train_cfg.skipgram)
     arms = {}
-    for variant in variants:
-        for seed in seeds:
-            model = train(dataset, replace(train_cfg, variant=variant,
-                                           seed=seed), table=table)
-            arms[variant, seed] = probe_all(region_embeddings(model),
-                                            dataset, eval_cfg)
+    for arm, cfg in cfgs.items():
+        model = train(dataset, cfg, table=table)
+        arms[arm] = probe_all(region_embeddings(model), dataset, eval_cfg)
     return arms
 
 
@@ -324,12 +295,21 @@ def ablation_rows(arms: dict) -> list:
 
 
 def density_table(dataset: Dataset, arms: dict) -> dict:
-    """variant -> crime Metrics per density bin, averaged over its seeds."""
-    per_seed = {}
+    """variant -> crime Metrics per density bin, averaged over its seeds.
+
+    A region's density is the share of its slots with any crime; the bins
+    depend on the dataset alone, so every arm is scored on the same ones.
+    """
+    crime = dataset.targets["crime"]
+    y = crime.sum(axis=1)
+    bins = bin_regions(np.count_nonzero(crime, axis=1) / dataset.T)
+    preds = {}
     for (variant, _), probes in arms.items():
-        per_seed.setdefault(variant, []).append(
-            robustness_by_density(dataset, probes["crime"][0]))
-    return {variant: average_bins(bins) for variant, bins in per_seed.items()}
+        preds.setdefault(variant, []).append(probes["crime"][0])
+    return {variant: {label: mean_metrics([metrics(p[members], y[members])
+                                           for p in seed_preds])
+                      for label, members in bins.items()}
+            for variant, seed_preds in preds.items()}
 
 
 def write_ablation_csv(rows, path: str) -> None:

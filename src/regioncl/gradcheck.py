@@ -259,6 +259,8 @@ def run_gradcheck(n_points: int = 20, seed: int = 0) -> dict:
     """
     if n_points < 1:
         raise ConfigError(f"gradcheck needs --points >= 1, got {n_points}")
+    if seed < 0:
+        raise ConfigError(f"gradcheck needs --seed >= 0, got {seed}")
     worst = {}
     for stage_name, builder in STAGES.items():
         rng = np.random.default_rng(seed)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .numcore import CsrMatrix
 from .region_data import DistanceMatrix
 
@@ -96,8 +96,6 @@ def build_mobility_graph(trips, I: int, T: int) -> np.ndarray:
 
 def build_distance_graph(dist: DistanceMatrix, eps_d: float) -> np.ndarray:
     """Edge (i, j) on base nodes iff km[i][j] < eps_d, i != j."""
-    if eps_d <= 0.0:
-        raise ConfigError(f"distance threshold must be positive, got {eps_d}")
     return _base_graph(dist.km.shape[0], dist.km < eps_d)
 
 

@@ -38,7 +38,7 @@ class SkipgramConfig:
 
     def __post_init__(self):
         for name, low in (("d_sg", 1), ("window_cap", 1), ("negatives", 0),
-                          ("epochs", 0)):
+                          ("epochs", 0), ("seed", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"skip-gram {name} must be >= {low}, "
                                   f"got {getattr(self, name)}")
@@ -175,8 +175,6 @@ class AttentionParams:
 
 def init_attention(tape: GradientTape, prefix: str, d: int, heads: int,
                    rng: np.random.Generator) -> AttentionParams:
-    if d % heads != 0:
-        raise ConfigError(f"embedding dim {d} not divisible by {heads} heads")
     dh = d // heads
     scale = 1.0 / np.sqrt(d)
 

@@ -91,17 +91,6 @@ def distance_matrix(centroids: np.ndarray) -> DistanceMatrix:
     return DistanceMatrix(km=upper + upper.T, centroids=centroids)
 
 
-def crime_density(ds: Dataset, region: int) -> float:
-    """Fraction of time slots in which the region records any crime."""
-    if "crime" not in ds.targets:
-        raise DataError("crime targets not present in dataset")
-    if not 0 <= region < ds.n_regions:
-        raise DataError(f"region index out of range: {region} "
-                        f"(I={ds.n_regions})")
-    row = ds.targets["crime"][region]
-    return float(np.count_nonzero(row) / row.shape[0])
-
-
 # ---------------------------------------------------------------------------
 # CSV loading
 # ---------------------------------------------------------------------------
@@ -363,6 +352,23 @@ class SynthConfig:
     n_clusters: int = 3
     seed: int = 0
 
+    def __post_init__(self):
+        if not 1 <= self.n_clusters <= self.n_regions:
+            raise ConfigError(f"need n_regions >= n_clusters >= 1, got "
+                              f"n_regions={self.n_regions} "
+                              f"n_clusters={self.n_clusters}")
+        for name, low in (("n_categories", 1), ("n_slots", 1),
+                          ("n_trips", 0), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"synth {name} must be >= {low}, "
+                                  f"got {getattr(self, name)}")
+        if not 0.0 <= self.noise_rate <= 1.0:
+            raise ConfigError(f"noise_rate must be in [0,1], "
+                              f"got {self.noise_rate}")
+        if self.skew_exponent < 0.0:
+            raise ConfigError(f"skew_exponent must be >= 0, "
+                              f"got {self.skew_exponent}")
+
 
 def cluster_assignment(n_regions: int, n_clusters: int) -> np.ndarray:
     """Contiguous, balanced latent clusters (region i -> i*K // I)."""
@@ -378,18 +384,6 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
     cluster plus Gaussian noise; crime is sparse with a cluster-dependent
     non-zero rate so density-stratified evaluation has populated bins.
     """
-    if not 1 <= cfg.n_clusters <= cfg.n_regions:
-        raise ConfigError(f"need I >= n_clusters >= 1, got I={cfg.n_regions} "
-                          f"n_clusters={cfg.n_clusters}")
-    if cfg.n_categories < 1 or cfg.n_slots < 1 or cfg.n_trips < 0:
-        raise ConfigError(f"bad sizes: C={cfg.n_categories} T={cfg.n_slots} "
-                          f"n_trips={cfg.n_trips}")
-    if not 0.0 <= cfg.noise_rate <= 1.0:
-        raise ConfigError(f"noise_rate must be in [0,1], got {cfg.noise_rate}")
-    if cfg.skew_exponent < 0.0:
-        raise ConfigError(f"skew_exponent must be >= 0, "
-                          f"got {cfg.skew_exponent}")
-
     rng = np.random.default_rng(cfg.seed)
     I, C, T, K = cfg.n_regions, cfg.n_categories, cfg.n_slots, cfg.n_clusters
     cluster = cluster_assignment(I, K)

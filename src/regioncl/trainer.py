@@ -99,6 +99,8 @@ class TrainConfig:
         if self.d % self.heads:
             raise ConfigError(f"embedding dim {self.d} not divisible by "
                               f"{self.heads} heads")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, "
                               f"expected one of {VARIANTS}")

@@ -104,8 +104,6 @@ def score_edges(H_tilde: Tensor, params: VgaeParams,
 
 def sparsify(P: SamplingMatrix, eps: float) -> np.ndarray:
     """Keep pair (u, v) iff sigmoid(p_{u,v}) >= eps; returns the kept rows."""
-    if not 0.0 < eps < 1.0:
-        raise ConfigError(f"sparsify threshold must be in (0,1), got {eps}")
     return P.pairs[nc.expit(P.scores.data) >= eps]
 
 
@@ -172,9 +170,10 @@ class ViewGenConfig:
         if not 0.0 < self.seed_frac <= 1.0:
             raise ConfigError(f"seed_frac must be in (0,1], "
                               f"got {self.seed_frac}")
-        if self.neg_per_node < 0 or self.walk_len < 0 \
-                or self.walks_per_seed < 0:
-            raise ConfigError("walk/negative counts must be non-negative")
+        for name in ("walk_len", "walks_per_seed", "neg_per_node"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, "
+                                  f"got {getattr(self, name)}")
 
 
 def seed_count(cfg: ViewGenConfig, n_nodes: int) -> int:

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from regioncl.cli import main
-from regioncl.eval_harness import (average_bins, bin_regions,
-                                   robustness_by_density, run_arms)
+from regioncl.eval_harness import (DENSITY_BINS, mean_metrics, metrics,
+                                   run_arms)
 from regioncl.gradcheck import STAGES
-from regioncl.region_data import (SynthConfig, crime_density,
-                                  load_dataset_dir, synth_dataset,
-                                  write_dataset)
+from regioncl.region_data import (SynthConfig, load_dataset_dir,
+                                  synth_dataset, write_dataset)
 from regioncl.trainer import load_embeddings
 
 REPO = Path(__file__).resolve().parents[1]
@@ -274,18 +273,22 @@ class TestRobustness:
             rows = list(reader)
         assert header == ["variant", "bin", "task", "mae", "mape", "rmse"]
         ds = load_dataset_dir(data_dir)
-        density = np.array([crime_density(ds, i)
-                            for i in range(ds.n_regions)])
-        bins = list(bin_regions(density))
+        crime = ds.targets["crime"]
+        y = crime.sum(axis=1)
+        share = np.count_nonzero(crime, axis=1) / ds.T
+        bins = {label: np.flatnonzero((share > lo) & (share <= hi))
+                for label, lo, hi in DENSITY_BINS}
+        bins = {label: members for label, members in bins.items()
+                if members.size}
         assert bins
         assert [r[:3] for r in rows] == [[v, label, "crime"]
                                          for v in ("FULL", "RANDOM_AUG")
                                          for label in bins]
-        full = average_bins([robustness_by_density(ds, arms["FULL", s]
-                                                   ["crime"][0])
-                             for s in (0, 1)])
+        full = [mean_metrics([metrics(arms["FULL", s]["crime"][0][members],
+                                      y[members]) for s in (0, 1)])
+                for members in bins.values()]
         assert [r[3:] for r in rows if r[0] == "FULL"] \
-            == [[repr(x) for x in astuple(full[label])] for label in bins]
+            == [[repr(x) for x in astuple(m)] for m in full]
 
     def test_no_crime_targets_no_table(self, data_dir, tmp_path):
         bundle = tmp_path / "no_crime"
@@ -313,6 +316,34 @@ class TestCase:
         assert main(["case", "--model", model_dir, "--pairs", "3-4",
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestNegativeSeedsRejected:
+    """A negative seed is rejected when its config is built: one error line
+    naming its key, and no output written."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["synth", "--seed", "-1"], "synth seed must be >= 0, got -1"),
+        (["train", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["train", "--set", "poi.seed=-1"],
+         "skip-gram seed must be >= 0, got -1"),
+        (["eval", "--set", "eval.cv_seed=-1"], "cv_seed must be >= 0, got -1"),
+        (["gradcheck", "--seed", "-1"], "gradcheck needs --seed >= 0, got -1"),
+    ], ids=["synth", "train", "poi", "eval", "gradcheck"])
+    def test_one_error_line(self, data_dir, model_dir, tmp_path, monkeypatch,
+                            capsys, argv, needle):
+        def no_work(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr("regioncl.cli.train", no_work)
+        inputs = {"train": ["--data", data_dir],
+                  "eval": ["--data", data_dir, "--model", model_dir]}
+        out = str(tmp_path / "x")
+        assert main(argv + inputs.get(argv[0], []) + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {needle}\n"
+        assert not os.path.exists(out)
 
 
 class TestGradcheckCommand:
@@ -455,6 +486,8 @@ class TestStudyRequestsRejectedUpFront:
         (["ablate", "--variants", ""], "--variants: names no variant"),
         (["sweep", "--param", "loss.beta", "--values", "0.1,0.3,0.10"],
          "a value is named twice in [0.1, 0.3, 0.1]"),
+        (["ablate", "--variants", "FULL", "--seeds", "0,-1"],
+         "seed must be >= 0, got -1"),
     ])
     def test_no_arm_trains(self, data_dir, tmp_path, monkeypatch, capsys,
                            argv, needle):

@@ -157,16 +157,32 @@ class TestMaterialization:
 
     @pytest.mark.parametrize("section,name,value", [
         ("view", "eps", "2.0"), ("view", "eps", "0.0"),
-        ("view", "noise_sigma", "-1"), ("model", "d", "0"),
+        ("view", "noise_sigma", "-1"), ("view", "neg_per_node", "-1"),
+        ("model", "d", "0"),
         ("model", "heads", "0"), ("model", "heads", "5"),
         ("model", "n_layers", "0"), ("model", "n_layers", "-2"),
         ("train", "weight_decay", "-0.1"), ("poi", "d_sg", "0"),
         ("poi", "window_cap", "0"), ("poi", "negatives", "-1"),
-        ("poi", "epochs", "-1"), ("poi", "lr", "0.0")])
+        ("poi", "epochs", "-1"), ("poi", "lr", "0.0"),
+        ("loss", "beta", "1.5"), ("loss", "xi", "1.0"), ("loss", "w1", "-0.1"),
+        ("loss", "infobn_drop", "1.0"), ("graph", "eps_d", "0"),
+        ("train", "seed", "-1"), ("poi", "seed", "-1")])
     def test_bad_model_settings_rejected_at_build(self, section, name, value):
         values = resolve(assignments=[f"{section}.{name}={value}"])
         with pytest.raises(ConfigError, match=name):
             build_train_config(values)
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("synth", "n_clusters", "0"), ("synth", "n_slots", "0"),
+        ("synth", "noise_rate", "1.5"), ("synth", "skew_exponent", "-0.1"),
+        ("synth", "seed", "-1"), ("eval", "lam", "-0.5"),
+        ("eval", "folds", "1"), ("eval", "cv_seed", "-1")])
+    def test_bad_data_and_probe_settings_rejected_at_build(self, section,
+                                                           name, value):
+        build = {"synth": build_synth_config, "eval": build_eval_config}
+        values = resolve(assignments=[f"{section}.{name}={value}"])
+        with pytest.raises(ConfigError, match=name):
+            build[section](values)
 
     def test_every_default_materializes(self):
         # guards against a key existing in the namespace but feeding nothing

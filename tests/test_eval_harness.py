@@ -1,6 +1,7 @@
 """Lasso probes, metrics, ablation arms, density slicing."""
 
 import csv
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -8,16 +9,15 @@ from conftest import NOISY_SYNTH
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regioncl.errors import ConfigError, ContractError, DataError
-from regioncl.eval_harness import (AblationRow, EvalConfig, Metrics,
-                                   ablation_rows, average_bins, bin_regions,
+from regioncl.errors import ConfigError, ContractError
+from regioncl.eval_harness import (DENSITY_BINS, AblationRow, EvalConfig,
+                                   Metrics, ablation_rows, bin_regions,
                                    cv_folds, density_table, lasso_fit,
                                    metrics, pair_similarity, probe_all,
-                                   probe_task, robustness_by_density,
-                                   run_arms, task_targets, write_ablation_csv,
-                                   write_robustness_csv)
+                                   probe_task, run_arms, task_targets,
+                                   write_ablation_csv, write_robustness_csv)
 from regioncl.poi_embedding import SkipgramConfig
-from regioncl.region_data import SynthConfig, crime_density, synth_dataset
+from regioncl.region_data import SynthConfig, synth_dataset
 from regioncl.trainer import TrainConfig, region_embeddings, train
 
 
@@ -36,8 +36,9 @@ def ds10():
 
 class TestLassoFit:
     def test_negative_lambda_rejected(self):
-        with pytest.raises(ConfigError):
-            lasso_fit(np.eye(3), np.ones(3), -0.1)
+        # lambda is checked once, where EvalConfig is built
+        with pytest.raises(ConfigError, match="lam"):
+            EvalConfig(lam=-0.1)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(ContractError):
@@ -389,6 +390,40 @@ class TestDensityBins:
         assert bin_regions(np.zeros(5)) == {}
 
 
+def seed_mean(scores) -> Metrics:
+    """Field-wise mean of per-seed Metrics."""
+    return Metrics(*np.mean([astuple(m) for m in scores], axis=0).tolist())
+
+
+def density_oracle(ds, arms) -> dict:
+    """``density_table`` by hand: each region's share of slots with any
+    crime counted in a loop, binned by comparison, and each bin's crime
+    metrics averaged over the variant's seeds."""
+    y = ds.targets["crime"].sum(axis=1)
+    share = [sum(1 for v in row if v != 0) / len(row)
+             for row in ds.targets["crime"].tolist()]
+    preds = {}
+    for (variant, _), probes in arms.items():
+        preds.setdefault(variant, []).append(probes["crime"][0])
+    out = {variant: {} for variant in preds}
+    for variant, seed_preds in preds.items():
+        for label, lo, hi in DENSITY_BINS:
+            members = [i for i, d in enumerate(share) if lo < d <= hi]
+            if members:
+                out[variant][label] = seed_mean(
+                    metrics(p[members], y[members]) for p in seed_preds)
+    return out
+
+
+def random_arms(ds, variants=("FULL", "RANDOM_AUG"), seeds=(0, 1)) -> dict:
+    """A hand-built ``run_arms`` result holding random crime predictions,
+    so the density table is checked without training."""
+    rng = np.random.default_rng(5)
+    return {(v, s): {"crime": (rng.normal(scale=5.0, size=ds.n_regions),
+                               None)}
+            for v in variants for s in seeds}
+
+
 class TestRobustness:
     @pytest.fixture()
     def handcrafted(self, ds10):
@@ -403,52 +438,38 @@ class TestRobustness:
     def test_matches_filter_then_metrics_oracle(self, handcrafted):
         ds = handcrafted
         y = ds.targets["crime"].sum(axis=1)
-        pred = np.arange(ds.n_regions, dtype=np.float64)
-        per_bin = robustness_by_density(ds, pred)
-        density = np.array([crime_density(ds, i)
-                            for i in range(ds.n_regions)])
-        for label, members in bin_regions(density).items():
-            expected = metrics(pred[members], y[members])
-            assert per_bin[label] == expected
-        assert set(per_bin) == set(bin_regions(density))
+        arms = random_arms(ds)
+        bins = {"(0.00,0.25]": [1], "(0.25,0.50]": [2],
+                "(0.50,1.00]": [3, 4]}
+        table = density_table(ds, arms)
+        assert sorted(table) == ["FULL", "RANDOM_AUG"]
+        for variant, per_bin in table.items():
+            assert list(per_bin) == list(bins)
+            for label, members in bins.items():
+                assert per_bin[label] == seed_mean(
+                    metrics(arms[variant, s]["crime"][0][members], y[members])
+                    for s in (0, 1))
 
     def test_zero_density_regions_excluded(self, handcrafted):
         ds = handcrafted
-        per_bin = robustness_by_density(ds, np.ones(ds.n_regions))
-        density = np.array([crime_density(ds, i)
-                            for i in range(ds.n_regions)])
-        binned = {int(i) for members in
-                  bin_regions(density).values() for i in members}
-        assert 0 not in binned
-        assert binned == {1, 2, 3, 4}
-        assert len(per_bin) == 3
-
-    def test_missing_crime_targets_rejected(self, ds10):
-        stripped = synth_dataset(SynthConfig(n_regions=6, n_categories=4,
-                                             n_slots=2, n_trips=40,
-                                             n_clusters=2, seed=0))
-        del stripped.targets["crime"]
-        with pytest.raises(DataError):
-            robustness_by_density(stripped, np.zeros(stripped.n_regions))
-
-    def test_prediction_shape_checked(self, ds10):
-        with pytest.raises(ContractError):
-            robustness_by_density(ds10, np.zeros(ds10.n_regions + 1))
+        pred = ds.targets["crime"].sum(axis=1)
+        # wrong only for the regions whose slots saw no crime
+        pred[[0, 5, 6, 7, 8, 9]] += 100.0
+        table = density_table(ds, {("FULL", 0): {"crime": (pred, None)}})
+        assert len(table["FULL"]) == 3
+        assert all(m == Metrics(0.0, 0.0, 0.0)
+                   for m in table["FULL"].values())
 
     def test_end_to_end_on_synthetic(self):
         ds = synth_dataset(SynthConfig(n_regions=12, n_categories=6,
                                        n_slots=4, n_trips=300, n_clusters=3,
                                        seed=6))
-        arms = run_arms(ds, ("FULL", "RANDOM_AUG"), (0, 1), small_cfg())
+        arms = random_arms(ds)
         table = density_table(ds, arms)
         assert sorted(table) == ["FULL", "RANDOM_AUG"]
-        for variant, per_bin in table.items():
+        for per_bin in table.values():
             assert per_bin, "synthetic crime data should populate some bin"
-            for m in per_bin.values():
-                assert np.isfinite((m.mae, m.mape, m.rmse)).all()
-            assert per_bin == average_bins(
-                [robustness_by_density(ds, arms[variant, s]["crime"][0])
-                 for s in (0, 1)])
+        assert table == density_oracle(ds, arms)
 
 
 class TestPairSimilarity:

@@ -19,6 +19,7 @@ from numpy.testing import assert_allclose
 from regioncl import hetero_graph as hg
 from regioncl.errors import ConfigError, DataError
 from regioncl.region_data import DistanceMatrix
+from regioncl.trainer import TrainConfig
 
 RNG = np.random.default_rng
 
@@ -149,9 +150,10 @@ class TestDistanceGraph:
         assert len(want) == 4  # only adjacent pairs at spacing 1.0
 
     def test_nonpositive_threshold_rejected(self):
+        # the threshold is checked once, where TrainConfig is built
         for eps in (0.0, -1.0):
-            with pytest.raises(ConfigError):
-                hg.build_distance_graph(grid_distance_matrix(3, 1.0), eps)
+            with pytest.raises(ConfigError, match="eps_d"):
+                TrainConfig(eps_d=eps)
 
     def test_random_inputs_match_pair_loop(self):
         for seed in range(8):

@@ -159,3 +159,67 @@ def test_no_library_module_writes_a_csv_row_by_hand():
         f"hand-joined rows at {found}: write tables with "
         f"regioncl.region_data.write_csv, which quotes a field that holds "
         f"a comma and writes each float as its repr")
+
+
+# a setting is checked once, when its config dataclass is built; these
+# library functions check something a config cannot see on its own
+CONFIG_CHECKS_AT_USE = {
+    "trainer.train",            # views sharing < 2 nodes: needs the city
+    "eval_harness.run_arms",    # a variant or seed named twice
+    "gradcheck.run_gradcheck",  # --points and --seed
+}
+
+
+def config_raisers(source: str) -> list:
+    """Functions that raise ``ConfigError``, as ``name`` or
+    ``Class.method`` in source order, leaving out ``__post_init__``; a
+    nested function counts as the function it is defined in."""
+    found = []
+
+    def raises_config_error(node) -> bool:
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.Raise) and inner.exc is not None:
+                exc = inner.exc.func if isinstance(inner.exc, ast.Call) \
+                    else inner.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name == "ConfigError":
+                    return True
+        return False
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name != "__post_init__" \
+                    and raises_config_error(node):
+                found.append(prefix + node.name)
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def test_config_raiser_scanner_finds_checks_outside_post_init():
+    source = ("class C:\n"
+              "    def __post_init__(self):\n"
+              "        raise ConfigError('x')\n"
+              "    def check(self):\n"
+              "        raise errors.ConfigError\n"
+              "def f(x):\n"
+              "    def g():\n        raise ConfigError(f'{x}')\n"
+              "    return g\n"
+              "def h():\n    raise DataError('ConfigError')\n"
+              "async def k():\n    raise ConfigError('y') from None\n")
+    assert config_raisers(source) == ["C.check", "f", "k"]
+
+
+def test_each_setting_is_checked_where_its_config_is_built():
+    found = {f"{path.stem}.{name}" for path in LIBRARY
+             if path.name not in ("config.py", "cli.py")
+             for name in config_raisers(path.read_text())}
+    assert found == CONFIG_CHECKS_AT_USE, (
+        f"ConfigError raised outside a __post_init__ by "
+        f"{sorted(found - CONFIG_CHECKS_AT_USE)}: check the setting in its "
+        f"config dataclass's __post_init__, once, and trust it where it is "
+        f"used; a check that needs more than the config goes in "
+        f"CONFIG_CHECKS_AT_USE")

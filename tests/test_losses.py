@@ -113,8 +113,9 @@ class TestDropEdges:
         assert len(got) == 4
 
     def test_bad_rate_rejected(self):
-        with pytest.raises(ConfigError):
-            ls.drop_edges(self.EDGES, 1.0, RNG(0))
+        # the rate is checked once, where LossConfig is built
+        with pytest.raises(ConfigError, match="infobn_drop"):
+            ls.LossConfig(infobn_drop=1.0)
 
 
 class TestInfoBn:
@@ -178,8 +179,9 @@ class TestOverallLoss:
         assert_allclose(ls.overall_loss(nce, bn, 0.1).item(), 9.2, atol=1e-12)
 
     def test_bad_beta_rejected(self):
-        with pytest.raises(ConfigError):
-            ls.overall_loss(nc.Tensor(1.0), nc.Tensor(1.0), 1.5)
+        # beta is checked once, where LossConfig is built
+        with pytest.raises(ConfigError, match="beta"):
+            ls.LossConfig(beta=1.5)
 
 
 class TestRewards:

@@ -14,6 +14,7 @@ from regioncl import poi_embedding as pe
 from regioncl.errors import ConfigError, DataError, ShapeError
 from regioncl.gradcheck import check_tape_gradients
 from regioncl.region_data import PoiMatrix
+from regioncl.trainer import TrainConfig
 
 RNG = np.random.default_rng
 
@@ -189,8 +190,9 @@ class TestAttention:
         assert_allclose(out_perm, out[perm], atol=1e-10)
 
     def test_indivisible_heads_rejected(self):
-        with pytest.raises(ConfigError):
-            pe.init_attention(nc.GradientTape(), "attn", 7, 2, RNG(0))
+        # d % heads is checked once, where TrainConfig is built
+        with pytest.raises(ConfigError, match="heads"):
+            TrainConfig(d=7, heads=2)
 
     def test_gradients_through_full_stack(self):
         """Finite differences through pooling, perceptron, and attention."""

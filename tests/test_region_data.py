@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from regioncl import region_data as rd
+from regioncl.eval_harness import DENSITY_BINS, density_table
 from regioncl.errors import ConfigError, DataError
 
 EQUATOR_DEGREE_KM = 111.19492664455873
@@ -313,6 +314,18 @@ class TestLoad:
 
 
 class TestCrimeDensity:
+    """``density_table`` bins each region by the share of its slots with
+    any crime; with predictions that miss one region by 1, only that
+    region's bin has a nonzero MAE."""
+
+    @staticmethod
+    def bins_of(ds, region):
+        y = ds.targets["crime"].sum(axis=1)
+        pred = y.copy()
+        pred[region] += 1.0
+        table = density_table(ds, {("FULL", 0): {"crime": (pred, None)}})
+        return [label for label, m in table["FULL"].items() if m.mae > 0]
+
     def test_handcrafted_sequences(self):
         ds = rd.synth_dataset(rd.SynthConfig(n_regions=4, n_clusters=1,
                                              n_trips=10, n_slots=4, seed=0))
@@ -320,22 +333,19 @@ class TestCrimeDensity:
                                         [0.0, 0.0, 0.0, 0.0],
                                         [2.0, 2.0, 2.0, 2.0],
                                         [0.0, 0.0, 0.0, 1.0]])
-        assert rd.crime_density(ds, 0) == 0.5
-        assert rd.crime_density(ds, 1) == 0.0
-        assert rd.crime_density(ds, 2) == 1.0
-        assert rd.crime_density(ds, 3) == 0.25
+        # densities 0.5, 0, 1 and 0.25
+        assert self.bins_of(ds, 0) == ["(0.25,0.50]"]
+        assert self.bins_of(ds, 1) == []
+        assert self.bins_of(ds, 2) == ["(0.50,1.00]"]
+        assert self.bins_of(ds, 3) == ["(0.00,0.25]"]
 
     def test_matches_direct_count_oracle(self):
         ds = rd.synth_dataset(rd.SynthConfig(seed=5))
         for r in range(ds.n_regions):
-            want = sum(1 for v in ds.targets["crime"][r] if v != 0) / ds.T
-            assert rd.crime_density(ds, r) == want
-
-    def test_missing_targets_rejected(self):
-        ds = rd.synth_dataset(rd.SynthConfig(seed=1))
-        ds.targets.pop("crime")
-        with pytest.raises(DataError, match="crime targets not present"):
-            rd.crime_density(ds, 0)
+            share = sum(1 for v in ds.targets["crime"][r] if v != 0) / ds.T
+            want = [label for label, lo, hi in DENSITY_BINS
+                    if lo < share <= hi]
+            assert self.bins_of(ds, r) == want, r
 
 
 def gini(x):
