@@ -22,8 +22,8 @@ import sys
 from dataclasses import astuple
 
 from . import config as cfgmod
-from .errors import (ConfigError, ContractError, DataError,
-                     DegenerateBatchError, ShapeError, TrainingAborted)
+from .errors import (ConfigError, ContractError, DataError, ShapeError,
+                     TrainingAborted)
 from .eval_harness import (ablation_rows, density_table, mean_metrics,
                            pair_similarity, probe_all, run_arms,
                            write_ablation_csv, write_robustness_csv)
@@ -35,8 +35,8 @@ from .region_data import load_dataset, load_dataset_dir, synth_dataset, \
 from .trainer import (VARIANTS, build_graph, config_hash, export_embeddings,
                       load_embeddings, train, write_loss_csv)
 
-_CLI_ERRORS = (ConfigError, ContractError, DataError, DegenerateBatchError,
-               ShapeError, TrainingAborted, OSError)
+_CLI_ERRORS = (ConfigError, ContractError, DataError, ShapeError,
+               TrainingAborted, OSError)
 
 
 def _require_out(args) -> str:
@@ -168,6 +168,7 @@ def cmd_train(args) -> int:
 
 def cmd_embed(args) -> int:
     out = _require_out(args)
+    _resolved(args)  # a bad --config or --set is an error here too
     matrix, header = _load_model_embeddings(args.model)
     write_csv(out, ["region"] + [f"e{k}" for k in range(header["d"])],
               ([i] + row for i, row in enumerate(matrix.tolist())))
@@ -221,6 +222,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_case(args) -> int:
     out = _require_out(args)
+    _resolved(args)  # a bad --config or --set is an error here too
     pairs = _parse_pairs(args.pairs)
     matrix, _ = _load_model_embeddings(args.model)
     cosines = pair_similarity(matrix, pairs)
@@ -231,6 +233,7 @@ def cmd_case(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    _resolved(args)  # a bad --config or --set is an error here too
     # nan or a negative bound fails every stage, inf passes every one
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError(f"gradcheck needs a finite --tol > 0, "
@@ -262,16 +265,16 @@ def cmd_sweep(args) -> int:
             for raw in args.values.split(",")]
     if len(set(grid)) != len(grid):
         raise ConfigError(f"--values: a value is named twice in {grid}")
+    # every point's configs are built, so checked, before any training
+    points = [{**values, args.param: value} for value in grid]
+    cfgs = [(cfgmod.build_train_config(point), cfgmod.build_eval_config(point))
+            for point in points]
     ds = load_dataset_dir(args.data)
     if args.task not in ds.targets:
         raise DataError(f"task {args.task!r} absent from dataset targets")
-    eval_cfg = cfgmod.build_eval_config(values)
     rows = []
-    for value in grid:
-        point = dict(values)
-        point[args.param] = value
-        arms = run_arms(ds, ("FULL",), seeds,
-                        cfgmod.build_train_config(point), eval_cfg)
+    for value, (train_cfg, eval_cfg) in zip(grid, cfgs):
+        arms = run_arms(ds, ("FULL",), seeds, train_cfg, eval_cfg)
         rows.append((value, mean_metrics(
             [arms["FULL", seed][args.task][1] for seed in sorted(seeds)])))
     os.makedirs(out, exist_ok=True)

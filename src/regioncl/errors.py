@@ -17,9 +17,5 @@ class ContractError(ValueError):
     """A caller violated an operation's precondition."""
 
 
-class DegenerateBatchError(ValueError):
-    """A loss was asked to operate on too few nodes to be meaningful."""
-
-
 class TrainingAborted(RuntimeError):
     """Training stopped on a non-finite loss or gradient."""

@@ -84,12 +84,6 @@ def build_mobility_graph(trips, I: int, T: int) -> np.ndarray:
     """Slot(r_s, t_s) -- Slot(r_d, t_d) per (source, dest, t_start, t_end)
     row of the (N, 4) trip array, deduplicated."""
     trips = np.asarray(trips, dtype=np.int64).reshape(-1, 4)
-    for ends, what, name, bound in ((trips[:, :2], "region", "I", I),
-                                    (trips[:, 2:], "slot", "T", T)):
-        bad = ends[(ends < 0) | (ends >= bound)]
-        if bad.size:
-            raise DataError(f"{what} index out of range: {bad[0]} "
-                            f"({name}={bound})")
     # slot node (r, t) has unified index I + r*T + t
     return canonical_edges(I + trips[:, :2] * T + trips[:, 2:], I * (1 + T))
 

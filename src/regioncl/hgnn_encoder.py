@@ -10,7 +10,8 @@ so a layer costs O(|E| d) per relation and no gradient is formed for them.
 The same code encodes both the fused multi-relation graph and the sampled
 single-relation contrastive views: the caller passes the whole weight bank
 and picks the relations through the adjacency dict, since ``encode`` reads
-the weights of only the relations that dict holds.
+the weights of only the relations that dict holds, each of which must have
+weights; a wrongly shaped Â fails in ``spmm`` or ``add`` with ``ShapeError``.
 
 A recorded ``encode`` is one ``numcore.checkpoint`` node over H^(0) and
 those weights: it keeps only the (n, d) output, and the backward
@@ -51,8 +52,6 @@ def init_encoder(tape: GradientTape, prefix: str, d: int, n_layers: int,
 def init_features(E: Tensor, I: int, T: int) -> Tensor:
     """H^(0): base rows copy e_i, every Slot(i, t) row copies e_i too."""
     E = nc.constant(E)
-    if E.data.shape[0] != I:
-        raise ShapeError(f"embeddings have {E.data.shape[0]} rows, I={I}")
     index_map = list(range(I)) + [i for i in range(I) for _ in range(T)]
     return nc.rows(E, index_map)
 
@@ -65,16 +64,6 @@ def encode(adj: dict, H0: Tensor, params: EncoderParams) -> Tensor:
     its output and the backward recomputes every layer's activations.
     """
     H0 = nc.constant(H0)
-    n = H0.data.shape[0]
-    for layer in params.layers:
-        missing = set(adj) - set(layer)
-        if missing:
-            raise ShapeError(f"no weights for relations "
-                             f"{sorted(str(r) for r in missing)}")
-    for rel, A in adj.items():
-        if A.shape != (n, n):
-            raise ShapeError(f"adjacency for {rel} is {A.shape}, "
-                             f"expected ({n}, {n})")
     if params.layers and not adj:
         raise ShapeError("encode: empty adjacency dict")
 

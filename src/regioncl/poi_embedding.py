@@ -124,10 +124,6 @@ class MlpParams:
     w2: Tensor    # (d_out, hidden)
     b2: Tensor    # (1, d_out)
 
-    @property
-    def d_in(self) -> int:
-        return self.w1.data.shape[1]
-
 
 def init_mlp(tape: GradientTape, prefix: str, d_in: int, d_hidden: int,
              d_out: int, rng: np.random.Generator) -> MlpParams:
@@ -150,11 +146,7 @@ def mlp_forward(x: Tensor, mlp: MlpParams) -> Tensor:
 def project_regions(table: np.ndarray, poi: PoiMatrix,
                     mlp: MlpParams) -> Tensor:
     """Pooled category vectors pushed through the projection perceptron."""
-    pooled = pooled_vectors(table, poi)
-    if pooled.shape[1] != mlp.d_in:
-        raise ShapeError(f"pooled dimension {pooled.shape[1]} vs MLP input "
-                         f"{mlp.d_in}")
-    return mlp_forward(Tensor(pooled), mlp)
+    return mlp_forward(Tensor(pooled_vectors(table, poi)), mlp)
 
 
 @dataclass
@@ -188,9 +180,6 @@ def init_attention(tape: GradientTape, prefix: str, d: int, heads: int,
 
 def attention_weights(E: Tensor, params: AttentionParams) -> list[Tensor]:
     """Per-head (I, I) row-stochastic attention matrices."""
-    if E.data.shape[1] != params.d_model:
-        raise ShapeError(f"embeddings dim {E.data.shape[1]} vs attention "
-                         f"dim {params.d_model}")
     dh = params.d_model // params.heads
     alphas = []
     for h in range(params.heads):

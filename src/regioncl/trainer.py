@@ -280,9 +280,6 @@ def train(dataset: Dataset, cfg: TrainConfig,
         else:
             views = _random_aug_views(graph, streams["views"])
 
-        for v in views:
-            assert np.isin(v.seeds, v.nodes, assume_unique=True).all()
-
         bn_drops = tuple(drop_edges(v.edges, cfg.loss.infobn_drop,
                                     streams["infobn"]) for v in views)
 

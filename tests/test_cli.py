@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regioncl.cli import main
+from regioncl import errors
+from regioncl.cli import _CLI_ERRORS, main
 from regioncl.eval_harness import (DENSITY_BINS, mean_metrics, metrics,
                                    run_arms)
 from regioncl.gradcheck import STAGES
@@ -203,6 +204,42 @@ class TestTrain:
         assert "trian.epochs" in capsys.readouterr().err
 
 
+class TestEveryCommandChecksItsConfig:
+    """Commands that read no setting still refuse a bad --config or --set,
+    as train does: one error line, and no output written."""
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["embed", "--set", "no.such.key=1"],
+         "unknown config key 'no.such.key'"),
+        (["embed", "--config", "MISSING"], "cannot read config file"),
+        (["case", "--pairs", "0:1", "--set", "model.d=nan"],
+         "config key 'model.d' expects int, got 'nan'"),
+        (["gradcheck", "--points", "1", "--set", "no.such=1"],
+         "unknown config key 'no.such'"),
+    ], ids=["embed-key", "embed-config", "case", "gradcheck"])
+    def test_one_error_line(self, model_dir, tmp_path, capsys, argv, needle):
+        argv = [str(tmp_path / "missing.cfg") if a == "MISSING" else a
+                for a in argv]
+        if argv[0] != "gradcheck":
+            argv += ["--model", model_dir]
+        out = str(tmp_path / "x")
+        assert main(argv + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert needle in err[0]
+        assert not os.path.exists(out)
+
+
+def test_every_package_error_is_one_error_line():
+    """Each exception class the package defines is caught by main."""
+    defined = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__}
+    assert defined and defined <= set(_CLI_ERRORS), \
+        sorted(c.__name__ for c in defined - set(_CLI_ERRORS))
+
+
 class TestEmbedAndEval:
     def test_embed_csv_matches_binary(self, model_dir, tmp_path):
         out = str(tmp_path / "emb.csv")
@@ -232,6 +269,19 @@ class TestEmbedAndEval:
         assert main(["eval", "--model", str(tmp_path), "--data", data_dir,
                      "--out", str(tmp_path / "x")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_eval_of_another_citys_model_fails(self, model_dir, tmp_path,
+                                               capsys):
+        """The one check that embedding rows match the bundle's regions."""
+        other = str(tmp_path / "other")
+        write_dataset(synth_dataset(SynthConfig(
+            n_regions=12, n_slots=2, n_trips=150)), other)
+        out = str(tmp_path / "x")
+        assert main(["eval", "--model", model_dir, "--data", other,
+                     "--out", out]) == 1
+        assert capsys.readouterr().err == \
+            "error: embeddings cover 10 regions, dataset has 12\n"
+        assert not os.path.exists(out)
 
 
 class TestAblate:
@@ -409,6 +459,26 @@ class TestSweep:
         assert param in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_swept_eval_setting_reaches_the_probe(self, data_dir, tmp_path,
+                                                  monkeypatch):
+        """Each grid point probes with its own eval config, so a swept
+        eval.lam gives one row per lambda, not one row three times."""
+        seen = []
+
+        def recording_run_arms(ds, variants, seeds, train_cfg, eval_cfg):
+            seen.append(eval_cfg.lam)
+            return run_arms(ds, variants, seeds, train_cfg, eval_cfg)
+
+        monkeypatch.setattr("regioncl.cli.run_arms", recording_run_arms)
+        out = str(tmp_path / "sweep")
+        assert main(["sweep", "--data", data_dir, "--param", "eval.lam",
+                     "--values", "0.001,0.01,0.1", "--out", out]
+                    + SMALL) == 0
+        assert seen == [0.001, 0.01, 0.1]
+        rows = open(os.path.join(out, "sweep.csv")).read().splitlines()[1:]
+        maes = [float(row.split(",")[3]) for row in rows]
+        assert len(set(maes)) == 3, maes
+
 
 ARM_COMMANDS = {
     "ablate": ["ablate", "--variants", "FULL", "--seeds", "0"],
@@ -457,9 +527,9 @@ class TestRunArmOverrides:
 
 class TestStudyRequestsRejectedUpFront:
     """A --seeds or --variants that names nothing, a variant, seed or sweep
-    value named twice, a sweep --task the bundle lacks, a bundle without
-    targets and a city too small for the probe's folds are refused before
-    any arm trains."""
+    value named twice, a bad value at any sweep point, a sweep --task the
+    bundle lacks, a bundle without targets and a city too small for the
+    probe's folds are refused before any arm trains."""
 
     @staticmethod
     def refusal(argv, out, monkeypatch, capsys) -> str:
@@ -488,6 +558,10 @@ class TestStudyRequestsRejectedUpFront:
          "a value is named twice in [0.1, 0.3, 0.1]"),
         (["ablate", "--variants", "FULL", "--seeds", "0,-1"],
          "seed must be >= 0, got -1"),
+        (["sweep", "--seeds", "0,1", "--param", "loss.beta",
+          "--values", "0.1,0.3,1.5"], "beta must be in [0,1], got 1.5"),
+        (["sweep", "--param", "eval.cv_seed", "--values", "1,-1"],
+         "cv_seed must be >= 0, got -1"),
     ])
     def test_no_arm_trains(self, data_dir, tmp_path, monkeypatch, capsys,
                            argv, needle):

@@ -115,15 +115,6 @@ class TestMobilityGraph:
                     want.add((min(u, v), max(u, v)))
             assert_edges(hg.build_mobility_graph(trips, I, T), want)
 
-    def test_out_of_range_slot_rejected(self):
-        with pytest.raises(DataError, match="slot index out of range"):
-            hg.build_mobility_graph([(0, 1, 0, 5)], I=2, T=2)
-
-    def test_out_of_range_region_rejected(self):
-        for bad in ((0, 2, 0, 1), (-1, 0, 0, 1)):
-            with pytest.raises(DataError, match="region index out of range"):
-                hg.build_mobility_graph([(0, 1, 0, 1), bad], I=2, T=2)
-
 
 def grid_distance_matrix(n, spacing_km):
     """n regions on a line, exact pairwise distances |i-j| * spacing."""

@@ -88,10 +88,6 @@ class TestInitFeatures:
             for t in range(T):
                 assert_allclose(H0[I + i * T + t], E[i])
 
-    def test_row_count_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            enc.init_features(nc.Tensor(np.zeros((3, 2))), I=4, T=1)
-
     def test_gradient_flows_to_all_copies(self):
         tape = nc.GradientTape()
         E = tape.parameter("E", np.ones((2, 3)))
@@ -154,11 +150,6 @@ class TestEncode:
         assert np.array_equal(A_p.toarray(), A.toarray()[np.ix_(p, p)])
         out_p = enc.encode({"r": A_p}, nc.Tensor(H0[p]), params).data
         assert_allclose(out_p, out[p], atol=1e-10)
-
-    def test_missing_relation_weight_rejected(self):
-        with pytest.raises(ShapeError, match="no weights"):
-            enc.encode({"a": np.eye(2), "b": np.eye(2)}, nc.Tensor(np.ones((2, 2))),
-                       constant_params([{"a": np.eye(2)}]))
 
     def test_adjacency_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from regioncl import numcore as nc
 from regioncl import view_generator as vg
-from regioncl.errors import ConfigError, ContractError
+from regioncl.errors import ConfigError
 from regioncl.gradcheck import check_tape_gradients
 from regioncl.hetero_graph import (build_distance_graph, build_mobility_graph,
                                    build_poi_graph, fuse)
@@ -85,14 +85,10 @@ class TestVgaeEncode:
 
 class TestScoreEdges:
     def test_symmetric_by_construction(self):
-        """A pair is scored in its one orientation u < v; (v, u) is an
-        uncanonical candidate and is rejected, not re-oriented."""
+        """A pair is scored in its one orientation u < v."""
         params = constant_vgae(6, 3)
         H = nc.Tensor(RNG(7).normal(size=(4, 3)))
         assert_edges(vg.score_edges(H, params, [(0, 1)]).pairs, {(0, 1)})
-        with pytest.raises(ContractError,
-                           match=r"bad candidate pair \(1, 0\)"):
-            vg.score_edges(H, params, [(1, 0)])
 
     def test_zero_row_scores_equal_bias_response(self):
         params = constant_vgae(8, 3)
@@ -115,31 +111,14 @@ class TestScoreEdges:
             want = (m.w2.data @ h + m.b2.data[0])[0]
             assert_allclose(P.scores.data[k], want, atol=1e-10)
 
-    def test_self_pair_rejected(self):
-        params = constant_vgae(12, 3)
-        with pytest.raises(ContractError):
-            vg.score_edges(nc.Tensor(np.ones((3, 3))), params, [(1, 1)])
-
-    def test_out_of_range_pair_rejected(self):
-        params = constant_vgae(12, 3)
-        for bad in ([(0, 3)], [(-1, 2)]):
-            with pytest.raises(ContractError, match="bad candidate pair"):
-                vg.score_edges(nc.Tensor(np.ones((3, 3))), params,
-                               [(0, 1)] + bad)
-
     def test_pairs_canonical_and_scored_once(self):
-        """Canonical candidates are scored as given, one score per row; a
-        repeated or out-of-order pair is rejected, not deduplicated."""
+        """Canonical candidates are scored as given, one score per row."""
         params = constant_vgae(6, 3)
         H = nc.Tensor(RNG(7).normal(size=(4, 3)))
         cands = edge_rows({(0, 1), (0, 3), (1, 2)})
         P = vg.score_edges(H, params, cands)
         assert np.array_equal(P.pairs, cands)
         assert P.scores.data.shape == (3,)
-        for bad in ([(0, 1), (0, 3), (0, 3)], [(0, 3), (0, 1), (1, 2)]):
-            with pytest.raises(ContractError,
-                               match="repeat or are out of order"):
-                vg.score_edges(H, params, bad)
 
 
 class TestSparsify:
@@ -240,16 +219,6 @@ class TestRandomWalk:
         # one scalar draw per step: both streams end in the same state
         assert walk_rng.integers(0, 2 ** 62) \
             == oracle_rng.integers(0, 2 ** 62)
-
-    def test_empty_seed_list_rejected(self):
-        with pytest.raises(ContractError, match="empty seed"):
-            vg.random_walk_sample(4, self.PATH, [], vg.ViewGenConfig(),
-                                  RNG(0))
-
-    def test_out_of_range_seed_rejected(self):
-        with pytest.raises(ContractError):
-            vg.random_walk_sample(4, self.PATH, [9], vg.ViewGenConfig(),
-                                  RNG(0))
 
     def test_edges_induced_on_visited_nodes(self):
         view = vg.random_walk_sample(4, self.PATH, [0, 3],
