@@ -22,10 +22,9 @@ import sys
 from dataclasses import astuple
 
 from . import config as cfgmod
-from .errors import (ConfigError, ContractError, DataError, ShapeError,
-                     TrainingAborted)
-from .eval_harness import (ablation_rows, density_table, mean_metrics,
-                           pair_similarity, probe_all, run_arms,
+from .errors import ConfigError, ContractError, DataError, TrainingAborted
+from .eval_harness import (ablation_rows, check_probe_folds, density_table,
+                           mean_metrics, pair_similarity, probe_all, run_arms,
                            write_ablation_csv, write_robustness_csv)
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
 from .hetero_graph import dump_jsonl, RelationType
@@ -35,8 +34,8 @@ from .region_data import load_dataset, load_dataset_dir, synth_dataset, \
 from .trainer import (VARIANTS, build_graph, config_hash, export_embeddings,
                       load_embeddings, train, write_loss_csv)
 
-_CLI_ERRORS = (ConfigError, ContractError, DataError, ShapeError,
-               TrainingAborted, OSError)
+_CLI_ERRORS = (ConfigError, ContractError, DataError, TrainingAborted,
+               OSError)
 
 
 def _require_out(args) -> str:
@@ -184,7 +183,9 @@ def cmd_eval(args) -> int:
     if matrix.shape[0] != ds.n_regions:
         raise DataError(f"embeddings cover {matrix.shape[0]} regions, "
                         f"dataset has {ds.n_regions}")
-    probes = probe_all(matrix, ds, cfgmod.build_eval_config(values))
+    eval_cfg = cfgmod.build_eval_config(values)
+    check_probe_folds(ds.n_regions, eval_cfg)
+    probes = probe_all(matrix, ds, eval_cfg)
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "eval.csv")
     write_csv(path, ["task", "mae", "mape", "rmse"],

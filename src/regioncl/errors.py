@@ -9,12 +9,8 @@ class DataError(ValueError):
     """Malformed or inconsistent input data (parse and validation failures)."""
 
 
-class ShapeError(ValueError):
-    """Incompatible tensor shapes."""
-
-
 class ContractError(ValueError):
-    """A caller violated an operation's precondition."""
+    """A caller violated an operation's precondition, a shape included."""
 
 
 class TrainingAborted(RuntimeError):

@@ -203,6 +203,16 @@ def task_targets(dataset: Dataset) -> dict:
     return out
 
 
+def check_probe_folds(n: int, cfg: EvalConfig) -> None:
+    """Refuse n regions when some fold of ``cv_folds`` would leave the
+    lasso fewer than the 2 training rows it needs."""
+    rest = min(n - len(fold) for fold in cv_folds(n, cfg.folds, cfg.cv_seed))
+    if rest < 2:
+        raise DataError(f"{n} regions are too few to probe: with "
+                        f"eval.folds={cfg.folds} a fold leaves {rest} "
+                        f"training rows, and the lasso needs 2")
+
+
 def probe_all(E: np.ndarray, dataset: Dataset, cfg: EvalConfig) -> dict:
     return {task: probe_task(E, y, cfg)
             for task, y in sorted(task_targets(dataset).items())}
@@ -269,13 +279,7 @@ def run_arms(dataset: Dataset, variants, seeds, train_cfg: TrainConfig,
     cfgs = {(v, s): replace(train_cfg, variant=v, seed=s)
             for v in variants for s in seeds}
     task_targets(dataset)  # refuses a dataset with no task to probe
-    n = dataset.n_regions
-    rest = min(n - len(fold)
-               for fold in cv_folds(n, eval_cfg.folds, eval_cfg.cv_seed))
-    if rest < 2:
-        raise DataError(f"{n} regions are too few to probe: with "
-                        f"eval.folds={eval_cfg.folds} a fold leaves {rest} "
-                        f"training rows, and the lasso needs 2")
+    check_probe_folds(dataset.n_regions, eval_cfg)
     table = train_skipgram(dataset.poi, train_cfg.skipgram)
     arms = {}
     for arm, cfg in cfgs.items():

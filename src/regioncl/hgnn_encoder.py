@@ -11,7 +11,8 @@ The same code encodes both the fused multi-relation graph and the sampled
 single-relation contrastive views: the caller passes the whole weight bank
 and picks the relations through the adjacency dict, since ``encode`` reads
 the weights of only the relations that dict holds, each of which must have
-weights; a wrongly shaped Â fails in ``spmm`` or ``add`` with ``ShapeError``.
+weights; a wrongly shaped Â fails in ``spmm`` or ``add`` with
+``ContractError``.
 
 A recorded ``encode`` is one ``numcore.checkpoint`` node over H^(0) and
 those weights: it keeps only the (n, d) output, and the backward
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ShapeError
+from .errors import ContractError
 from .numcore import GradientTape, Tensor
 
 
@@ -51,7 +52,6 @@ def init_encoder(tape: GradientTape, prefix: str, d: int, n_layers: int,
 
 def init_features(E: Tensor, I: int, T: int) -> Tensor:
     """H^(0): base rows copy e_i, every Slot(i, t) row copies e_i too."""
-    E = nc.constant(E)
     index_map = list(range(I)) + [i for i in range(I) for _ in range(T)]
     return nc.rows(E, index_map)
 
@@ -63,9 +63,8 @@ def encode(adj: dict, H0: Tensor, params: EncoderParams) -> Tensor:
     weights of the relations in ``adj``, so a recorded encode keeps only
     its output and the backward recomputes every layer's activations.
     """
-    H0 = nc.constant(H0)
     if params.layers and not adj:
-        raise ShapeError("encode: empty adjacency dict")
+        raise ContractError("encode: empty adjacency dict")
 
     # weights[k * len(adj) + r] is layer k's matrix of adj's r-th relation
     adjs = list(adj.values())

@@ -15,7 +15,7 @@ combined reward, treated as a constant, onto the two reconstruction losses.
 
 No loss or reward re-checks its views: ``train`` rejects views that would
 share fewer than 2 nodes before any work, and rows of unequal shape fail in
-``dot_cross_entropy`` with ``ShapeError``.
+``dot_cross_entropy`` with ``ContractError``.
 """
 
 from __future__ import annotations

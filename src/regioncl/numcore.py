@@ -8,6 +8,8 @@ registered parameter (zeros for parameters the loss never touched).
 
 Conventions fixed here because tests depend on them:
   * everything is float64, row-major;
+  * ops take Tensors; ``constant`` wraps an array as one that records no
+    gradient;
   * relu's derivative at exactly 0 is 0;
   * softmax subtracts the row max before exponentiating;
   * normalize_rows keeps an all-zero row at zero (with zero gradient);
@@ -39,7 +41,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, TrainingAborted
+from .errors import ContractError, TrainingAborted
 
 # rows of the (DOT_CE_BLOCK, n) logit slab dot_cross_entropy holds at a time
 DOT_CE_BLOCK = 256
@@ -50,7 +52,7 @@ _recording = True
 __all__ = [
     "Tensor", "CsrMatrix", "GradientTape", "AdamState", "backward",
     "adam_step", "no_grad", "constant", "matmul", "spmm", "add", "mul",
-    "scale", "neg", "relu", "expit", "row_cosine", "softplus", "softmax_rows",
+    "scale", "relu", "expit", "row_cosine", "softplus", "softmax_rows",
     "dot_cross_entropy", "log", "tsum", "concat_cols", "transpose",
     "reshape", "rows", "normalize_rows", "checkpoint",
 ]
@@ -107,15 +109,15 @@ class CsrMatrix:
                 or self.indices.shape != self.values.shape
                 or self.indptr[0] != 0
                 or self.indptr[-1] != self.values.size):
-            raise ShapeError(f"CsrMatrix: inconsistent arrays for shape "
-                             f"{self.shape}")
+            raise ContractError(f"CsrMatrix: inconsistent arrays for "
+                                f"shape {self.shape}")
         lengths = np.diff(self.indptr)
         if np.any(lengths < 0):
-            raise ShapeError("CsrMatrix: indptr decreases")
+            raise ContractError("CsrMatrix: indptr decreases")
         if self.indices.size and (self.indices.min() < 0 or
                                   self.indices.max() >= self.shape[1]):
-            raise ShapeError(f"CsrMatrix: column index out of range for "
-                             f"shape {self.shape}")
+            raise ContractError(f"CsrMatrix: column index out of range "
+                                f"for shape {self.shape}")
         order = np.argsort(lengths, kind="stable")
         order = order[lengths[order] > 0]       # empty rows stay zero in dot
         cuts = np.flatnonzero(np.diff(lengths[order])) + 1
@@ -125,10 +127,6 @@ class CsrMatrix:
                 pos = self.indptr[grp, None] + np.arange(lengths[grp[0]])
                 self._groups.append((grp, self.indices[pos],
                                      self.values[pos][:, None, :]))
-
-    @property
-    def nnz(self) -> int:
-        return int(self.values.size)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -165,19 +163,13 @@ def constant(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _same_shape(a: Tensor, b: Tensor, op: str):
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"{op}: shape {a.data.shape} vs {b.data.shape}")
-
-
 # ---------------------------------------------------------------------------
 # forward ops (each returns a Tensor carrying its vector-Jacobian closure)
 # ---------------------------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = constant(a), constant(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: shape {a.data.shape} vs {b.data.shape}")
+        raise ContractError(f"matmul: shape {a.data.shape} vs {b.data.shape}")
 
     def vjp(g):
         return g @ b.data.T, a.data.T @ g
@@ -190,47 +182,33 @@ def spmm(A: CsrMatrix, h: Tensor) -> Tensor:
 
     Since A = A^T, the gradient to h is A @ g; A itself gets none.
     """
-    h = constant(h)
     if h.data.ndim != 2 or A.shape[1] != h.data.shape[0]:
-        raise ShapeError(f"spmm: shape {A.shape} vs {h.data.shape}")
+        raise ContractError(f"spmm: shape {A.shape} vs {h.data.shape}")
     return Tensor(A.dot(h.data), (h,), lambda g: (A.dot(g),))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a (1, n) or (n,) bias row for b."""
-    a, b = constant(a), constant(b)
+    """Elementwise sum; b may also be a (1, n) bias row for an (m, n) a."""
     if a.data.shape == b.data.shape:
         return Tensor(a.data + b.data, (a, b), lambda g: (g, g))
-    if (a.data.ndim == 2 and b.data.ndim in (1, 2)
-            and b.data.reshape(-1).shape[0] == a.data.shape[1]
-            and (b.data.ndim == 1 or b.data.shape[0] == 1)):
-        bias_shape = b.data.shape
-
-        def vjp(g):
-            return g, g.sum(axis=0).reshape(bias_shape)
-
-        return Tensor(a.data + b.data.reshape(1, -1), (a, b), vjp)
-    raise ShapeError(f"add: shape {a.data.shape} vs {b.data.shape}")
+    if a.data.ndim == 2 and b.data.shape == (1, a.data.shape[1]):
+        return Tensor(a.data + b.data, (a, b),
+                      lambda g: (g, g.sum(axis=0, keepdims=True)))
+    raise ContractError(f"add: shape {a.data.shape} vs {b.data.shape}")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = constant(a), constant(b)
-    _same_shape(a, b, "mul")
+    if a.data.shape != b.data.shape:
+        raise ContractError(f"mul: shape {a.data.shape} vs {b.data.shape}")
     return Tensor(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    a = constant(a)
     c = float(c)
     return Tensor(a.data * c, (a,), lambda g: (g * c,))
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def relu(a: Tensor) -> Tensor:
-    a = constant(a)
     mask = a.data > 0
 
     def vjp(g):
@@ -258,7 +236,6 @@ def row_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), overflow-safe; the building block for edge BCE."""
-    a = constant(a)
     x = a.data
     out = np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
     s = expit(x)
@@ -266,9 +243,8 @@ def softplus(a: Tensor) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    a = constant(a)
     if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows: need 2-d, got {a.data.shape}")
+        raise ContractError(f"softmax_rows: need 2-d, got {a.data.shape}")
     z = a.data - a.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=1, keepdims=True)
@@ -294,10 +270,9 @@ def dot_cross_entropy(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
     as (a / s)^T E into one (d, n) buffer, so the backward only subtracts
     the diagonal terms and scales by g c.
     """
-    a, b = constant(a), constant(b)
     if a.data.ndim != 2 or a.data.shape != b.data.shape:
-        raise ShapeError(f"dot_cross_entropy: shape {a.data.shape} "
-                         f"vs {b.data.shape}")
+        raise ContractError(f"dot_cross_entropy: shape {a.data.shape} "
+                            f"vs {b.data.shape}")
     A, B, c = a.data, b.data, float(scale)
     grad = _recording
     if grad:
@@ -328,28 +303,20 @@ def dot_cross_entropy(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    a = constant(a)
     return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
-def tsum(a: Tensor, axis=None) -> Tensor:
-    a = constant(a)
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every entry, as a 0-d tensor."""
     shape = a.data.shape
-
-    def vjp(g):
-        if axis is None:
-            return (np.full(shape, float(g)),)
-        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
-
-    return Tensor(a.data.sum(axis=axis), (a,), vjp)
+    return Tensor(a.data.sum(), (a,), lambda g: (np.full(shape, float(g)),))
 
 
 def concat_cols(parts) -> Tensor:
-    parts = [constant(p) for p in parts]
     if any(p.data.ndim != 2 for p in parts):
-        raise ShapeError("concat_cols: all parts must be 2-d")
+        raise ContractError("concat_cols: all parts must be 2-d")
     if len({p.data.shape[0] for p in parts}) != 1:
-        raise ShapeError(
+        raise ContractError(
             "concat_cols: row mismatch " + str([p.data.shape for p in parts]))
     widths = [p.data.shape[1] for p in parts]
     bounds = np.cumsum([0] + widths)
@@ -361,40 +328,35 @@ def concat_cols(parts) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = constant(a)
     if a.data.ndim != 2:
-        raise ShapeError(f"transpose: need 2-d, got {a.data.shape}")
+        raise ContractError(f"transpose: need 2-d, got {a.data.shape}")
     return Tensor(a.data.T, (a,), lambda g: (g.T,))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = constant(a)
     old = a.data.shape
     return Tensor(a.data.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def rows(a: Tensor, idx) -> Tensor:
-    """Gather rows by integer index; backward scatter-adds with one
-    ``np.bincount`` over (row, column) keys, in ``np.add.at``'s index order."""
-    a = constant(a)
+    """Rows idx of a 2-d tensor, for non-negative 1-d indices idx; backward
+    scatter-adds with one ``np.bincount`` over (row, column) keys, in
+    ``np.add.at``'s index order."""
     idx = np.asarray(idx, dtype=np.intp)
-    shape = a.data.shape
+    n, d = a.data.shape
 
     def vjp(g):
-        n, d = shape[0], int(np.prod(shape[1:]))
-        flat = idx.ravel() % max(n, 1)      # negative indices wrap
-        keys = (flat[:, None] * d + np.arange(d)).ravel()
-        out = np.bincount(keys, weights=np.ravel(g), minlength=n * d)
-        return (out.reshape(shape),)
+        keys = (idx[:, None] * d + np.arange(d)).ravel()
+        out = np.bincount(keys, weights=g.ravel(), minlength=n * d)
+        return (out.reshape(n, d),)
 
     return Tensor(a.data[idx], (a,), vjp)
 
 
 def normalize_rows(a: Tensor) -> Tensor:
     """Rows scaled to unit norm; all-zero rows stay zero (gradient 0 there)."""
-    a = constant(a)
     if a.data.ndim != 2:
-        raise ShapeError(f"normalize_rows: need 2-d, got {a.data.shape}")
+        raise ContractError(f"normalize_rows: need 2-d, got {a.data.shape}")
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
     safe = np.where(norms > 0.0, norms, 1.0)
     y = a.data / safe
@@ -421,7 +383,6 @@ def checkpoint(fn, *inputs) -> Tensor:
     than 1e-12 max(1, |out|) in the max norm raises ContractError rather
     than return gradients taken at other values.
     """
-    inputs = tuple(constant(x) for x in inputs)
     with no_grad():
         out = fn(*inputs).data
 
@@ -525,15 +486,14 @@ def backward(tape: GradientTape, loss: Tensor) -> dict[str, np.ndarray]:
 
 
 class AdamState:
-    """Adam moments plus learning rate and decoupled weight decay."""
+    """Adam moments plus learning rate and decoupled weight decay; the
+    moment rates and eps are Adam's published defaults."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.0,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}

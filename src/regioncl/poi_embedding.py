@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, ContractError, DataError
 from .numcore import GradientTape, Tensor
 from .region_data import PoiMatrix
 
@@ -108,8 +108,8 @@ def train_skipgram(poi: PoiMatrix, cfg: SkipgramConfig) -> np.ndarray:
 def pooled_vectors(table: np.ndarray, poi: PoiMatrix) -> np.ndarray:
     """Count-weighted mean of category vectors per region; zero rows stay 0."""
     if table.shape[0] != poi.n_categories:
-        raise ShapeError(f"table has {table.shape[0]} categories, POI matrix "
-                         f"has {poi.n_categories}")
+        raise ContractError(f"table has {table.shape[0]} categories, POI "
+                            f"matrix has {poi.n_categories}")
     counts = poi.counts.astype(np.float64)
     totals = counts.sum(axis=1, keepdims=True)
     safe = np.where(totals > 0, totals, 1.0)

@@ -81,9 +81,6 @@ def score_edges(H_tilde: Tensor, params: VgaeParams,
     """
     n = H_tilde.data.shape[0]
     pairs = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
-    if not len(pairs):
-        return SamplingMatrix(pairs=pairs, scores=Tensor(np.zeros(0)),
-                              n_nodes=n)
 
     def pair_scores(h, *score_mlp):
         prod = nc.mul(nc.rows(h, pairs[:, 0]), nc.rows(h, pairs[:, 1]))
@@ -146,7 +143,6 @@ class ViewGenConfig:
     walks_per_seed: int = 4
     seed_frac: float = 0.25
     neg_per_node: int = 5
-    noise_mu: float = 0.0
     noise_sigma: float = 1.0
 
     def __post_init__(self):
@@ -201,7 +197,7 @@ def generate_views(graph: HeteroGraph, H: Tensor, params1: VgaeParams,
     views, sampling = [], []
     for params in (params1, params2):
         noise_rng = np.random.default_rng(int(rng.integers(0, 2 ** 62)))
-        noise = noise_rng.normal(cfg.noise_mu, cfg.noise_sigma, H.data.shape)
+        noise = noise_rng.normal(scale=cfg.noise_sigma, size=H.data.shape)
         h_tilde = vgae_encode(H, params, noise)
         P = score_edges(h_tilde, params, cands)
         edges = sparsify(P, cfg.eps)
@@ -217,8 +213,6 @@ def reconstruction_loss(P: SamplingMatrix, true_edges: np.ndarray) -> Tensor:
     -log(1 - sig(p)) = softplus(p). ``true_edges`` is canonical like
     ``P.pairs``, so neither key array repeats.
     """
-    if not len(P.pairs):
-        return Tensor(0.0)
     n = P.n_nodes
     is_edge = np.isin(P.pairs[:, 0] * n + P.pairs[:, 1],
                       true_edges[:, 0] * n + true_edges[:, 1],

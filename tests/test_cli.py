@@ -571,16 +571,24 @@ class TestStudyRequestsRejectedUpFront:
     @pytest.mark.parametrize("argv", [
         ["ablate", "--variants", "FULL,RANDOM_AUG", "--seeds", "0,1"],
         ["sweep", "--param", "loss.beta", "--values", "0.1,0.3"],
-    ], ids=["ablate", "sweep"])
+        ["eval"],
+    ], ids=["ablate", "sweep", "eval"])
     def test_city_too_small_for_the_probe(self, tmp_path, monkeypatch,
                                           capsys, argv):
-        """Two regions in two folds leave one training row per fold."""
+        """Two regions in two folds leave one training row per fold;
+        ``eval`` of a model of that city says so as ``ablate`` does."""
         tiny = str(tmp_path / "tiny")
         write_dataset(synth_dataset(SynthConfig(
             n_regions=2, n_slots=2, n_trips=20, n_clusters=1)), tiny)
+        if argv[0] == "eval":
+            model = str(tmp_path / "model")
+            assert main(["train", "--data", tiny, "--out", model] + SMALL) == 0
+            argv = argv + ["--model", model]
         err = self.refusal(argv + ["--data", tiny], str(tmp_path / "x"),
                            monkeypatch, capsys)
-        assert "2 regions" in err and "eval.folds=5" in err
+        assert err == ("error: 2 regions are too few to probe: with "
+                       "eval.folds=5 a fold leaves 1 training rows, and the "
+                       "lasso needs 2")
 
     @pytest.fixture
     def untargeted(self, data_dir, tmp_path) -> str:

@@ -65,7 +65,7 @@ class TestCasting:
 
     @pytest.mark.parametrize("key,raw", [
         ("graph.eps_d", "nan"), ("graph.eps_p", "NaN"), ("train.lr", "nan"),
-        ("loss.tau", "inf"), ("eval.lam", "nan"), ("view.noise_mu", "-inf"),
+        ("loss.tau", "inf"), ("eval.lam", "nan"), ("view.noise_sigma", "-inf"),
         ("train.weight_decay", "1e999"), ("synth.skew_exponent", "nan")])
     def test_non_finite_float_rejected_by_name(self, key, raw):
         with pytest.raises(ConfigError, match=f"{key}.*finite"):

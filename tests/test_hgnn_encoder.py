@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 from regioncl import hgnn_encoder as enc
 from regioncl import numcore as nc
-from regioncl.errors import ShapeError
+from regioncl.errors import ContractError
 from regioncl.gradcheck import check_tape_gradients
 from regioncl.hetero_graph import normalized_adjacency
 
@@ -152,7 +152,7 @@ class TestEncode:
         assert_allclose(out_p, out[p], atol=1e-10)
 
     def test_adjacency_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             enc.encode({"a": np.eye(3)}, nc.Tensor(np.ones((2, 2))),
                        constant_params([{"a": np.eye(3)}]))
 

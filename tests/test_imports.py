@@ -1,9 +1,12 @@
 """Every name a module imports is read somewhere in that module, no
 library module imports inside a function, dedups through numpy's
-hash-based ``unique``, or writes a comma-joined row by hand."""
+hash-based ``unique``, or writes a comma-joined row by hand, and every
+``numcore`` export has a reader in another library module."""
 
 import ast
 from pathlib import Path
+
+from regioncl import numcore
 
 REPO = Path(__file__).resolve().parents[1]
 LIBRARY = sorted((REPO / "src" / "regioncl").glob("*.py"))
@@ -223,3 +226,51 @@ def test_each_setting_is_checked_where_its_config_is_built():
         f"config dataclass's __post_init__, once, and trust it where it is "
         f"used; a check that needs more than the config goes in "
         f"CONFIG_CHECKS_AT_USE")
+
+
+# numcore exports that no other library module reads: the explicit array
+# conversion, which the benchmark harness calls, and the log the tests'
+# composed NCE references take
+NUMCORE_UNREAD = {"constant", "log"}
+
+
+def numcore_names_read(source: str) -> set:
+    """Names a module reads from ``numcore``: those it imports from it,
+    and the attributes it reads off a name bound to the module."""
+    aliases, names = set(), set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "numcore":
+                names |= {a.name for a in node.names}
+            else:
+                aliases |= {a.asname or a.name for a in node.names
+                            if a.name == "numcore"}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.asname and a.name.split(".")[-1] == "numcore"}
+    return names | {node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in aliases}
+
+
+def test_numcore_reader_scanner_finds_imports_and_attributes():
+    source = ("from . import numcore as nc\n"
+              "from .numcore import Tensor, no_grad as ng\n"
+              "from .losses import rows\n"
+              "import regioncl.numcore as core\n"
+              "y = nc.matmul(a, b) + core.relu(c) + losses.add(d)\n"
+              "z = rows(nc.data).scale\n")
+    assert numcore_names_read(source) == {"Tensor", "no_grad", "matmul",
+                                          "relu", "data"}
+
+
+def test_every_numcore_export_is_read_by_another_library_module():
+    read = set().union(*(numcore_names_read(path.read_text())
+                         for path in LIBRARY if path.name != "numcore.py"))
+    unread = set(numcore.__all__) - read - NUMCORE_UNREAD
+    assert unread == set(), (
+        f"numcore exports {sorted(unread)} that no library module reads: "
+        f"delete a form no caller uses, rather than keep it working and "
+        f"tested for its own tests")

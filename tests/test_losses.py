@@ -264,7 +264,7 @@ def composed_nce(A, B, tau):
     sims = nc.matmul(nc.normalize_rows(A), nc.transpose(nc.normalize_rows(B)))
     probs = nc.softmax_rows(nc.scale(sims, 1.0 / tau))
     eye = nc.Tensor(np.eye(A.data.shape[0]))
-    return nc.neg(nc.tsum(nc.mul(nc.log(probs), eye)))
+    return nc.scale(nc.tsum(nc.mul(nc.log(probs), eye)), -1.0)
 
 
 class TestScale:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from regioncl import numcore as nc
-from regioncl.errors import ContractError, ShapeError, TrainingAborted
+from regioncl.errors import ContractError, TrainingAborted
 from regioncl.gradcheck import check_tape_gradients, numeric_gradient, relative_error
 
 RNG = np.random.default_rng
@@ -61,7 +61,7 @@ class TestForward:
         assert_allclose(got, want, atol=1e-12)
 
     def test_matmul_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             nc.matmul(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((2, 3))))
 
     def test_add_bias_row_broadcasts(self):
@@ -71,8 +71,11 @@ class TestForward:
         assert_allclose(out, x + b)
 
     def test_add_rejects_other_broadcasts(self):
-        with pytest.raises(ShapeError):
-            nc.add(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones((2, 1))))
+        """Only a (1, n) row broadcasts: a column or an (n,) vector is
+        refused."""
+        for shape in ((2, 1), (3,)):
+            with pytest.raises(ContractError):
+                nc.add(nc.Tensor(np.ones((2, 3))), nc.Tensor(np.ones(shape)))
 
     def test_relu_clamps_negatives(self):
         out = nc.relu(nc.Tensor(np.array([-2.0, 0.0, 3.0]))).data
@@ -114,15 +117,14 @@ class TestForward:
 
     def test_rows_backward_equals_add_at_bit_for_bit(self):
         """The bincount scatter adds in np.add.at's order: repeated rows
-        sum, unused rows (the last one here) stay 0, negatives wrap."""
+        sum, and unused rows (the last one here) stay 0."""
         rng = RNG(7)
         cases = [((5, 3), rng.integers(0, 4, size=12)),
                  ((40, 8), rng.integers(0, 39, size=300)),
                  ((1, 2), np.zeros(4, dtype=np.int64)),
-                 ((6, 3), np.zeros(0, dtype=np.int64)),
-                 ((7,), np.array([-1, 2, 2, -7, 0, 2]))]
+                 ((6, 3), np.zeros(0, dtype=np.int64))]
         for shape, idx in cases:
-            g = rng.normal(size=idx.shape + shape[1:])
+            g = rng.normal(size=(idx.size, shape[1]))
             want = np.zeros(shape)
             np.add.at(want, idx, g)
             (got,) = nc.rows(nc.Tensor(rng.normal(size=shape)), idx).vjp(g)
@@ -137,7 +139,7 @@ class TestForward:
 
     def test_csr_toarray_round_trips(self):
         assert np.array_equal(csr(SYM).toarray(), SYM)
-        assert csr(SYM).nnz == 4
+        assert csr(SYM).values.size == 4
 
     def test_spmm_matches_dense_product(self):
         rng = RNG(3)
@@ -156,11 +158,11 @@ class TestForward:
     ])
     def test_csr_rejects_malformed_arrays(self, indptr, indices):
         shape = (len(indptr) - 1, 2)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             nc.CsrMatrix(indptr, indices, np.ones(len(indices)), shape)
 
     def test_spmm_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             nc.spmm(csr(SYM), nc.Tensor(np.ones((4, 2))))
 
     def test_spmm_differentiates_only_the_dense_operand(self):
@@ -180,8 +182,8 @@ class TestForward:
         fused = nc.dot_cross_entropy(a, b, c)
         g_fused = nc.backward(tape, fused)
         probs = nc.softmax_rows(nc.scale(nc.matmul(a, nc.transpose(b)), c))
-        composed = nc.neg(nc.tsum(nc.mul(nc.log(probs),
-                                         nc.Tensor(np.eye(n)))))
+        composed = nc.scale(nc.tsum(nc.mul(nc.log(probs),
+                                           nc.Tensor(np.eye(n)))), -1.0)
         g_composed = nc.backward(tape, composed)
         assert_allclose(fused.item(), composed.item(), rtol=1e-12, atol=1e-12)
         for name in ("a", "b"):
@@ -207,7 +209,7 @@ class TestForward:
         assert all(np.all(np.isfinite(g)) for g in loss.vjp(np.ones(())))
 
     def test_dot_cross_entropy_rejects_shape_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             nc.dot_cross_entropy(nc.Tensor(np.ones((2, 3))),
                                  nc.Tensor(np.ones((3, 3))))
 
@@ -302,7 +304,7 @@ class TestNoGrad:
 
     def test_recording_resumes_after_an_exception(self):
         a, b = self._leaves()
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             with nc.no_grad():
                 nc.dot_cross_entropy(a, nc.transpose(b))
         out = nc.dot_cross_entropy(a, b)
@@ -447,10 +449,6 @@ GRAD_CASES = {
     "log": (lambda c: {"pos": np.abs(c["a"]) + 0.5},
             lambda p, c: scalar_loss(nc.log(p["pos"]))),
     "sum_all": (_params("a"), lambda p, c: nc.tsum(p["a"])),
-    "sum_axis0": (_params("a"),
-                  lambda p, c: scalar_loss(nc.tsum(p["a"], axis=0))),
-    "sum_axis1": (_params("a"),
-                  lambda p, c: scalar_loss(nc.tsum(p["a"], axis=1))),
     "transpose": (_params("a"),
                   lambda p, c: scalar_loss(nc.transpose(p["a"]))),
     "reshape": (_params("a"), lambda p, c: scalar_loss(

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from regioncl import numcore as nc
 from regioncl import poi_embedding as pe
-from regioncl.errors import ConfigError, DataError, ShapeError
+from regioncl.errors import ConfigError, ContractError, DataError
 from regioncl.gradcheck import check_tape_gradients
 from regioncl.region_data import PoiMatrix
 from regioncl.trainer import TrainConfig
@@ -134,7 +134,7 @@ class TestProjection:
     def test_dimension_mismatch_rejected(self):
         mlp = constant_mlp(np.eye(3), np.zeros((1, 3)),
                            np.eye(3), np.zeros((1, 3)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             pe.project_regions(RNG(0).normal(size=(2, 4)),
                                make_poi([[1, 1]]), mlp)
 

@@ -331,7 +331,7 @@ class TestGenerateViews:
         assert len(drawn) == 1 and np.array_equal(drawn[0], cands)
         for view, P, params in zip(got.views, got.sampling, (p1, p2)):
             noise = RNG(int(rng.integers(0, 2 ** 62))).normal(
-                cfg.noise_mu, cfg.noise_sigma, H.data.shape)
+                scale=cfg.noise_sigma, size=H.data.shape)
             h_tilde = vg.vgae_encode(H, params, noise)
             P_want = vg.score_edges(h_tilde, params, cands)
             assert_allclose(P.scores.data, P_want.scores.data, atol=1e-12)
@@ -430,6 +430,20 @@ class TestReconstructionLoss:
         for part in ("mean", "std", "score"):
             assert any(np.any(grads[k] != 0.0) for k in grads
                        if k.startswith(f"v1.{part}")), part
+
+    def test_no_candidates_score_nothing_and_lose_nothing(self):
+        """E = 0 takes the checkpointed path: (0,) scores, a 0.0 loss and
+        a zero gradient for every sampler parameter."""
+        tape = nc.GradientTape()
+        params = vg.init_vgae(tape, "v1", 3, RNG(60))
+        H = nc.Tensor(RNG(61).normal(size=(4, 3)))
+        P = vg.score_edges(vg.vgae_encode(H, params, np.ones((4, 3))),
+                           params, edge_rows([]))
+        assert P.scores.shape == (0,)
+        loss = vg.reconstruction_loss(P, edge_rows([(0, 1)]))
+        assert loss.item() == 0.0
+        grads = nc.backward(tape, loss)
+        assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_finite_difference_through_pipeline(self):
         g = tiny_hetero(I=2, T=1, seed=55)       # 4 nodes
