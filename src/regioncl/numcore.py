@@ -16,6 +16,9 @@ Conventions fixed here because tests depend on them:
   * dot_cross_entropy never stores its (n, n) logits: it exponentiates
     each block of rows once and accumulates both operand gradients in the
     same pass, so its backward is a scaling of two (n, d) arrays;
+  * dot_cross_entropy shifts each slab's row max out before exponentiating
+    only when the Cauchy-Schwarz bound |c| max_i |a_i| max_j |b_j| on its
+    logits exceeds ``_EXP_SAFE`` = 600;
   * inside ``no_grad()`` ops record no parents and no VJP, and
     dot_cross_entropy accumulates no gradient;
   * ``backward`` drops each non-leaf gradient once that node's VJP has
@@ -31,8 +34,9 @@ Conventions fixed here because tests depend on them:
 Sparse operands are CsrMatrix constants; ``spmm`` multiplies one into a
 dense tensor and differentiates only through the dense side. A CsrMatrix
 groups its rows by nonzero count when it is built, so a product is one
-gather and one batched BLAS product per distinct row length, and each
-row's sum follows BLAS order.
+gather and one batched BLAS product per distinct row length, written in
+group order into one buffer that a single scatter puts back in row order,
+and each row's sum follows BLAS order.
 """
 
 from __future__ import annotations
@@ -43,8 +47,16 @@ import numpy as np
 
 from .errors import ContractError, TrainingAborted
 
-# rows of the (DOT_CE_BLOCK, n) logit slab dot_cross_entropy holds at a time
+# rows of the (DOT_CE_BLOCK, n) logit slab dot_cross_entropy exponentiates
+# at a time; two slabs are live while each block's product runs, since the
+# previous one is freed only once the new one is bound
 DOT_CE_BLOCK = 256
+
+# largest logit bound dot_cross_entropy exponentiates without a row-max
+# shift: e^600 and e^-600 are normal float64 numbers (exp overflows past
+# 709.78), and a row of n such terms sums without overflow for n < e^109.78,
+# about 10^47
+_EXP_SAFE = 600.0
 
 # False inside no_grad(): new tensors keep no parents and no VJP
 _recording = True
@@ -93,12 +105,13 @@ class CsrMatrix:
     Row i holds ``values[indptr[i]:indptr[i+1]]`` at the columns
     ``indices[indptr[i]:indptr[i+1]]``, ascending within the row. The
     constructor also groups the rows by their nonzero count (a stable sort
-    of the row lengths, the sliced-ELLPACK layout): each group of m rows of
-    k nonzeros keeps its row ids, an (m, k) column block and an (m, 1, k)
-    value block, which is all ``dot`` reads.
+    of the row lengths, the sliced-ELLPACK layout). It keeps the nonempty
+    rows in that group order, and for each group of m rows of k nonzeros
+    its slice of that order, an (m, k) column block and an (m, 1, k) value
+    block, which is all ``dot`` reads.
     """
 
-    __slots__ = ("indptr", "indices", "values", "shape", "_groups")
+    __slots__ = ("indptr", "indices", "values", "shape", "_order", "_groups")
 
     def __init__(self, indptr, indices, values, shape):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -119,13 +132,15 @@ class CsrMatrix:
             raise ContractError(f"CsrMatrix: column index out of range "
                                 f"for shape {self.shape}")
         order = np.argsort(lengths, kind="stable")
-        order = order[lengths[order] > 0]       # empty rows stay zero in dot
-        cuts = np.flatnonzero(np.diff(lengths[order])) + 1
+        self._order = order[lengths[order] > 0]  # empty rows stay zero in dot
+        edges = np.r_[0, np.flatnonzero(np.diff(lengths[self._order])) + 1,
+                      self._order.size]
         self._groups = []
-        for grp in np.split(order, cuts):
-            if grp.size:
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if hi > lo:
+                grp = self._order[lo:hi]
                 pos = self.indptr[grp, None] + np.arange(lengths[grp[0]])
-                self._groups.append((grp, self.indices[pos],
+                self._groups.append((slice(lo, hi), self.indices[pos],
                                      self.values[pos][:, None, :]))
 
     def toarray(self) -> np.ndarray:
@@ -137,10 +152,14 @@ class CsrMatrix:
     def dot(self, x: np.ndarray) -> np.ndarray:
         """self @ x for a dense 2-d x: per row-length group, one gather of
         the (m, k, d) neighbour rows and one batched (1, k) @ (k, d)
-        product; rows with no nonzeros stay zero."""
+        product into that group's slice of one buffer in group order, then
+        one scatter of the buffer into row order; rows with no nonzeros
+        stay zero."""
+        buf = np.empty((self._order.size, 1, x.shape[1]))
+        for part, cols, vals in self._groups:
+            np.matmul(vals, x[cols], out=buf[part])
         out = np.zeros((self.shape[0], x.shape[1]))
-        for grp, cols, vals in self._groups:
-            out[grp] = np.matmul(vals, x[cols])[:, 0]
+        out[self._order] = buf[:, 0]
         return out
 
 
@@ -261,10 +280,15 @@ def dot_cross_entropy(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
 
     The softmax cross-entropy of each row of c a b^T against its diagonal
     entry, without forming a b^T: the forward walks ``DOT_CE_BLOCK`` rows
-    of a at a time, shifts each slab's row max out before exponentiating and
-    keeps only the per-row logsumexp. c scales the (DOT_CE_BLOCK, d) rows of
-    a before the slab product, not the slab after it (the same bits when c
-    is a power of two). While recording, the same pass turns each
+    of a at a time, exponentiates each slab and keeps only the per-row
+    logsumexp. Before the loop it bounds every logit by Cauchy-Schwarz,
+    |c a_i . b_j| <= |c| max_i |a_i| max_j |b_j|, in O(n d). Within
+    ``_EXP_SAFE`` = 600 no exp overflows or goes subnormal, so a slab is
+    exponentiated as it comes out of its product and lse = log s; the
+    callers' unit rows stay there for any tau >= 1/600. Past the bound
+    each slab's row max is shifted out first. c scales the (DOT_CE_BLOCK,
+    d) rows of a before the slab product, not the slab after it (the same
+    bits when c is a power of two). While recording, the same pass turns each
     exponentiated slab E (row sums s) into the softmax parts of both
     gradients, (E / s) B and (E / s)^T a, the latter accumulated transposed
     as (a / s)^T E into one (d, n) buffer, so the backward only subtracts
@@ -277,15 +301,19 @@ def dot_cross_entropy(a: Tensor, b: Tensor, scale: float = 1.0) -> Tensor:
     grad = _recording
     if grad:
         dA, dBt = np.empty_like(A), np.zeros(A.shape[::-1])
+    bound = abs(c) * np.sqrt((A * A).sum(axis=1).max(initial=0.0)
+                             * (B * B).sum(axis=1).max(initial=0.0))
+    shift = bound > _EXP_SAFE
     lse = np.empty(A.shape[0])
     for i in range(0, A.shape[0], DOT_CE_BLOCK):
         blk = slice(i, i + DOT_CE_BLOCK)
         z = (A[blk] * c) @ B.T
-        top = z.max(axis=1)
-        z -= top[:, None]
+        if shift:
+            top = z.max(axis=1)
+            z -= top[:, None]
         np.exp(z, out=z)
         s = z.sum(axis=1)
-        lse[blk] = np.log(s) + top
+        lse[blk] = np.log(s) + top if shift else np.log(s)
         if grad:
             dA[blk] = (z @ B) / s[:, None]
             dBt += (A[blk] / s[:, None]).T @ z

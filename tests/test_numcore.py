@@ -174,11 +174,14 @@ class TestForward:
         assert_allclose(grads["h"], SYM.T @ np.ones((3, 2)), atol=1e-12)
 
     @staticmethod
-    def _check_against_composition(n, c):
-        rng = RNG(20 + n)
+    def _check_against_composition(n, c, A=None, B=None):
+        """A and B default to standard normal (n, 5) draws."""
+        if A is None:
+            rng = RNG(20 + n)
+            A, B = rng.normal(size=(n, 5)), rng.normal(size=(n, 5))
         tape = nc.GradientTape()
-        a = tape.parameter("a", rng.normal(size=(n, 5)))
-        b = tape.parameter("b", rng.normal(size=(n, 5)))
+        a = tape.parameter("a", A)
+        b = tape.parameter("b", B)
         fused = nc.dot_cross_entropy(a, b, c)
         g_fused = nc.backward(tape, fused)
         probs = nc.softmax_rows(nc.scale(nc.matmul(a, nc.transpose(b)), c))
@@ -201,11 +204,39 @@ class TestForward:
         differently from scaling the slab; the result must still agree."""
         self._check_against_composition(n, 1 / 0.3)
 
+    @pytest.mark.parametrize("n", [255, 257])
+    @pytest.mark.parametrize("bound", [0.99 * 600, 1.01 * 600])
+    def test_dot_cross_entropy_matches_composition_at_the_shift_bound(
+            self, n, bound):
+        """c max|a_i| max|b_j| just below 600 exponentiates the slabs
+        unshifted, just above it shifts their row maxima out; both agree
+        with the composition. Every row is one direction plus a small
+        perturbation, so each row's own logit stays near its row max and
+        no probability of the reference underflows. The small c keeps both
+        gradients, c (sum_j p_ij b_j - b_i) and its transpose, near unit
+        size, so the atol of 1e-12 acts as a relative tolerance."""
+        rng = RNG(70 + n)
+        c = 1e-4
+        A = rng.normal(size=5) + 0.003 * rng.normal(size=(n, 5))
+        B = A + 0.003 * rng.normal(size=(n, 5))
+        r = np.sqrt(bound / c)
+        A *= r / np.linalg.norm(A, axis=1).max()
+        B *= r / np.linalg.norm(B, axis=1).max()
+        self._check_against_composition(n, c, A, B)
+
     def test_dot_cross_entropy_large_logits_stay_finite(self):
         S = np.array([[800.0, -800.0], [0.0, 900.0]])
         loss = nc.dot_cross_entropy(nc.Tensor(S), nc.Tensor(np.eye(2)))
         # each row's own logit dominates its row by >= 900: loss ~ 0
         assert_allclose(loss.item(), 0.0, atol=1e-12)
+        assert all(np.all(np.isfinite(g)) for g in loss.vjp(np.ones(())))
+
+    def test_dot_cross_entropy_off_diagonal_top_logit_stays_finite(self):
+        """Row 0's top logit is 900 above its own: the bound is past 600,
+        so the slab is shifted and its loss of about 900 stays finite."""
+        S = np.array([[0.0, 900.0], [0.0, 900.0]])
+        loss = nc.dot_cross_entropy(nc.Tensor(S), nc.Tensor(np.eye(2)))
+        assert_allclose(loss.item(), 900.0, rtol=1e-15)
         assert all(np.all(np.isfinite(g)) for g in loss.vjp(np.ones(())))
 
     def test_dot_cross_entropy_rejects_shape_mismatch(self):
@@ -246,6 +277,15 @@ class TestCsrDot:
         assert got.shape == (dense.shape[0], x.shape[1])
         assert_allclose(got, dense @ x, rtol=0, atol=1e-12)
         assert got.tobytes() == A.dot(x).tobytes()
+        # the same bits as one scatter per row-length group
+        lengths = np.diff(A.indptr)
+        want = np.zeros_like(got)
+        for k in np.unique(lengths[lengths > 0]):
+            grp = np.flatnonzero(lengths == k)
+            pos = A.indptr[grp, None] + np.arange(k)
+            want[grp] = np.matmul(A.values[pos][:, None, :],
+                                  x[A.indices[pos]])[:, 0]
+        assert np.array_equal(got, want)
 
 
 def _peak_bytes(fn):
@@ -322,9 +362,11 @@ class TestNoGrad:
         assert recorded.data.tobytes() == bare.data.tobytes()
 
     def test_dot_cross_entropy_allocates_no_gradient_buffers(self):
-        """Each (n, d) gradient buffer is as large as the logit slab here:
-        recording holds the slab and three (n, d) arrays at its peak (dA,
-        dB and the diagonal's product), no_grad only the slab and one."""
+        """Recording holds the slab and three (n, d) arrays at its peak (dA,
+        dB and the diagonal's product). no_grad holds two slabs while a
+        block's product runs, and one slab and the diagonal's product after
+        the loop; at n = 1024 and d = 256 a slab is as large as an (n, d)
+        array, so both stay under one slab and two (n, d) arrays."""
         n, d = 1024, 256
         rng = RNG(50)
         a, b = nc.Tensor(rng.normal(size=(n, d))), nc.Tensor(rng.normal(size=(n, d)))
