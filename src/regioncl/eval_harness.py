@@ -57,7 +57,7 @@ class LassoModel:
     objective_history: list
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weights + self.intercept
+        return X @ self.weights + self.intercept
 
 
 def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float,
@@ -79,8 +79,6 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float,
     ``max_sweeps`` caps the number of steps. Constant columns are absorbed
     by the intercept and keep weight 0.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ContractError(f"design {X.shape} incompatible with "
                             f"targets {y.shape}")
@@ -158,8 +156,6 @@ def lasso_fit(X: np.ndarray, y: np.ndarray, lam: float,
 
 
 def metrics(pred: np.ndarray, truth: np.ndarray) -> Metrics:
-    pred = np.asarray(pred, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape or pred.ndim != 1:
         raise ContractError(f"prediction shape {pred.shape} vs "
                             f"truth {truth.shape}")
@@ -180,8 +176,6 @@ def cv_folds(n: int, k: int, seed: int) -> list:
 
 def probe_task(E: np.ndarray, y: np.ndarray, cfg: EvalConfig):
     """Out-of-fold Lasso predictions for every region; returns (pred, Metrics)."""
-    E = np.asarray(E, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     pred = np.empty_like(y)
     for fold in cv_folds(y.size, cfg.folds, cfg.cv_seed):
         rest = np.setdiff1d(np.arange(y.size), fold, assume_unique=True)
@@ -220,7 +214,6 @@ def probe_all(E: np.ndarray, dataset: Dataset, cfg: EvalConfig) -> dict:
 
 def bin_regions(density: np.ndarray) -> dict:
     """Region indices per density bin; empty bins are absent, zeros excluded."""
-    density = np.asarray(density, dtype=np.float64)
     out = {}
     for label, lo, hi in DENSITY_BINS:
         members = np.where((density > lo) & (density <= hi))[0]
@@ -237,7 +230,8 @@ def mean_metrics(rows) -> Metrics:
 
 
 def pair_similarity(E: np.ndarray, pairs) -> np.ndarray:
-    """Cosine per (i, j) region pair; zero rows compare as orthogonal."""
+    """Cosine per (i, j) region pair, clipped to [-1, 1]; zero rows compare
+    as orthogonal."""
     E = np.asarray(E, dtype=np.float64)
     idx = np.asarray(pairs).reshape(-1, 2)
     if idx.size and idx.dtype.kind not in "iu":
@@ -248,7 +242,8 @@ def pair_similarity(E: np.ndarray, pairs) -> np.ndarray:
         i, j = idx[outside][0]
         raise ContractError(f"region pair ({i}, {j}) out of range "
                             f"for {E.shape[0]} regions")
-    return row_cosine(E[idx[:, 0]], E[idx[:, 1]])
+    # rounding can carry a self-pair's cosine just past 1
+    return np.clip(row_cosine(E[idx[:, 0]], E[idx[:, 1]]), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ region nodes built from the trip array. Fusion places everything on one node
 index (base nodes first, then slot nodes in region-major order), adds a
 temporal self-discrimination edge between each base node and each of its
 slot nodes, and precomputes one symmetric normalized adjacency with
-self-loops per relation: A_hat = D^{-1/2} (A + Id) D^{-1/2}, stored sparse
-(CSR), since the graphs are far from dense.
+self-loops per relation that has edges: A_hat = D^{-1/2} (A + Id) D^{-1/2},
+stored sparse (CSR), since the graphs are far from dense.
 
 Base node i has unified index i and slot node (i, t) has I + i*T + t.
 Every edge set is a canonical (E, 2) int64 array of unified indices: rows
@@ -36,8 +36,6 @@ class RelationType(enum.Enum):
 
 def decode_node(idx: int, I: int, T: int) -> tuple:
     """(kind, region, slot) of a unified index; slot is None for base."""
-    if not 0 <= idx < I * (1 + T):
-        raise DataError(f"node index out of range: {idx}")
     if idx < I:
         return "base", idx, None
     region, t = divmod(idx - I, T)
@@ -53,13 +51,13 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[fresh]
 
 
-def canonical_edges(pairs, n_nodes: int) -> np.ndarray:
-    """Pairs as a canonical (E, 2) int64 array over n_nodes nodes.
+def canonical_edges(pairs: np.ndarray, n_nodes: int) -> np.ndarray:
+    """An (E, 2) int64 array of pairs over n_nodes nodes, made canonical.
 
     Rows are oriented u < v, unique, and sorted lexicographically;
     self-pairs are dropped; ``sorted_unique`` dedups the keys u*n_nodes + v.
     """
-    e = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    e = np.sort(pairs, axis=1)
     e = e[e[:, 0] != e[:, 1]]
     keys = sorted_unique(e[:, 0] * n_nodes + e[:, 1])
     return np.stack(np.divmod(keys, max(n_nodes, 1)), axis=1)
@@ -74,16 +72,14 @@ def cosine_matrix(E: np.ndarray) -> np.ndarray:
 
 def build_poi_graph(E: np.ndarray, eps_p: float) -> np.ndarray:
     """Edge (i, j) on base nodes iff cos(e_i, e_j) > eps_p, i != j."""
-    E = np.asarray(E, dtype=np.float64)
     if not np.all(np.isfinite(E)):
         raise DataError("POI embeddings contain non-finite values")
     return _base_graph(E.shape[0], cosine_matrix(E) > eps_p)
 
 
-def build_mobility_graph(trips, I: int, T: int) -> np.ndarray:
+def build_mobility_graph(trips: np.ndarray, I: int, T: int) -> np.ndarray:
     """Slot(r_s, t_s) -- Slot(r_d, t_d) per (source, dest, t_start, t_end)
-    row of the (N, 4) trip array, deduplicated."""
-    trips = np.asarray(trips, dtype=np.int64).reshape(-1, 4)
+    row of the (N, 4) int64 trip array, deduplicated."""
     # slot node (r, t) has unified index I + r*T + t
     return canonical_edges(I + trips[:, :2] * T + trips[:, 2:], I * (1 + T))
 
@@ -99,20 +95,19 @@ def _base_graph(I: int, linked: np.ndarray) -> np.ndarray:
     return pairs[linked[pairs[:, 0], pairs[:, 1]]]
 
 
-def normalized_adjacency(n_nodes: int, edges) -> CsrMatrix:
+def normalized_adjacency(n_nodes: int, edges: np.ndarray) -> CsrMatrix:
     """A_hat = D^{-1/2} (A + Id) D^{-1/2} as a symmetric CSR matrix.
 
-    ``edges`` is an (E, 2) integer array; pairs may come in either
+    ``edges`` is an (E, 2) int64 edge array; pairs may come in either
     orientation or both, and self-pairs add nothing. D counts the
     self-loop, so no row is empty. ``sorted_unique`` dedups the keys
     row*n_nodes + col of both orientations and the loops into CSR order.
     """
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if e.size and (e.min() < 0 or e.max() >= n_nodes):
+    if edges.size and (edges.min() < 0 or edges.max() >= n_nodes):
         raise DataError(f"edge endpoint out of range for {n_nodes} nodes")
     loops = np.arange(n_nodes, dtype=np.int64)
-    keys = sorted_unique(np.concatenate([e[:, 0] * n_nodes + e[:, 1],
-                                         e[:, 1] * n_nodes + e[:, 0],
+    u, v = edges[:, 0], edges[:, 1]
+    keys = sorted_unique(np.concatenate([u * n_nodes + v, v * n_nodes + u,
                                          loops * (n_nodes + 1)]))
     rows, cols = np.divmod(keys, max(n_nodes, 1))
     degree = np.bincount(rows, minlength=n_nodes)
@@ -126,7 +121,7 @@ class HeteroGraph:
     I: int
     T: int
     edges: dict                      # RelationType -> canonical (E, 2) array
-    adj: dict                        # RelationType -> CsrMatrix A_hat
+    adj: dict                        # RelationType -> A_hat, if it has edges
     union: np.ndarray                # canonical union of all the relations
 
     @property
@@ -151,7 +146,12 @@ def fuse(g_p: np.ndarray, g_m: np.ndarray, g_d: np.ndarray, I: int,
             [np.repeat(np.arange(I, dtype=np.int64), T),
              np.arange(I, n, dtype=np.int64)], axis=1),
     }
-    adj = {rel: normalized_adjacency(n, es) for rel, es in edges.items()}
+    # an edgeless relation would normalize to the identity, a pure
+    # self-transform carrying no data: leaving it out drops the relations
+    # an ablation emptied, and makes ablations of already-empty relations
+    # exact no-ops (same weight bank, same init draws)
+    adj = {rel: normalized_adjacency(n, es) for rel, es in edges.items()
+           if len(es)}
     union = canonical_edges(np.concatenate(list(edges.values())), n)
     return HeteroGraph(I=I, T=T, edges=edges, adj=adj, union=union)
 

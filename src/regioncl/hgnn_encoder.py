@@ -44,7 +44,7 @@ def init_encoder(tape: GradientTape, prefix: str, d: int, n_layers: int,
     layers = []
     for layer in range(n_layers):
         layers.append({
-            rel: tape.parameter(f"{prefix}.l{layer}.{getattr(rel, 'value', rel)}",
+            rel: tape.parameter(f"{prefix}.l{layer}.{rel.value}",
                                 rng.normal(scale=scale, size=(d, d)))
             for rel in relations})
     return EncoderParams(layers=layers)

@@ -156,14 +156,6 @@ class AttentionParams:
     k: list[Tensor]
     v: list[Tensor]
 
-    @property
-    def heads(self) -> int:
-        return len(self.q)
-
-    @property
-    def d_model(self) -> int:
-        return self.q[0].data.shape[1]
-
 
 def init_attention(tape: GradientTape, prefix: str, d: int, heads: int,
                    rng: np.random.Generator) -> AttentionParams:
@@ -180,11 +172,11 @@ def init_attention(tape: GradientTape, prefix: str, d: int, heads: int,
 
 def attention_weights(E: Tensor, params: AttentionParams) -> list[Tensor]:
     """Per-head (I, I) row-stochastic attention matrices."""
-    dh = params.d_model // params.heads
     alphas = []
-    for h in range(params.heads):
-        qe = nc.matmul(E, nc.transpose(params.q[h]))     # (I, dh)
-        ke = nc.matmul(E, nc.transpose(params.k[h]))     # (I, dh)
+    for q, k in zip(params.q, params.k):
+        dh = q.data.shape[0]
+        qe = nc.matmul(E, nc.transpose(q))     # (I, dh)
+        ke = nc.matmul(E, nc.transpose(k))     # (I, dh)
         scores = nc.scale(nc.matmul(qe, nc.transpose(ke)), 1.0 / np.sqrt(dh))
         alphas.append(nc.softmax_rows(scores))
     return alphas

@@ -68,10 +68,6 @@ class Dataset:
     def n_regions(self) -> int:
         return self.poi.n_regions
 
-    @property
-    def n_categories(self) -> int:
-        return self.poi.n_categories
-
 
 def haversine_km(lat1, lon1, lat2, lon2):
     """Great-circle km between degree coordinates; arrays broadcast."""
@@ -85,7 +81,6 @@ def haversine_km(lat1, lon1, lat2, lon2):
 def distance_matrix(centroids: np.ndarray) -> DistanceMatrix:
     """All-pairs haversine distances; the upper triangle is mirrored, so
     the matrix is exactly symmetric with an exactly zero diagonal."""
-    centroids = np.asarray(centroids, dtype=np.float64)
     lat, lon = centroids[:, :1], centroids[:, 1:]
     upper = np.triu(haversine_km(lat, lon, lat.T, lon.T), k=1)
     return DistanceMatrix(km=upper + upper.T, centroids=centroids)

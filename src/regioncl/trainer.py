@@ -166,6 +166,17 @@ def _checksums(params: dict) -> dict:
             for name, t in params.items()}
 
 
+def _step(tape: GradientTape, loss: Tensor, opt: AdamState, group: dict,
+          frozen: dict) -> None:
+    """Backpropagate ``loss`` and Adam-step the ``group`` parameters; the
+    ``frozen`` group must come out with the bits it went in with."""
+    before = _checksums(frozen)
+    grads = backward(tape, loss)
+    adam_step(opt, group, {k: grads[k] for k in group})
+    assert _checksums(frozen) == before, \
+        "an optimizer step touched parameters outside its group"
+
+
 def view_adjacency(n_nodes: int, nodes: np.ndarray,
                    edges: np.ndarray) -> nc.CsrMatrix:
     """Â of the subgraph on ``nodes``, whose row k is the node nodes[k]."""
@@ -227,12 +238,6 @@ def train(dataset: Dataset, cfg: TrainConfig,
         table = train_skipgram(dataset.poi, cfg.skipgram)
     graph = build_graph(dataset, table, cfg)
     I, T = graph.I, graph.T
-    # an edgeless relation normalizes to the identity, a pure self-transform
-    # carrying no data; skipping it drops the relations build_graph emptied
-    # for an ablation, and makes ablations of already-empty relations exact
-    # no-ops (same parameter set, same init draws)
-    relations = [rel for rel in RelationType if len(graph.edges[rel])]
-    adjacencies = {rel: graph.adj[rel] for rel in relations}
 
     seq = np.random.SeedSequence(cfg.seed)
     streams = dict(zip(("init", "views", "infobn"),
@@ -242,7 +247,7 @@ def train(dataset: Dataset, cfg: TrainConfig,
     mlp = init_mlp(tape, "poi_mlp", cfg.skipgram.d_sg, cfg.d, cfg.d,
                    streams["init"])
     attn = init_attention(tape, "attn", cfg.d, cfg.heads, streams["init"])
-    hgnn = init_encoder(tape, "hgnn", cfg.d, cfg.n_layers, relations,
+    hgnn = init_encoder(tape, "hgnn", cfg.d, cfg.n_layers, graph.adj,
                         streams["init"])
     sampling_on = cfg.variant != "RANDOM_AUG"
     if sampling_on:
@@ -273,7 +278,7 @@ def train(dataset: Dataset, cfg: TrainConfig,
         if sampling_on:
             # view generation from graph-free full-graph embeddings
             with nc.no_grad():
-                H_full = encode(adjacencies, H0, hgnn)
+                H_full = encode(graph.adj, H0, hgnn)
             gen = generate_views(graph, H_full, vgae1, vgae2,
                                  cfg.view, streams["views"])
             views = gen.views
@@ -293,15 +298,10 @@ def train(dataset: Dataset, cfg: TrainConfig,
                 f"epoch {epoch}: non-finite loss "
                 f"(L_NCE={l_nce!r}, L_BN={l_bn!r})")
 
-        sampler_before = _checksums(sampler_group)
-        grads = backward(tape, total)
-        adam_step(encoder_opt, encoder_group,
-                  {k: grads[k] for k in encoder_group})
-        assert _checksums(sampler_group) == sampler_before, \
-            "encoder step touched sampler parameters"
+        _step(tape, total, encoder_opt, encoder_group, sampler_group)
         # a graph holds every activation of its forward pass: drop this one
         # now, so the reward re-forward and the sampler step run without it
-        del H0, nce, bn, total, grads
+        del H0, nce, bn, total
 
         reward, l_rec1, l_rec2 = 1.0, 0.0, 0.0
         if sampling_on:
@@ -325,20 +325,15 @@ def train(dataset: Dataset, cfg: TrainConfig,
                 raise TrainingAborted(
                     f"epoch {epoch}: non-finite sampler objective "
                     f"(L_Rec1={l_rec1!r}, L_Rec2={l_rec2!r})")
-            encoder_before = _checksums(encoder_group)
-            grads = backward(tape, objective)
-            adam_step(sampler_opt, sampler_group,
-                      {k: grads[k] for k in sampler_group})
-            assert _checksums(encoder_group) == encoder_before, \
-                "sampler step touched encoder parameters"
-            del gen, rec1, rec2, objective, grads
+            _step(tape, objective, sampler_opt, sampler_group, encoder_group)
+            del gen, rec1, rec2, objective
 
         history.append(EpochRecord(epoch=epoch, l_nce=l_nce, l_bn=l_bn,
                                    loss=l_total, reward=reward,
                                    l_rec1=l_rec1, l_rec2=l_rec2))
 
     with nc.no_grad():
-        H_final = encode(adjacencies, region_stack(), hgnn)
+        H_final = encode(graph.adj, region_stack(), hgnn)
     return TrainedModel(cfg=cfg, graph=graph, tape=tape, table=table,
                         H=H_final.data.copy(), history=history)
 

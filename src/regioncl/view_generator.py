@@ -72,24 +72,24 @@ class SamplingMatrix:
 
 
 def score_edges(H_tilde: Tensor, params: VgaeParams,
-                candidates) -> SamplingMatrix:
+                candidates: np.ndarray) -> SamplingMatrix:
     """p_{u,v} = score-MLP(h_u * h_v), scored once per unordered pair.
 
     ``candidates`` must be canonical, as ``candidate_pairs`` returns them:
     an (E, 2) int64 array of in-range rows with u < v, in strictly
     increasing key order u * n + v, so that each pair is scored once.
     """
-    n = H_tilde.data.shape[0]
-    pairs = np.asarray(candidates, dtype=np.int64).reshape(-1, 2)
+    u, v = candidates[:, 0], candidates[:, 1]
 
     def pair_scores(h, *score_mlp):
-        prod = nc.mul(nc.rows(h, pairs[:, 0]), nc.rows(h, pairs[:, 1]))
+        prod = nc.mul(nc.rows(h, u), nc.rows(h, v))
         return nc.reshape(mlp_forward(prod, MlpParams(*score_mlp)),
-                          (len(pairs),))
+                          (len(candidates),))
 
     m = params.score_mlp
     scores = nc.checkpoint(pair_scores, H_tilde, m.w1, m.b1, m.w2, m.b2)
-    return SamplingMatrix(pairs=pairs, scores=scores, n_nodes=n)
+    return SamplingMatrix(pairs=candidates, scores=scores,
+                          n_nodes=H_tilde.data.shape[0])
 
 
 def sparsify(P: SamplingMatrix, eps: float) -> np.ndarray:
@@ -105,15 +105,15 @@ class ContrastiveView:
     seeds: np.ndarray        # walk start nodes, in draw order
 
 
-def random_walk_sample(n_nodes: int, edges: np.ndarray, seeds,
+def random_walk_sample(n_nodes: int, edges: np.ndarray, seeds: np.ndarray,
                        cfg: ViewGenConfig,
                        rng: np.random.Generator) -> ContrastiveView:
-    """Union of uniform random walks from each seed; induced edge set.
+    """Union of uniform random walks from each of the 1-d int64 ``seeds``;
+    induced edge set.
 
     Each step draws one scalar index into the current node's neighbours,
     sorted ascending.
     """
-    seeds = np.asarray(seeds, dtype=np.int64).reshape(-1)
     # neighbour lists in CSR form: node u's are nbrs[start[u]:start[u + 1]]
     both = np.concatenate([edges, edges[:, ::-1]])
     both = both[np.lexsort((both[:, 1], both[:, 0]))]

@@ -472,6 +472,11 @@ class TestPairSimilarity:
     def test_self_pair_is_one(self):
         E = np.random.default_rng(0).normal(size=(4, 3))
         assert pair_similarity(E, [(2, 2)])[0] == pytest.approx(1.0)
+        # unclipped, rounding puts 53 of these 200 cosines just above 1
+        E = np.random.default_rng(0).normal(size=(200, 8))
+        cos = pair_similarity(E, [(i, i) for i in range(200)])
+        assert cos.max() <= 1.0
+        assert cos == pytest.approx(np.ones(200))
 
     def test_orthogonal_pair_is_zero(self):
         E = np.array([[1.0, 0.0], [0.0, 5.0]])

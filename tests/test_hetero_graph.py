@@ -24,6 +24,12 @@ from regioncl.trainer import TrainConfig
 RNG = np.random.default_rng
 
 
+def trip_rows(*trips) -> np.ndarray:
+    """(source, dest, t_start, t_end) tuples as the (N, 4) int64 trip
+    array the library takes."""
+    return np.array(trips, dtype=np.int64).reshape(-1, 4)
+
+
 def loop_base_edges(I, linked):
     """Pair-loop oracle for the base-node graphs: (i, j), i < j, if linked."""
     return {(i, j) for i in range(I) for j in range(i + 1, I)
@@ -70,19 +76,19 @@ class TestPoiGraph:
 
 class TestMobilityGraph:
     def test_empty_trajectories(self):
-        assert_edges(hg.build_mobility_graph([], I=3, T=2), set())
+        assert_edges(hg.build_mobility_graph(trip_rows(), I=3, T=2), set())
 
     def test_single_record(self):
-        g = hg.build_mobility_graph([(0, 1, 2, 3)], I=2, T=4)
+        g = hg.build_mobility_graph(trip_rows((0, 1, 2, 3)), I=2, T=4)
         # slot (0, 2) is 2 + 0 * 4 + 2 = 4, slot (1, 3) is 2 + 1 * 4 + 3 = 9
         assert_edges(g, {(4, 9)})
 
     def test_reversed_record_oriented(self):
-        g = hg.build_mobility_graph([(1, 0, 3, 2)], I=2, T=4)
+        g = hg.build_mobility_graph(trip_rows((1, 0, 3, 2)), I=2, T=4)
         assert_edges(g, {(4, 9)})
 
     def test_self_loop_record_dropped(self):
-        g = hg.build_mobility_graph([(1, 1, 0, 0)], I=2, T=1)
+        g = hg.build_mobility_graph(trip_rows((1, 1, 0, 0)), I=2, T=1)
         assert_edges(g, set())
 
     def test_matches_set_comprehension_oracle(self):
@@ -92,7 +98,7 @@ class TestMobilityGraph:
                  int(s := rng.integers(0, 4)),
                  int(min(s + rng.integers(0, 2), 3)))
                 for _ in range(100)]
-        g = hg.build_mobility_graph(recs, I=6, T=4)
+        g = hg.build_mobility_graph(trip_rows(*recs), I=6, T=4)
         want = {tuple(sorted([6 + src * 4 + ts, 6 + dst * 4 + te]))
                 for src, dst, ts, te in recs
                 if (src, ts) != (dst, te)}
@@ -314,7 +320,7 @@ def tiny_fused(I=2, T=2, seed=4):
     km = (km + km.T) / 2
     np.fill_diagonal(km, 0.0)
     return hg.fuse(hg.build_poi_graph(E, 0.3),
-                   hg.build_mobility_graph(recs, I, T),
+                   hg.build_mobility_graph(trip_rows(*recs), I, T),
                    hg.build_distance_graph(
                        DistanceMatrix(km=km, centroids=np.zeros((I, 2))), 2.5),
                    I, T)
@@ -323,7 +329,7 @@ def tiny_fused(I=2, T=2, seed=4):
 class TestFuse:
     def test_minimal_graph(self):
         g = hg.fuse(hg.build_poi_graph(np.zeros((1, 2)), 0.5),
-                    hg.build_mobility_graph([], 1, 1),
+                    hg.build_mobility_graph(trip_rows(), 1, 1),
                     hg.build_distance_graph(grid_distance_matrix(1, 1.0), 1.0),
                     I=1, T=1)
         assert g.n_nodes == 2
@@ -331,11 +337,13 @@ class TestFuse:
         for rel in (hg.RelationType.POI, hg.RelationType.MOBILITY,
                     hg.RelationType.DISTANCE):
             assert_edges(g.edges[rel], set())
+        # an edgeless relation gets no A_hat
+        assert set(g.adj) == {hg.RelationType.TEMPORAL_SELF}
 
     def test_temporal_self_count_exact(self):
         for I, T in [(2, 2), (3, 5), (1, 4)]:
             g = hg.fuse(hg.build_poi_graph(np.zeros((I, 2)), 0.5),
-                        hg.build_mobility_graph([], I, T),
+                        hg.build_mobility_graph(trip_rows(), I, T),
                         hg.build_distance_graph(
                             grid_distance_matrix(I, 1.0), 0.5),
                         I, T)
@@ -346,8 +354,8 @@ class TestFuse:
     def test_every_relation_adjacency_invariants(self):
         g = tiny_fused()
         n = g.n_nodes
-        for rel in hg.RelationType:
-            A_hat = g.adj[rel].toarray()
+        for A in g.adj.values():
+            A_hat = A.toarray()
             assert A_hat.shape == (n, n)
             assert np.max(np.abs(A_hat - A_hat.T)) == 0.0
             assert A_hat.min() >= 0.0 and A_hat.max() <= 1.0
@@ -356,6 +364,8 @@ class TestFuse:
         g1, g2 = tiny_fused(), tiny_fused()
         for rel in hg.RelationType:
             assert np.array_equal(g1.edges[rel], g2.edges[rel])
+        assert list(g1.adj) == list(g2.adj)
+        for rel in g1.adj:
             assert np.array_equal(g1.adj[rel].toarray(),
                                   g2.adj[rel].toarray())
 
@@ -395,9 +405,3 @@ def test_node_decode_roundtrip(I, T, data):
     else:
         assert kind == "slot" and 0 <= slot < T
         assert I + region * T + slot == idx
-
-
-def test_node_decode_out_of_range_rejected():
-    for idx in (-1, 6):
-        with pytest.raises(DataError, match="node index out of range"):
-            hg.decode_node(idx, 2, 2)

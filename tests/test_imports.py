@@ -1,7 +1,8 @@
 """Every name a module imports is read somewhere in that module, no
 library module imports inside a function, dedups through numpy's
-hash-based ``unique``, or writes a comma-joined row by hand, and every
-``numcore`` export has a reader in another library module."""
+hash-based ``unique``, or writes a comma-joined row by hand, every
+``numcore`` export has a reader in another library module, and
+``np.asarray`` converts only where outside input enters the library."""
 
 import ast
 from pathlib import Path
@@ -274,3 +275,59 @@ def test_every_numcore_export_is_read_by_another_library_module():
         f"numcore exports {sorted(unread)} that no library module reads: "
         f"delete a form no caller uses, rather than keep it working and "
         f"tested for its own tests")
+
+
+# where outside input becomes an array: the region pairs that
+# ``regioncl case --pairs`` reads; numcore and gradcheck are exempt whole
+ASARRAY_CALLERS = {"eval_harness.pair_similarity"}
+
+
+def asarray_callers(source: str) -> list:
+    """Functions that call ``np.asarray``, as ``name`` or ``Class.method``
+    in source order, and ``<module>`` for a call outside any function; a
+    nested function counts as the function it is defined in."""
+    found = []
+
+    def calls_asarray(node) -> bool:
+        return any(isinstance(inner, ast.Call)
+                   and isinstance(inner.func, ast.Attribute)
+                   and inner.func.attr == "asarray"
+                   and isinstance(inner.func.value, ast.Name)
+                   and inner.func.value.id in {"np", "numpy"}
+                   for inner in ast.walk(node))
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(node.body, f"{prefix}{node.name}.")
+            elif calls_asarray(node):
+                found.append(prefix + node.name if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    else "<module>")
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def test_asarray_scanner_finds_callers():
+    source = ("import numpy as np\n"
+              "X = np.asarray([1])\n"
+              "class M:\n"
+              "    def predict(self, X):\n        return np.asarray(X) @ w\n"
+              "    def fit(self, X):\n        return np.array(X)\n"
+              "def f(x):\n"
+              "    def g():\n        return numpy.asarray(x, dtype=float)\n"
+              "    return g\n"
+              "def h(x):\n    return x.asarray()  # np.asarray(x)\n")
+    assert asarray_callers(source) == ["<module>", "M.predict", "f"]
+
+
+def test_arrays_are_converted_only_where_outside_input_enters():
+    found = {f"{path.stem}.{name}" for path in LIBRARY
+             if path.stem not in ("numcore", "gradcheck")
+             for name in asarray_callers(path.read_text())}
+    assert found == ASARRAY_CALLERS, (
+        f"np.asarray re-converts an array in "
+        f"{sorted(found - ASARRAY_CALLERS)}: a library function takes the "
+        f"one form its callers pass, so convert outside input once, where "
+        f"it enters the program")

@@ -82,7 +82,7 @@ class TestLoad:
     def test_two_region_fixture_echoes_inputs(self, tmp_path):
         ds = rd.load_dataset(*two_region_files(tmp_path))
         assert ds.n_regions == 2
-        assert ds.n_categories == 3
+        assert ds.poi.n_categories == 3
         assert len(ds.trajectories) == 1
         assert ds.trajectories.tolist() == [[0, 1, 0, 0]]
         assert ds.poi.counts[0].tolist() == [1, 2, 3]

@@ -275,11 +275,13 @@ class TestVariants:
         assert len(model.graph.edges[RelationType.MOBILITY]) > 0
         assert "hgnn.l0.poi" not in model.tape.params
         assert "hgnn.l0.mobility" in model.tape.params
+        assert RelationType.POI not in model.graph.adj
 
     def test_no_gd_removes_distance_edges_and_weights(self, ds8):
         model = train(ds8, small_cfg(variant="NO_GD", epochs=1))
         assert len(model.graph.edges[RelationType.DISTANCE]) == 0
         assert "hgnn.l0.distance" not in model.tape.params
+        assert RelationType.DISTANCE not in model.graph.adj
 
     def test_no_infomin_pins_reward(self, ds8, monkeypatch):
         steps = spy_adam_steps(monkeypatch)

@@ -88,13 +88,15 @@ class TestScoreEdges:
         """A pair is scored in its one orientation u < v."""
         params = constant_vgae(6, 3)
         H = nc.Tensor(RNG(7).normal(size=(4, 3)))
-        assert_edges(vg.score_edges(H, params, [(0, 1)]).pairs, {(0, 1)})
+        assert_edges(vg.score_edges(H, params, edge_rows({(0, 1)})).pairs,
+                     {(0, 1)})
 
     def test_zero_row_scores_equal_bias_response(self):
         params = constant_vgae(8, 3)
         H = RNG(9).normal(size=(4, 3))
         H[0] = 0.0
-        P = vg.score_edges(nc.Tensor(H), params, [(0, 1), (0, 2), (0, 3)])
+        P = vg.score_edges(nc.Tensor(H), params,
+                           edge_rows({(0, 1), (0, 2), (0, 3)}))
         bias_response = mlp_numpy(params.score_mlp, np.zeros((1, 3)))[0, 0]
         assert_allclose(P.scores.data, np.full(3, bias_response), atol=1e-12)
 
@@ -102,7 +104,7 @@ class TestScoreEdges:
         params = constant_vgae(10, 3)
         H = RNG(11).normal(size=(4, 3))
         pairs = [(0, 1), (0, 3), (1, 2), (2, 3)]
-        P = vg.score_edges(nc.Tensor(H), params, pairs)
+        P = vg.score_edges(nc.Tensor(H), params, edge_rows(pairs))
         assert_edges(P.pairs, set(pairs))
         m = params.score_mlp
         for k, (u, v) in enumerate(P.pairs.tolist()):
@@ -185,20 +187,21 @@ class TestRandomWalk:
     PATH = edge_rows({(0, 1), (1, 2), (2, 3)})
 
     def test_zero_length_walk_keeps_seeds_only(self):
-        view = vg.random_walk_sample(4, self.PATH, [1, 2],
+        view = vg.random_walk_sample(4, self.PATH, np.array([1, 2]),
                                      vg.ViewGenConfig(walk_len=0), RNG(0))
         assert view.nodes.tolist() == [1, 2]
         assert_edges(view.edges, {(1, 2)})
 
     def test_isolated_seed_is_singleton(self):
-        view = vg.random_walk_sample(3, edge_rows({(0, 1)}), [2],
+        view = vg.random_walk_sample(3, edge_rows({(0, 1)}), np.array([2]),
                                      vg.ViewGenConfig(), RNG(0))
         assert view.nodes.tolist() == [2]
         assert_edges(view.edges, set())
 
     def test_path_graph_matches_rng_replay(self):
         cfg = vg.ViewGenConfig(walk_len=2, walks_per_seed=3)
-        view = vg.random_walk_sample(4, self.PATH, [0], cfg, RNG(21))
+        view = vg.random_walk_sample(4, self.PATH, np.array([0]), cfg,
+                                     RNG(21))
         want = replay_walk_oracle(4, self.PATH.tolist(), [0], cfg, 21)
         assert view.nodes.tolist() == sorted(want)
 
@@ -210,7 +213,8 @@ class TestRandomWalk:
         cfg = vg.ViewGenConfig(walk_len=5, walks_per_seed=3)
         seeds = [7, 3, 21, 0]
         walk_rng, oracle_rng = RNG(24), RNG(24)
-        view = vg.random_walk_sample(30, edges, seeds, cfg, walk_rng)
+        view = vg.random_walk_sample(30, edges, np.array(seeds), cfg,
+                                     walk_rng)
         want = replay_walk_oracle(30, pairs, seeds, cfg, oracle_rng)
         assert view.nodes.tolist() == sorted(want)
         assert view.seeds.tolist() == seeds
@@ -221,7 +225,7 @@ class TestRandomWalk:
             == oracle_rng.integers(0, 2 ** 62)
 
     def test_edges_induced_on_visited_nodes(self):
-        view = vg.random_walk_sample(4, self.PATH, [0, 3],
+        view = vg.random_walk_sample(4, self.PATH, np.array([0, 3]),
                                      vg.ViewGenConfig(walk_len=5,
                                                       walks_per_seed=4),
                                      RNG(22))
@@ -232,12 +236,12 @@ class TestRandomWalk:
 def tiny_hetero(I=3, T=2, seed=30):
     rng = RNG(seed)
     E = rng.normal(size=(I, 4))
-    recs = [(0, I - 1, 0, T - 1), (1, 0, T - 1, T - 1)]
+    trips = np.array([(0, I - 1, 0, T - 1), (1, 0, T - 1, T - 1)])
     km = rng.uniform(0.5, 4.0, size=(I, I))
     km = (km + km.T) / 2
     np.fill_diagonal(km, 0.0)
     dm = DistanceMatrix(km=km, centroids=np.zeros((I, 2)))
-    return fuse(build_poi_graph(E, 0.2), build_mobility_graph(recs, I, T),
+    return fuse(build_poi_graph(E, 0.2), build_mobility_graph(trips, I, T),
                 build_distance_graph(dm, 2.5), I, T)
 
 
