@@ -83,7 +83,8 @@ def load_config_file(path: str) -> dict:
     """Parse a key = value file; returns only the keys it sets."""
     values: dict = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}") from None
     for lineno, line in enumerate(lines, start=1):

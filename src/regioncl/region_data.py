@@ -400,9 +400,9 @@ def synth_dataset(cfg: SynthConfig) -> Dataset:
     source_p = np.empty(I)
     source_p[ranking] = weights / weights.sum()
     sources = rng.choice(I, size=cfg.n_trips, p=source_p)
-    members = {k: np.flatnonzero(cluster == k) for k in range(K)}
-    dests = np.array([rng.choice(members[cluster[s]]) for s in sources],
-                     dtype=np.int64) if cfg.n_trips else np.zeros(0, np.int64)
+    sizes = np.bincount(cluster, minlength=K)   # clusters are contiguous
+    home = cluster[sources]
+    dests = (np.cumsum(sizes) - sizes)[home] + rng.integers(0, sizes[home])
     n_rewire = int(round(cfg.noise_rate * cfg.n_trips))
     if n_rewire:
         rewire = rng.choice(cfg.n_trips, size=n_rewire, replace=False)

@@ -205,8 +205,9 @@ class TestTrain:
 
 
 class TestEveryCommandChecksItsConfig:
-    """Commands that read no setting still refuse a bad --config or --set,
-    as train does: one error line, and no output written."""
+    """Commands that build no config section still refuse an unknown key,
+    a value that does not cast, and an unreadable --config: one error line,
+    and no output written. They check no range."""
 
     @pytest.mark.parametrize("argv,needle", [
         (["embed", "--set", "no.such.key=1"],

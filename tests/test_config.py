@@ -1,6 +1,8 @@
 """Flat config namespace: defaults, parsing, precedence, materialization."""
 
 import dataclasses
+import gc
+import warnings
 
 import pytest
 
@@ -90,6 +92,16 @@ class TestConfigFile:
         path.write_text("nope.nope = 1\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:1.*nope\.nope"):
             load_config_file(str(path))
+
+    def test_file_is_closed(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("model.d = 16\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_config_file(str(path))
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -1,8 +1,10 @@
 """Tests for skip-gram category embeddings, pooling/projection, attention.
 
 Oracles: explicit two-term softmax arithmetic for the I=2 attention case,
-hand-rolled pooling and perceptron arithmetic for the 3-region fixture, and
-an independently built two-clique corpus for skip-gram separation.
+hand-rolled pooling and perceptron arithmetic for the 3-region fixture, an
+independently built two-clique corpus for skip-gram separation, and for the
+skip-gram step both a per-pair reference loop and finite differences of its
+loss over replayed draws.
 """
 
 import numpy as np
@@ -12,7 +14,7 @@ from numpy.testing import assert_allclose
 from regioncl import numcore as nc
 from regioncl import poi_embedding as pe
 from regioncl.errors import ConfigError, ContractError, DataError
-from regioncl.gradcheck import check_tape_gradients
+from regioncl.gradcheck import check_tape_gradients, numeric_gradient
 from regioncl.region_data import PoiMatrix
 from regioncl.trainer import TrainConfig
 
@@ -27,6 +29,106 @@ def make_poi(counts):
 def constant_mlp(w1, b1, w2, b2):
     return pe.MlpParams(w1=nc.Tensor(w1), b1=nc.Tensor(b1),
                         w2=nc.Tensor(w2), b2=nc.Tensor(b2))
+
+
+def two_clique_counts():
+    rng = RNG(0)
+    counts = np.zeros((10, 6), dtype=np.int64)
+    counts[:5, :3] = rng.integers(1, 6, size=(5, 3))
+    counts[5:, 3:] = rng.integers(1, 6, size=(5, 3))
+    return counts
+
+
+def replay_start(poi, cfg):
+    """The skip-gram's draws before its first epoch, its pair list, pair
+    weights and unigram^0.75 noise table, rebuilt from the documented
+    order: center, then context, then one choice per epoch."""
+    rng = RNG(cfg.seed)
+    C = poi.n_categories
+    center = rng.normal(scale=0.5 / np.sqrt(cfg.d_sg), size=(C, cfg.d_sg))
+    context = rng.normal(scale=0.5 / np.sqrt(cfg.d_sg), size=(C, cfg.d_sg))
+    M = pe.cooccurrence(poi, cfg.window_cap)
+    a_idx, b_idx = np.nonzero(M)
+    w = M[a_idx, b_idx] / M.sum()
+    noise = np.minimum(poi.counts, cfg.window_cap).sum(axis=0) ** 0.75
+    return rng, center, context, a_idx, b_idx, w, noise / noise.sum()
+
+
+def per_pair_skipgram(poi, cfg):
+    """Reference: the skip-gram step built pair by pair, gathering each
+    pair's and each negative's rows and scattering their gradients back."""
+    rng, center, context, a_idx, b_idx, w, noise = replay_start(poi, cfg)
+    C = poi.n_categories
+    for _ in range(cfg.epochs):
+        u = center[a_idx]
+        v = context[b_idx]
+        s = nc.expit((u * v).sum(axis=1))
+        coef = (w * (s - 1.0))[:, None]
+        gu = coef * v
+        gv = coef * u
+        negs = rng.choice(C, size=(a_idx.size, cfg.negatives), p=noise)
+        vn = context[negs]
+        sn = nc.expit(np.einsum("pd,pnd->pn", u, vn))
+        coef_n = w[:, None] * sn / cfg.negatives
+        gu += np.einsum("pn,pnd->pd", coef_n, vn)
+        gvn = coef_n[:, :, None] * u[:, None, :]
+        np.subtract.at(center, a_idx, cfg.lr * gu)
+        np.subtract.at(context, b_idx, cfg.lr * gv)
+        np.subtract.at(context, negs.reshape(-1),
+                       cfg.lr * gvn.reshape(-1, cfg.d_sg))
+    return center
+
+
+def softplus(x):
+    return np.logaddexp(0.0, x)
+
+
+class TestSkipgramStep:
+    @pytest.mark.parametrize("counts,cfg", [
+        (two_clique_counts(), pe.SkipgramConfig(d_sg=16, seed=1)),
+        (RNG(0).integers(0, 5, size=(6, 4)),
+         pe.SkipgramConfig(d_sg=8, epochs=50, seed=3)),
+        (RNG(1).integers(0, 5, size=(6, 4)),
+         pe.SkipgramConfig(d_sg=8, negatives=0, epochs=50, seed=2)),
+    ], ids=["two-cliques", "random", "no-negatives"])
+    def test_matches_per_pair_reference(self, counts, cfg):
+        poi = make_poi(counts)
+        want = per_pair_skipgram(poi, cfg)
+        got = pe.train_skipgram(poi, cfg)
+        assert_allclose(got, want, rtol=0,
+                        atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("negatives", [0, 2])
+    def test_epochs_are_gradient_steps(self, negatives):
+        """Two epochs equal two steps of -lr times the finite-difference
+        gradient of sum pos * softplus(-x) + neg * softplus(x), with
+        x = center @ context.T and neg built from the replayed draws."""
+        poi = make_poi(RNG(4).integers(0, 4, size=(5, 3)))
+        cfg = pe.SkipgramConfig(d_sg=4, negatives=negatives, epochs=2,
+                                lr=0.5, seed=7)
+        rng, center, context, a_idx, b_idx, w, noise = replay_start(poi, cfg)
+        C = poi.n_categories
+        pos = np.zeros((C, C))
+        pos[a_idx, b_idx] = w
+        for _ in range(cfg.epochs):
+            negs = rng.choice(C, size=(a_idx.size, negatives), p=noise)
+            neg = np.zeros((C, C))
+            for p, row in enumerate(negs):
+                for c in row:
+                    neg[a_idx[p], c] += w[p] / negatives
+
+            def loss(u, v):
+                x = u @ v.T
+                return np.sum(pos * softplus(-x) + neg * softplus(x))
+
+            g_center = numeric_gradient(lambda u: loss(u, context),
+                                        center.copy())
+            g_context = numeric_gradient(lambda v: loss(center, v),
+                                         context.copy())
+            center = center - cfg.lr * g_center
+            context = context - cfg.lr * g_context
+        assert_allclose(pe.train_skipgram(poi, cfg), center, rtol=0,
+                        atol=1e-9)
 
 
 class TestSkipgram:
@@ -64,11 +166,7 @@ class TestSkipgram:
 
     def test_disjoint_cliques_separate(self):
         """Categories co-occurring only within cliques embed closer together."""
-        rng = RNG(0)
-        counts = np.zeros((10, 6), dtype=np.int64)
-        counts[:5, :3] = rng.integers(1, 6, size=(5, 3))
-        counts[5:, 3:] = rng.integers(1, 6, size=(5, 3))
-        table = pe.train_skipgram(make_poi(counts),
+        table = pe.train_skipgram(make_poi(two_clique_counts()),
                                   pe.SkipgramConfig(d_sg=16, seed=1))
 
         def cos(a, b):

@@ -381,6 +381,17 @@ class TestSynth:
         counts = np.bincount(ds.trajectories[:, 0], minlength=50)
         assert gini(counts) > 0.4
 
+    def test_clean_trips_stay_in_their_cluster(self):
+        """At noise_rate=0 every trip ends in its source's planted cluster
+        (region i is in cluster i*K // I), and with enough trips every
+        region of each uneven cluster is reached."""
+        cfg = rd.SynthConfig(n_regions=25, n_trips=3000, noise_rate=0.0,
+                             n_clusters=4, seed=1)
+        traj = rd.synth_dataset(cfg).trajectories
+        cluster = np.arange(25) * 4 // 25
+        assert np.array_equal(cluster[traj[:, 1]], cluster[traj[:, 0]])
+        assert set(traj[:, 1]) == set(range(25))
+
     def test_same_seed_byte_identical_serialization(self, tmp_path):
         cfg = rd.SynthConfig(seed=9)
         for d in ("a", "b"):
