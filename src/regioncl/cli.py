@@ -2,14 +2,17 @@
 
 Commands are pure functions of config plus input files to output files:
 ``synth``, ``ingest``, ``build-graph``, ``train``, ``embed``, ``eval``,
-``ablate``, ``case``, ``gradcheck``, ``sweep``. Every command exits 0 on
-success and 1 with a single ``error: ...`` line on stderr otherwise.
-``--config FILE``, ``--set key=value``, ``--seed`` and ``--out`` are
-accepted everywhere; the master ``--seed`` overrides both ``train.seed`` and
-``synth.seed``, except that ``ablate`` and ``sweep`` take ``train.seed`` and
-``train.variant`` only from their own flags and reject either when set any
-other way. ``ablate`` writes ``ablation.csv``, and ``robustness.csv`` from
-the same arms when the bundle has crime targets.
+``ablate``, ``case``, ``gradcheck``, ``sweep``. ``main`` holds the one
+contract they share: every command but ``gradcheck`` needs ``--out``;
+``--config FILE``, ``--set key=value`` and ``--seed`` are resolved once,
+before any work; a command that writes a directory leaves ``run.json``
+there; a command exits 0 on success and 1 with a single ``error: ...``
+line on stderr otherwise. The master ``--seed`` overrides both
+``train.seed`` and ``synth.seed``, except that ``ablate`` and ``sweep``
+take ``train.seed`` and ``train.variant`` only from their own flags and
+reject either when set any other way. ``ablate`` writes ``ablation.csv``,
+and ``robustness.csv`` from the same arms when the bundle has crime
+targets.
 """
 
 from __future__ import annotations
@@ -36,12 +39,6 @@ from .trainer import (VARIANTS, build_graph, config_hash, export_embeddings,
 
 _CLI_ERRORS = (ConfigError, ContractError, DataError, TrainingAborted,
                OSError)
-
-
-def _require_out(args) -> str:
-    if not args.out:
-        raise ConfigError(f"{args.command}: missing --out")
-    return args.out
 
 
 def _parse_seeds(text: str) -> tuple:
@@ -77,17 +74,6 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def _write_run_record(out_dir: str, command: str, values: dict,
-                      extra: dict | None = None) -> None:
-    _write_json(os.path.join(out_dir, "run.json"),
-                {"command": command, "config": values, **(extra or {})})
-
-
-def _resolved(args) -> dict:
-    return cfgmod.resolve(config_path=args.config, assignments=args.set,
-                          seed=args.seed)
-
-
 def _reject_arm_keys(args, variant_hint: str) -> None:
     """Refuse train keys the command's own flags overwrite per run, even
     when they are set to their defaults."""
@@ -103,81 +89,60 @@ def _load_model_embeddings(model_dir: str):
     return load_embeddings(os.path.join(model_dir, "embeddings.bin"))
 
 
-def cmd_synth(args) -> int:
-    out = _require_out(args)
-    values = _resolved(args)
+def cmd_synth(args, values: dict) -> dict:
     ds = synth_dataset(cfgmod.build_synth_config(values))
-    write_dataset(ds, out)
-    _write_run_record(out, "synth", values,
-                      {"n_regions": ds.n_regions, "n_slots": ds.T})
-    print(f"wrote dataset I={ds.n_regions} T={ds.T} to {out}")
-    return 0
+    write_dataset(ds, args.out)
+    print(f"wrote dataset I={ds.n_regions} T={ds.T} to {args.out}")
+    return {"n_regions": ds.n_regions, "n_slots": ds.T}
 
 
-def cmd_ingest(args) -> int:
-    out = _require_out(args)
-    values = _resolved(args)
+def cmd_ingest(args, values: dict) -> dict:
     ds = load_dataset(args.poi, args.traj, args.centroids, args.targets)
-    write_dataset(ds, out)
-    _write_run_record(out, "ingest", values,
-                      {"n_regions": ds.n_regions, "n_slots": ds.T,
-                       "n_trips": len(ds.trajectories)})
+    write_dataset(ds, args.out)
     print(f"ingested dataset I={ds.n_regions} T={ds.T} "
-          f"trips={len(ds.trajectories)} to {out}")
-    return 0
+          f"trips={len(ds.trajectories)} to {args.out}")
+    return {"n_regions": ds.n_regions, "n_slots": ds.T,
+            "n_trips": len(ds.trajectories)}
 
 
-def cmd_build_graph(args) -> int:
-    out = _require_out(args)
-    values = _resolved(args)
+def cmd_build_graph(args, values: dict) -> dict:
     ds = load_dataset_dir(args.data)
     train_cfg = cfgmod.build_train_config(values)
     table = train_skipgram(ds.poi, train_cfg.skipgram)
     graph = build_graph(ds, table, train_cfg)
-    os.makedirs(out, exist_ok=True)
-    dump_jsonl(graph, os.path.join(out, "graph.jsonl"))
+    os.makedirs(args.out, exist_ok=True)
+    dump_jsonl(graph, os.path.join(args.out, "graph.jsonl"))
     stats = {"n_nodes": graph.n_nodes, "I": graph.I, "T": graph.T,
              "edges": {rel.value: len(graph.edges[rel])
                        for rel in RelationType}}
-    _write_json(os.path.join(out, "graph_stats.json"), stats)
-    _write_run_record(out, "build-graph", values, {"stats": stats})
+    _write_json(os.path.join(args.out, "graph_stats.json"), stats)
     print(f"built graph n={graph.n_nodes} edges="
-          + ",".join(f"{rel.value}:{len(graph.edges[rel])}"
-                     for rel in RelationType))
-    return 0
+          + ",".join(f"{rel}:{n}" for rel, n in stats["edges"].items()))
+    return {"stats": stats}
 
 
-def cmd_train(args) -> int:
-    out = _require_out(args)
-    values = _resolved(args)
+def cmd_train(args, values: dict) -> dict:
     train_cfg = cfgmod.build_train_config(values)
     ds = load_dataset_dir(args.data)
-    os.makedirs(out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     model = train(ds, train_cfg)
-    export_embeddings(model, os.path.join(out, "embeddings.bin"))
-    write_loss_csv(model.history, os.path.join(out, "loss.csv"))
-    _write_run_record(out, "train", values,
-                      {"config_hash": config_hash(train_cfg),
-                       "final_loss": model.history[-1].loss})
+    export_embeddings(model, os.path.join(args.out, "embeddings.bin"))
+    write_loss_csv(model.history, os.path.join(args.out, "loss.csv"))
     print(f"trained {train_cfg.epochs} epochs, "
           f"loss {model.history[0].loss:.4f} -> "
-          f"{model.history[-1].loss:.4f}, wrote {out}")
-    return 0
+          f"{model.history[-1].loss:.4f}, wrote {args.out}")
+    return {"config_hash": config_hash(train_cfg),
+            "final_loss": model.history[-1].loss}
 
 
-def cmd_embed(args) -> int:
-    out = _require_out(args)
-    _resolved(args)  # a bad --config or --set is an error here too
+def cmd_embed(args, values: dict) -> None:
     matrix, header = _load_model_embeddings(args.model)
-    write_csv(out, ["region"] + [f"e{k}" for k in range(header["d"])],
+    write_csv(args.out, ["region"] + [f"e{k}" for k in range(header["d"])],
               ([i] + row for i, row in enumerate(matrix.tolist())))
-    print(f"wrote {header['I']} x {header['d']} embeddings to {out}")
-    return 0
+    print(f"wrote {header['I']} x {header['d']} embeddings to {args.out}")
 
 
-def cmd_eval(args) -> int:
-    out = _require_out(args)
-    values = _resolved(args)
+def cmd_eval(args, values: dict) -> dict:
     ds = load_dataset_dir(args.data)
     matrix, _ = _load_model_embeddings(args.model)
     if matrix.shape[0] != ds.n_regions:
@@ -186,18 +151,16 @@ def cmd_eval(args) -> int:
     eval_cfg = cfgmod.build_eval_config(values)
     check_probe_folds(ds.n_regions, eval_cfg)
     probes = probe_all(matrix, ds, eval_cfg)
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "eval.csv")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "eval.csv")
     write_csv(path, ["task", "mae", "mape", "rmse"],
               ([task, *astuple(m)] for task, (_, m) in sorted(probes.items())))
-    _write_run_record(out, "eval", values)
     print(f"wrote probe metrics for {len(probes)} tasks to {path}")
-    return 0
+    return {}
 
 
-def cmd_ablate(args) -> int:
-    out = _require_out(args)
-    values = _resolved(args)
+def cmd_ablate(args, values: dict) -> dict:
+    out = args.out
     _reject_arm_keys(args, "use --variants")
     seeds = _parse_seeds(args.seeds)
     variants = VARIANTS if args.variants is None else \
@@ -211,30 +174,25 @@ def cmd_ablate(args) -> int:
     rows = ablation_rows(arms)
     write_ablation_csv(rows, os.path.join(out, "ablation.csv"))
     print(f"wrote {len(rows)} ablation rows to {out}/ablation.csv")
+    robustness = os.path.join(out, "robustness.csv")
     if "crime" in ds.targets:
-        write_robustness_csv(density_table(ds, arms),
-                             os.path.join(out, "robustness.csv"))
-        print(f"wrote crime metrics per density bin to "
-              f"{out}/robustness.csv")
-    _write_run_record(out, "ablate", values,
-                      {"variants": list(variants), "seeds": list(seeds)})
-    return 0
+        write_robustness_csv(density_table(ds, arms), robustness)
+        print(f"wrote crime metrics per density bin to {out}/robustness.csv")
+    elif os.path.exists(robustness):
+        os.remove(robustness)  # an earlier run's table, not this run's
+    return {"variants": list(variants), "seeds": list(seeds)}
 
 
-def cmd_case(args) -> int:
-    out = _require_out(args)
-    _resolved(args)  # a bad --config or --set is an error here too
+def cmd_case(args, values: dict) -> None:
     pairs = _parse_pairs(args.pairs)
     matrix, _ = _load_model_embeddings(args.model)
     cosines = pair_similarity(matrix, pairs)
-    write_csv(out, ["region_a", "region_b", "cosine"],
+    write_csv(args.out, ["region_a", "region_b", "cosine"],
               ([a, b, c] for (a, b), c in zip(pairs, cosines.tolist())))
-    print(f"wrote {len(pairs)} pair similarities to {out}")
-    return 0
+    print(f"wrote {len(pairs)} pair similarities to {args.out}")
 
 
-def cmd_gradcheck(args) -> int:
-    _resolved(args)  # a bad --config or --set is an error here too
+def cmd_gradcheck(args, values: dict) -> None:
     # nan or a negative bound fails every stage, inf passes every one
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise ConfigError(f"gradcheck needs a finite --tol > 0, "
@@ -245,14 +203,10 @@ def cmd_gradcheck(args) -> int:
         print(f"{stage:24s} points={args.points:3d} max_rel_err={err:.3e}  "
               f"{'ok' if err < args.tol else 'FAIL'}")
     if not all(err < args.tol for err in worst.values()):
-        print("error: gradient check failed", file=sys.stderr)
-        return 1
-    return 0
+        raise ContractError("gradient check failed")
 
 
-def cmd_sweep(args) -> int:
-    out = _require_out(args)
-    values = _resolved(args)
+def cmd_sweep(args, values: dict) -> dict:
     if args.param.startswith("synth."):
         raise ConfigError("sweep varies the model, not the dataset; "
                           f"got {args.param!r}")
@@ -278,16 +232,14 @@ def cmd_sweep(args) -> int:
         arms = run_arms(ds, ("FULL",), seeds, train_cfg, eval_cfg)
         rows.append((value, mean_metrics(
             [arms["FULL", seed][args.task][1] for seed in sorted(seeds)])))
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, "sweep.csv")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "sweep.csv")
     write_csv(path, ["param", "value", "task", "mae", "mape", "rmse"],
               ([args.param, value, args.task, *astuple(m)]
                for value, m in rows))
-    _write_run_record(out, "sweep", values,
-                      {"param": args.param, "grid": [repr(v) for v in grid],
-                       "seeds": list(seeds), "task": args.task})
     print(f"wrote {len(rows)} sweep rows to {path}")
-    return 0
+    return {"param": args.param, "grid": [repr(v) for v in grid],
+            "seeds": list(seeds), "task": args.task}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,12 +328,24 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one command: refuse a missing --out (``gradcheck`` writes
+    nothing), resolve --config, --set and --seed, call the command with
+    the resolved values, and write ``run.json`` from the facts it returns.
+    Any package error becomes one ``error:`` line and exit code 1."""
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        if not args.out and args.command != "gradcheck":
+            raise ConfigError(f"{args.command}: missing --out")
+        values = cfgmod.resolve(config_path=args.config,
+                                assignments=args.set, seed=args.seed)
+        facts = _COMMANDS[args.command](args, values)
+        if facts is not None:
+            _write_json(os.path.join(args.out, "run.json"),
+                        {"command": args.command, "config": values, **facts})
     except _CLI_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

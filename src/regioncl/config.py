@@ -70,10 +70,10 @@ def cast_value(key: str, raw: str):
     return value
 
 
-def apply_assignment(values: dict, text: str, where: str = "--set") -> None:
-    """Apply one 'key=value' assignment in place."""
+def apply_assignment(values: dict, text: str) -> None:
+    """Apply one --set 'key=value' assignment in place."""
     if "=" not in text:
-        raise ConfigError(f"{where}: expected key=value, got {text!r}")
+        raise ConfigError(f"--set: expected key=value, got {text!r}")
     key, raw = text.split("=", 1)
     key = key.strip()
     values[key] = cast_value(key, raw)
@@ -91,10 +91,13 @@ def load_config_file(path: str) -> dict:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
+        if "=" not in stripped:
+            raise ConfigError(f"{where}: expected key=value, got {stripped!r}")
         try:
-            apply_assignment(values, stripped, where=f"{path}:{lineno}")
+            apply_assignment(values, stripped)
         except ConfigError as e:
-            raise ConfigError(f"{path}:{lineno}: {e}") from None
+            raise ConfigError(f"{where}: {e}") from None
     return values
 
 

@@ -297,7 +297,8 @@ def load_dataset_dir(data_dir: str) -> Dataset:
 
 
 def write_dataset(ds: Dataset, data_dir: str) -> None:
-    """Serialize to the CSV bundle; float formatting round-trips exactly."""
+    """Serialize to the CSV bundle; float formatting round-trips exactly.
+    A bundle without targets removes any ``targets.csv`` in ``data_dir``."""
     os.makedirs(data_dir, exist_ok=True)
     write_csv(os.path.join(data_dir, POI_FILE),
               ["region"] + list(ds.poi.category_names),
@@ -307,6 +308,7 @@ def write_dataset(ds: Dataset, data_dir: str) -> None:
     write_csv(os.path.join(data_dir, CENTROID_FILE), ["region", "lat", "lon"],
               ([r, lat, lon] for r, (lat, lon)
                in enumerate(ds.dist.centroids.tolist())))
+    targets_path = os.path.join(data_dir, TARGETS_FILE)
     if ds.targets:
         # long format, region-major; a static task has the one slot -1
         rows = []
@@ -315,8 +317,9 @@ def write_dataset(ds: Dataset, data_dir: str) -> None:
             values = ds.targets[task].reshape(ds.n_regions, -1).tolist()
             for r, row in enumerate(values):
                 rows += ([r, task, t, v] for t, v in zip(slots, row))
-        write_csv(os.path.join(data_dir, TARGETS_FILE),
-                  ["region", "task", "slot", "value"], rows)
+        write_csv(targets_path, ["region", "task", "slot", "value"], rows)
+    elif os.path.exists(targets_path):  # an earlier bundle's targets
+        os.remove(targets_path)
 
 
 def write_csv(path: str, header, rows) -> None:

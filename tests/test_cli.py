@@ -32,7 +32,7 @@ SMALL = ["--set", "model.d=8", "--set", "model.heads=2",
 
 
 def file_hash(path) -> str:
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def set_field(row: str, k: int, text: str) -> str:
@@ -65,7 +65,7 @@ class TestSynth:
         names = set(os.listdir(data_dir))
         assert {"poi.csv", "trajectories.csv", "centroids.csv",
                 "targets.csv", "run.json"} <= names
-        record = json.load(open(os.path.join(data_dir, "run.json")))
+        record = json.loads(Path(data_dir, "run.json").read_text())
         assert record["command"] == "synth"
         assert record["config"]["synth.seed"] == 7
 
@@ -132,6 +132,20 @@ class TestIngest:
         assert needle in err[0]
         assert not out.exists()
 
+    def test_bundle_without_targets_drops_an_earlier_targets_file(
+            self, data_dir, tmp_path):
+        """Ingest into a directory that holds another bundle: the earlier
+        targets.csv goes, so the bundle loads without targets."""
+        out = tmp_path / "bundle"
+        shutil.copytree(data_dir, out)
+        assert main(["ingest",
+                     "--poi", os.path.join(data_dir, "poi.csv"),
+                     "--traj", os.path.join(data_dir, "trajectories.csv"),
+                     "--centroids", os.path.join(data_dir, "centroids.csv"),
+                     "--out", str(out)]) == 0
+        assert not (out / "targets.csv").exists()
+        assert load_dataset_dir(str(out)).targets == {}
+
     def test_missing_input_file_reports_error(self, tmp_path, capsys):
         assert main(["ingest", "--poi", "/nonexistent.csv",
                      "--traj", "/n.csv", "--centroids", "/n.csv",
@@ -144,10 +158,10 @@ class TestBuildGraph:
         out = str(tmp_path / "graph")
         assert main(["build-graph", "--data", data_dir,
                      "--out", out] + SMALL) == 0
-        stats = json.load(open(os.path.join(out, "graph_stats.json")))
+        stats = json.loads(Path(out, "graph_stats.json").read_text())
         assert stats["I"] == 10 and stats["T"] == 2
         assert stats["n_nodes"] == 30
-        lines = open(os.path.join(out, "graph.jsonl")).read().splitlines()
+        lines = Path(out, "graph.jsonl").read_text().splitlines()
         assert len(lines) == sum(stats["edges"].values())
         first = json.loads(lines[0])
         assert {"relation", "u_kind", "u_region", "u_slot",
@@ -157,11 +171,10 @@ class TestBuildGraph:
 class TestTrain:
     def test_outputs_present(self, model_dir):
         assert os.path.exists(os.path.join(model_dir, "embeddings.bin"))
-        loss_lines = open(os.path.join(model_dir, "loss.csv")).read() \
-            .splitlines()
+        loss_lines = Path(model_dir, "loss.csv").read_text().splitlines()
         assert loss_lines[0] == "epoch,L_NCE,L_BN,L,reward,L_Rec1,L_Rec2"
         assert len(loss_lines) == 3  # header + 2 epochs
-        record = json.load(open(os.path.join(model_dir, "run.json")))
+        record = json.loads(Path(model_dir, "run.json").read_text())
         assert "config_hash" in record
 
     def test_seeded_retrain_bit_identical(self, data_dir, model_dir,
@@ -241,11 +254,51 @@ def test_every_package_error_is_one_error_line():
         sorted(c.__name__ for c in defined - set(_CLI_ERRORS))
 
 
+RECORD_ARGV = {
+    "synth": SMALL,
+    "ingest": ["--poi", "DATA/poi.csv", "--traj", "DATA/trajectories.csv",
+               "--centroids", "DATA/centroids.csv"],
+    "build-graph": ["--data", "DATA"] + SMALL,
+    "train": ["--data", "DATA"] + SMALL,
+    "eval": ["--data", "DATA", "--model", "MODEL"],
+    "ablate": ["--data", "DATA", "--variants", "FULL", "--seeds", "0"] + SMALL,
+    "sweep": ["--data", "DATA", "--param", "loss.beta", "--values", "0.1"]
+    + SMALL,
+    "embed": ["--model", "MODEL"],
+    "case": ["--model", "MODEL", "--pairs", "0:1"],
+    "gradcheck": ["--points", "1"],
+}
+
+
+class TestRunRecord:
+    """main writes run.json into the --out directory of each command that
+    writes one: the command's name and its resolved config, --set
+    overrides included. embed and case write one file, gradcheck none,
+    so none of them writes a record."""
+
+    @pytest.mark.parametrize("command", list(RECORD_ARGV))
+    def test_directory_commands_record_their_run(self, data_dir, model_dir,
+                                                 tmp_path, command):
+        argv = [a.replace("DATA", data_dir).replace("MODEL", model_dir)
+                for a in RECORD_ARGV[command]]
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out", str(out),
+                     "--set", "eval.lam=0.05"]) == 0
+        records = list(tmp_path.rglob("run.json"))
+        if command in ("embed", "case", "gradcheck"):
+            assert records == []
+        else:
+            assert records == [out / "run.json"]
+            record = json.loads(records[0].read_text())
+            assert record["command"] == command
+            assert record["config"]["eval.lam"] == 0.05
+
+
 class TestEmbedAndEval:
     def test_embed_csv_matches_binary(self, model_dir, tmp_path):
         out = str(tmp_path / "emb.csv")
         assert main(["embed", "--model", model_dir, "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         matrix, header = load_embeddings(
             os.path.join(model_dir, "embeddings.bin"))
         assert lines[0] == "region," + ",".join(
@@ -261,7 +314,7 @@ class TestEmbedAndEval:
         out = str(tmp_path / "eval")
         assert main(["eval", "--model", model_dir, "--data", data_dir,
                      "--out", out] + SMALL) == 0
-        lines = open(os.path.join(out, "eval.csv")).read().splitlines()
+        lines = Path(out, "eval.csv").read_text().splitlines()
         assert lines[0] == "task,mae,mape,rmse"
         tasks = [line.split(",")[0] for line in lines[1:]]
         assert tasks == ["crime", "house_price", "traffic"]
@@ -291,8 +344,7 @@ class TestAblate:
         assert main(["ablate", "--data", data_dir, "--variants",
                      "FULL,RANDOM_AUG", "--seeds", "0,1", "--out", out]
                     + SMALL) == 0
-        lines = open(os.path.join(out, "ablation.csv")).read() \
-            .splitlines()
+        lines = Path(out, "ablation.csv").read_text().splitlines()
         assert lines[0] == "variant,task,seed,mae,mape,rmse"
         assert len(lines) == 1 + 2 * 2 * 3  # variants x seeds x tasks
 
@@ -341,15 +393,29 @@ class TestRobustness:
         assert [r[3:] for r in rows if r[0] == "FULL"] \
             == [[repr(x) for x in astuple(m)] for m in full]
 
-    def test_no_crime_targets_no_table(self, data_dir, tmp_path):
+    @pytest.fixture
+    def no_crime(self, data_dir, tmp_path) -> str:
         bundle = tmp_path / "no_crime"
         shutil.copytree(data_dir, bundle)
         targets = (bundle / "targets.csv").read_text().splitlines(True)
         (bundle / "targets.csv").write_text(
             "".join(line for line in targets if ",crime," not in line))
+        return str(bundle)
+
+    def test_no_crime_targets_no_table(self, no_crime, tmp_path):
         out = tmp_path / "ablate"
-        assert main(["ablate", "--data", str(bundle), "--variants", "FULL",
+        assert main(["ablate", "--data", no_crime, "--variants", "FULL",
                      "--seeds", "0", "--out", str(out)] + SMALL) == 0
+        assert sorted(os.listdir(out)) == ["ablation.csv", "run.json"]
+
+    def test_rerun_without_crime_drops_the_earlier_table(
+            self, data_dir, no_crime, tmp_path):
+        out = tmp_path / "ablate"
+        argv = ["ablate", "--variants", "FULL", "--seeds", "0",
+                "--out", str(out)] + SMALL
+        assert main(argv + ["--data", data_dir]) == 0
+        assert (out / "robustness.csv").exists()
+        assert main(argv + ["--data", no_crime]) == 0
         assert sorted(os.listdir(out)) == ["ablation.csv", "run.json"]
 
 
@@ -358,7 +424,7 @@ class TestCase:
         out = str(tmp_path / "case.csv")
         assert main(["case", "--model", model_dir, "--pairs", "3:3,0:5",
                      "--out", out]) == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "region_a,region_b,cosine"
         assert float(lines[1].split(",")[2]) == pytest.approx(1.0)
         assert -1.0 - 1e-12 <= float(lines[2].split(",")[2]) <= 1.0 + 1e-12
@@ -436,7 +502,7 @@ class TestSweep:
         assert main(["sweep", "--data", data_dir, "--param", "loss.beta",
                      "--values", "0.0,0.1,0.3,0.5", "--task", "crime",
                      "--out", out] + SMALL) == 0
-        lines = open(os.path.join(out, "sweep.csv")).read().splitlines()
+        lines = Path(out, "sweep.csv").read_text().splitlines()
         assert lines[0] == "param,value,task,mae,mape,rmse"
         assert len(lines) == 5
         values = [float(line.split(",")[1]) for line in lines[1:]]
@@ -476,7 +542,7 @@ class TestSweep:
                      "--values", "0.001,0.01,0.1", "--out", out]
                     + SMALL) == 0
         assert seen == [0.001, 0.01, 0.1]
-        rows = open(os.path.join(out, "sweep.csv")).read().splitlines()[1:]
+        rows = Path(out, "sweep.csv").read_text().splitlines()[1:]
         maes = [float(row.split(",")[3]) for row in rows]
         assert len(set(maes)) == 3, maes
 

@@ -87,6 +87,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=r"run\.cfg:2"):
             load_config_file(str(path))
 
+    def test_malformed_line_names_its_place_once(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("model.d = 16\nbogus line\n")
+        with pytest.raises(ConfigError) as caught:
+            load_config_file(str(path))
+        assert str(caught.value) == \
+            f"{path}:2: expected key=value, got 'bogus line'"
+
     def test_unknown_key_carries_line_number(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("nope.nope = 1\n")

@@ -2,6 +2,7 @@
 
 import csv
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,7 +526,7 @@ class TestCsv:
                 AblationRow("NO_GP", "crime", 1, 1.5, 0.25, 2.5)]
         path = str(tmp_path / "ablation.csv")
         write_ablation_csv(rows, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "variant,task,seed,mae,mape,rmse"
         assert lines[1] == "FULL,crime,0,1.0,0.5,2.0"
         assert len(lines) == 3
@@ -536,7 +537,7 @@ class TestCsv:
                           "(0.00,0.25]": Metrics(1.0, 0.1, 2.0)}}
         path = str(tmp_path / "robustness.csv")
         write_robustness_csv(table, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "variant,bin,task,mae,mape,rmse"
         assert lines[1].startswith('FULL,"(0.00,0.25]",crime,1.0,')
         assert lines[2].startswith('FULL,"(0.50,1.00]",crime,3.0,')

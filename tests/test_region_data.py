@@ -220,7 +220,7 @@ class TestLoad:
             tmp_path / "tgt.csv", "region,task,slot,value\n"
                                   "0,house_price,-1,90.0\n"
                                   "1,house_price,-1,100.0\n")]
-        lines = open(files[index]).read().splitlines()
+        lines = Path(files[index]).read_text().splitlines()
         lines[-1] = lines[-1].rsplit(",", 1)[0]
         write(Path(files[index]), "\n".join(lines) + "\n")
         width = lines[0].count(",") + 1

@@ -2,6 +2,7 @@
 
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -388,26 +389,26 @@ class TestEmbeddings:
     def test_corrupted_payload_rejected(self, model8, tmp_path):
         path = str(tmp_path / "emb.bin")
         export_embeddings(model8, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-5] ^= 0xFF
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(DataError, match="checksum"):
             load_embeddings(path)
 
     def test_truncated_file_rejected(self, model8, tmp_path):
         path = str(tmp_path / "emb.bin")
         export_embeddings(model8, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:len(blob) // 2])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[:len(blob) // 2])
         with pytest.raises(DataError):
             load_embeddings(path)
 
     def test_bad_magic_rejected(self, model8, tmp_path):
         path = str(tmp_path / "emb.bin")
         export_embeddings(model8, path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[:4] = b"XXXX"
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(DataError, match="magic"):
             load_embeddings(path)
 
@@ -420,7 +421,7 @@ class TestLossCsv:
     def test_round_trips_history_exactly(self, model8, tmp_path):
         path = str(tmp_path / "loss.csv")
         write_loss_csv(model8.history, path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "epoch,L_NCE,L_BN,L,reward,L_Rec1,L_Rec2"
         assert len(lines) == 1 + len(model8.history)
         for line, rec in zip(lines[1:], model8.history):
