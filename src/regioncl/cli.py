@@ -74,14 +74,23 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-def _reject_arm_keys(args, variant_hint: str) -> None:
-    """Refuse train keys the command's own flags overwrite per run, even
-    when they are set to their defaults."""
-    given = cfgmod.assigned(args.config, args.set, args.seed)
-    for key, hint in (("train.variant", variant_hint),
+# what ablate and sweep say of a train.variant they were given
+_VARIANT_HINTS = {
+    "ablate": "use --variants",
+    "sweep": "sweep trains FULL only, compare variants with ablate "
+             "--variants",
+}
+
+
+def _reject_arm_keys(command: str, given: dict) -> None:
+    """Refuse train keys that ablate's and sweep's own flags overwrite per
+    run, even when they are set to their defaults."""
+    if command not in _VARIANT_HINTS:
+        return
+    for key, hint in (("train.variant", _VARIANT_HINTS[command]),
                       ("train.seed", "use --seeds")):
         if key in given:
-            raise ConfigError(f"{args.command} ignores {key}={given[key]!r} "
+            raise ConfigError(f"{command} ignores {key}={given[key]!r} "
                               f"from --config, --set or --seed: {hint}")
 
 
@@ -161,7 +170,6 @@ def cmd_eval(args, values: dict) -> dict:
 
 def cmd_ablate(args, values: dict) -> dict:
     out = args.out
-    _reject_arm_keys(args, "use --variants")
     seeds = _parse_seeds(args.seeds)
     variants = VARIANTS if args.variants is None else \
         tuple(part for part in args.variants.split(",") if part != "")
@@ -213,8 +221,6 @@ def cmd_sweep(args, values: dict) -> dict:
     if args.param in ("train.seed", "train.variant"):
         raise ConfigError(f"sweep trains FULL once per --seeds value, so it "
                           f"cannot vary {args.param!r}")
-    _reject_arm_keys(args, "sweep trains FULL only, compare variants "
-                           "with ablate --variants")
     seeds = _parse_seeds(args.seeds)
     grid = [cfgmod.cast_value(args.param, raw)
             for raw in args.values.split(",")]
@@ -329,15 +335,18 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one command: refuse a missing --out (``gradcheck`` writes
-    nothing), resolve --config, --set and --seed, call the command with
-    the resolved values, and write ``run.json`` from the facts it returns.
+    nothing), read --config once and resolve it with --set and --seed,
+    refuse an arm key given to ``ablate`` or ``sweep``, call the command
+    with the resolved values, and write ``run.json`` from the facts it
+    returns.
     Any package error becomes one ``error:`` line and exit code 1."""
     args = build_parser().parse_args(argv)
     try:
         if not args.out and args.command != "gradcheck":
             raise ConfigError(f"{args.command}: missing --out")
-        values = cfgmod.resolve(config_path=args.config,
-                                assignments=args.set, seed=args.seed)
+        given = cfgmod.assigned(args.config, args.set, args.seed)
+        _reject_arm_keys(args.command, given)
+        values = cfgmod.resolve(given)
         facts = _COMMANDS[args.command](args, values)
         if facts is not None:
             _write_json(os.path.join(args.out, "run.json"),

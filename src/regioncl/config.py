@@ -114,10 +114,9 @@ def assigned(config_path: str | None = None, assignments=(),
     return values
 
 
-def resolve(config_path: str | None = None, assignments=(),
-            seed: int | None = None) -> dict:
-    """Defaults, then config file, then --set overrides, then --seed."""
-    return {**DEFAULTS, **assigned(config_path, assignments, seed)}
+def resolve(given: dict) -> dict:
+    """The keys ``assigned`` returns, merged over the defaults."""
+    return {**DEFAULTS, **given}
 
 
 def build_synth_config(values: dict) -> SynthConfig:

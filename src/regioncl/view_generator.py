@@ -111,28 +111,28 @@ def random_walk_sample(n_nodes: int, edges: np.ndarray, seeds: np.ndarray,
     """Union of uniform random walks from each of the 1-d int64 ``seeds``;
     induced edge set.
 
-    Each step draws one scalar index into the current node's neighbours,
-    sorted ascending.
+    All walks move in lockstep: ``walks_per_seed`` walks per seed, in
+    seed-major order, and a walk whose seed has no neighbour is dropped
+    before the first step (the graph is undirected, so no other walk can
+    get stuck). Each step makes one array draw ``rng.integers(0, degree)``
+    over the live walks and moves each walk to that index into its
+    node's neighbours, sorted ascending.
     """
     # neighbour lists in CSR form: node u's are nbrs[start[u]:start[u + 1]]
-    both = np.concatenate([edges, edges[:, ::-1]])
-    both = both[np.lexsort((both[:, 1], both[:, 0]))]
-    start = np.searchsorted(both[:, 0], np.arange(n_nodes + 1)).tolist()
-    nbrs = both[:, 1].tolist()
-    visited = set(seeds.tolist())
-    for s in seeds.tolist():
-        for _ in range(cfg.walks_per_seed):
-            cur = s
-            for _ in range(cfg.walk_len):
-                lo, hi = start[cur], start[cur + 1]
-                if lo == hi:
-                    break
-                cur = nbrs[lo + rng.integers(0, hi - lo)]
-                visited.add(cur)
-    nodes = np.array(sorted(visited), dtype=np.int64)
-    inside = np.zeros(n_nodes, dtype=bool)
-    inside[nodes] = True
-    keep = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
+    u, v = edges[:, 0], edges[:, 1]
+    keys = np.sort(np.concatenate([u * n_nodes + v, v * n_nodes + u]))
+    rows, nbrs = np.divmod(keys, max(n_nodes, 1))
+    degree = np.bincount(rows, minlength=n_nodes)
+    start = np.cumsum(degree) - degree
+    visited = np.zeros(n_nodes, dtype=bool)
+    visited[seeds] = True
+    cur = np.repeat(seeds, cfg.walks_per_seed)
+    cur = cur[degree[cur] > 0]
+    for _ in range(cfg.walk_len):
+        cur = nbrs[start[cur] + rng.integers(0, degree[cur])]
+        visited[cur] = True
+    nodes = np.flatnonzero(visited)
+    keep = edges[visited[u] & visited[v]]
     return ContrastiveView(nodes=nodes, edges=keep, seeds=seeds)
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from regioncl import errors
 from regioncl.cli import _CLI_ERRORS, main
+from regioncl.config import load_config_file
 from regioncl.eval_harness import (DENSITY_BINS, mean_metrics, metrics,
                                    run_arms)
 from regioncl.gradcheck import STAGES
@@ -590,6 +591,26 @@ class TestRunArmOverrides:
                                              "--out", out] + source) == 1
         assert key in capsys.readouterr().err
         assert not os.path.exists(out)
+
+
+    @pytest.mark.parametrize("command", sorted(ARM_COMMANDS))
+    def test_config_file_read_once(self, data_dir, tmp_path, monkeypatch,
+                                   command):
+        """The arm-key check reads the keys ``main`` already resolved."""
+        reads = []
+
+        def counting_load(path):
+            reads.append(path)
+            return load_config_file(path)
+
+        monkeypatch.setattr("regioncl.config.load_config_file",
+                            counting_load)
+        path = tmp_path / "c.cfg"
+        path.write_text("loss.tau = 0.7\n")
+        assert main(ARM_COMMANDS[command]
+                    + ["--data", data_dir, "--config", str(path),
+                       "--out", str(tmp_path / "x")] + SMALL) == 0
+        assert reads == [str(path)]
 
 
 class TestStudyRequestsRejectedUpFront:

@@ -124,15 +124,14 @@ class TestResolve:
     def test_precedence_file_then_sets_then_seed(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("model.d = 16\ntrain.seed = 3\nsynth.seed = 3\n")
-        values = resolve(config_path=str(path),
-                         assignments=["model.d=32"], seed=11)
+        values = resolve(assigned(str(path), ["model.d=32"], seed=11))
         assert values["model.d"] == 32          # --set beats file
         assert values["train.seed"] == 11       # --seed beats both
         assert values["synth.seed"] == 11
         assert values["model.heads"] == DEFAULTS["model.heads"]
 
     def test_no_inputs_gives_defaults(self):
-        assert resolve() == DEFAULTS
+        assert resolve({}) == DEFAULTS
 
     def test_assigned_keeps_keys_set_to_their_defaults(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -143,12 +142,16 @@ class TestResolve:
         assert assigned() == {}
 
 
+def resolved(*assignments) -> dict:
+    """The defaults under the given --set assignments."""
+    return resolve(assigned(assignments=assignments))
+
+
 class TestMaterialization:
     def test_train_config_reads_all_sections(self):
-        values = resolve(assignments=[
-            "model.d=24", "model.heads=3", "graph.eps_d=9.0",
-            "poi.d_sg=12", "view.walk_len=5", "loss.tau=0.7",
-            "train.epochs=4", "train.variant=NO_GD"])
+        values = resolved("model.d=24", "model.heads=3", "graph.eps_d=9.0",
+                          "poi.d_sg=12", "view.walk_len=5", "loss.tau=0.7",
+                          "train.epochs=4", "train.variant=NO_GD")
         cfg = build_train_config(values)
         assert cfg.d == 24 and cfg.heads == 3
         assert cfg.eps_d == 9.0
@@ -159,19 +162,18 @@ class TestMaterialization:
         assert cfg.variant == "NO_GD"
 
     def test_synth_config(self):
-        values = resolve(assignments=["synth.n_regions=17",
-                                      "synth.noise_rate=0.4"])
+        values = resolved("synth.n_regions=17", "synth.noise_rate=0.4")
         cfg = build_synth_config(values)
         assert cfg.n_regions == 17
         assert cfg.noise_rate == 0.4
 
     def test_eval_config(self):
-        values = resolve(assignments=["eval.lam=0.2", "eval.folds=3"])
+        values = resolved("eval.lam=0.2", "eval.folds=3")
         cfg = build_eval_config(values)
         assert cfg.lam == 0.2 and cfg.folds == 3
 
     def test_invalid_materialized_value_still_validated(self):
-        values = resolve(assignments=["train.epochs=0"])
+        values = resolved("train.epochs=0")
         with pytest.raises(ConfigError):
             build_train_config(values)
 
@@ -188,7 +190,7 @@ class TestMaterialization:
         ("loss", "infobn_drop", "1.0"), ("graph", "eps_d", "0"),
         ("train", "seed", "-1"), ("poi", "seed", "-1")])
     def test_bad_model_settings_rejected_at_build(self, section, name, value):
-        values = resolve(assignments=[f"{section}.{name}={value}"])
+        values = resolved(f"{section}.{name}={value}")
         with pytest.raises(ConfigError, match=name):
             build_train_config(values)
 
@@ -200,7 +202,7 @@ class TestMaterialization:
     def test_bad_data_and_probe_settings_rejected_at_build(self, section,
                                                            name, value):
         build = {"synth": build_synth_config, "eval": build_eval_config}
-        values = resolve(assignments=[f"{section}.{name}={value}"])
+        values = resolved(f"{section}.{name}={value}")
         with pytest.raises(ConfigError, match=name):
             build[section](values)
 

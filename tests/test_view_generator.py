@@ -164,7 +164,8 @@ class TestSparsify:
 
 def replay_walk_oracle(n_nodes, edges, seeds, cfg, rng):
     """Independent replay of the documented RNG consumption order (``rng``
-    is a seed or a generator)."""
+    is a seed or a generator): per step, one ``rng.integers(0, degrees)``
+    over the live walks in seed-major order."""
     rng = RNG(rng)
     nbrs = [[] for _ in range(n_nodes)]
     for u, v in edges:
@@ -172,25 +173,38 @@ def replay_walk_oracle(n_nodes, edges, seeds, cfg, rng):
         nbrs[v].append(u)
     nbrs = [sorted(x) for x in nbrs]
     visited = set(seeds)
-    for s in seeds:
-        for _ in range(cfg.walks_per_seed):
-            cur = s
-            for _ in range(cfg.walk_len):
-                if not nbrs[cur]:
-                    break
-                cur = nbrs[cur][rng.integers(0, len(nbrs[cur]))]
-                visited.add(cur)
+    live = [s for s in seeds for _ in range(cfg.walks_per_seed) if nbrs[s]]
+    for _ in range(cfg.walk_len):
+        draws = rng.integers(0, [len(nbrs[cur]) for cur in live]).tolist()
+        live = [nbrs[cur][k] for cur, k in zip(live, draws)]
+        visited.update(live)
     return visited
+
+
+class CountingGenerator:
+    """A Generator proxy that counts its ``integers`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
 
 
 class TestRandomWalk:
     PATH = edge_rows({(0, 1), (1, 2), (2, 3)})
 
     def test_zero_length_walk_keeps_seeds_only(self):
-        view = vg.random_walk_sample(4, self.PATH, np.array([1, 2]),
-                                     vg.ViewGenConfig(walk_len=0), RNG(0))
-        assert view.nodes.tolist() == [1, 2]
-        assert_edges(view.edges, {(1, 2)})
+        for cfg in (vg.ViewGenConfig(walk_len=0),
+                    vg.ViewGenConfig(walks_per_seed=0)):
+            rng = RNG(0)
+            before = rng.bit_generator.state
+            view = vg.random_walk_sample(4, self.PATH, np.array([1, 2]), cfg,
+                                         rng)
+            assert view.nodes.tolist() == [1, 2]
+            assert_edges(view.edges, {(1, 2)})
+            assert rng.bit_generator.state == before    # nothing drawn
 
     def test_isolated_seed_is_singleton(self):
         view = vg.random_walk_sample(3, edge_rows({(0, 1)}), np.array([2]),
@@ -208,10 +222,10 @@ class TestRandomWalk:
     def test_random_graph_matches_rng_replay(self):
         rng = RNG(23)
         pairs = {tuple(sorted(p)) for p in
-                 rng.integers(0, 30, size=(60, 2)).tolist() if p[0] != p[1]}
+                 rng.integers(0, 29, size=(60, 2)).tolist() if p[0] != p[1]}
         edges = edge_rows(pairs)
         cfg = vg.ViewGenConfig(walk_len=5, walks_per_seed=3)
-        seeds = [7, 3, 21, 0]
+        seeds = [7, 29, 3, 21, 0]                # node 29 is isolated
         walk_rng, oracle_rng = RNG(24), RNG(24)
         view = vg.random_walk_sample(30, edges, np.array(seeds), cfg,
                                      walk_rng)
@@ -220,9 +234,23 @@ class TestRandomWalk:
         assert view.seeds.tolist() == seeds
         assert_edges(view.edges, {(u, v) for u, v in pairs
                                   if u in want and v in want})
-        # one scalar draw per step: both streams end in the same state
+        # one array draw per step: both streams end in the same state
         assert walk_rng.integers(0, 2 ** 62) \
             == oracle_rng.integers(0, 2 ** 62)
+
+    def test_one_generator_call_per_step(self):
+        """However many seeds, a view costs at most ``walk_len`` calls."""
+        rng = RNG(25)
+        n = 2600
+        edges = edge_rows({tuple(sorted(p)) for p in
+                           rng.integers(0, n, size=(13000, 2)).tolist()
+                           if p[0] != p[1]})
+        cfg = vg.ViewGenConfig()
+        seeds = rng.choice(n, size=vg.seed_count(cfg, n), replace=False)
+        counting = CountingGenerator(RNG(26))
+        vg.random_walk_sample(n, edges, seeds, cfg, counting)
+        assert len(seeds) == 650
+        assert 0 < counting.calls <= cfg.walk_len
 
     def test_edges_induced_on_visited_nodes(self):
         view = vg.random_walk_sample(4, self.PATH, np.array([0, 3]),
