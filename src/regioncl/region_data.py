@@ -14,9 +14,7 @@ the synthesizer plants latent clusters so probe quality is measurable.
 from __future__ import annotations
 
 import csv
-import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +29,11 @@ TASKS = SLOT_TASKS + STATIC_TASKS
 
 POI_FILE = "poi.csv"
 TRAJ_FILE = "trajectories.csv"
+TRAJ_COLUMNS = {"src": int, "dst": int, "t_start": int, "t_end": int}
 CENTROID_FILE = "centroids.csv"
+CENTROID_COLUMNS = {"region": int, "lat": float, "lon": float}
 TARGETS_FILE = "targets.csv"
+TARGETS_COLUMNS = {"region": int, "task": str, "slot": int, "value": float}
 
 
 @dataclass
@@ -90,198 +91,186 @@ def distance_matrix(centroids: np.ndarray) -> DistanceMatrix:
 # CSV loading
 # ---------------------------------------------------------------------------
 
-def _read_rows(path: str, expected_header: list[str] | None = None):
-    """Return the header and the (line_number, row) pairs of the non-blank
-    rows, each with one field per header column.
-
-    Without ``expected_header`` the header must be ``region`` and at least
-    one more column, as the POI file's is.
-    """
+def _read_table(path: str, columns: dict | None = None):
+    """A bundle file's header, the line numbers of its non-blank rows, their
+    fields as an (n, columns) object array of strings, and those fields as
+    Python values of their column's type, so that a number past int64
+    reaches the range checks whole. Without ``columns``, the POI file's:
+    ``region`` and at least one more column, all integers."""
     try:
         fh = open(path, newline="")
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}:1: empty file") from None
-        if expected_header is None:
-            ok = len(header) >= 2 and header[0] == "region"
-            want = "region,cat_0,..."
-        else:
-            ok, want = header == expected_header, ",".join(expected_header)
-        if not ok:
-            raise DataError(f"{path}:1: expected header {want!r}, got "
-                            f"{','.join(header)!r}")
-        rows = [(lineno, row) for lineno, row in enumerate(reader, start=2)
-                if row]
-    for lineno, row in rows:
-        if len(row) != len(header):
-            raise DataError(f"{path}:{lineno}: expected {len(header)} "
-                            f"fields, got {len(row)}")
-    return header, rows
-
-
-def _to_int(path: str, lineno: int, text: str, what: str) -> int:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{path}:1: empty file")
+    header = rows.pop(0)
+    if columns is None:
+        ok = len(header) >= 2 and header[0] == "region"
+        want = "region,cat_0,..."
+        columns = {"region": int} | {f"cat_{c}": int
+                                     for c in range(len(header) - 1)}
+    else:
+        ok, want = header == list(columns), ",".join(columns)
+    if not ok:
+        raise DataError(f"{path}:1: expected header {want!r}, got "
+                        f"{','.join(header)!r}")
+    lines = [lineno for lineno, row in enumerate(rows, start=2) if row]
+    rows = [row for row in rows if row]
+    width = np.array([len(row) for row in rows], dtype=int)
+    _check_rows(path, lines, [(width != len(header), lambda k: f"expected "
+                               f"{len(header)} fields, got {width[k]}")])
+    fields = np.array(rows, dtype=object).reshape(len(rows), len(header))
     try:
-        return int(text)
+        return header, lines, fields, np.array([
+            list(map(kind, fields[:, j]))
+            for j, kind in enumerate(columns.values())], dtype=object).T.copy()
     except ValueError:
-        raise DataError(f"{path}:{lineno}: bad integer for {what}: "
-                        f"{text!r}") from None
+        for lineno, row in zip(lines, rows):
+            for text, (name, kind) in zip(row, columns.items()):
+                try:
+                    kind(text)
+                except ValueError:
+                    noun = "integer" if kind is int else "number"
+                    raise DataError(f"{path}:{lineno}: bad {noun} for "
+                                    f"{name}: {text!r}") from None
+        raise
 
 
-def _to_float(path: str, lineno: int, text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise DataError(f"{path}:{lineno}: bad number for {what}: "
-                        f"{text!r}") from None
+def _check_rows(path: str, lines: list, rules) -> None:
+    """Raise a DataError naming the first row that breaks a rule, and the
+    first of ``rules`` that it breaks. A rule pairs a row mask, true where
+    the row breaks it, with a function of the row index that words it."""
+    broken = np.logical_or.reduce([mask for mask, _ in rules])
+    if broken.any():
+        k = int(np.argmax(broken))
+        fault = next(words for mask, words in rules if mask[k])
+        raise DataError(f"{path}:{lines[k]}: {fault(k)}")
 
 
-def _region_table(path: str, rows) -> dict[int, tuple[int, list[str]]]:
-    """Map region id -> (lineno, fields) enforcing dense coverage of [0, I)."""
-    table: dict[int, tuple[int, list[str]]] = {}
-    for lineno, row in rows:
-        r = _to_int(path, lineno, row[0], "region")
-        if r in table:
-            raise DataError(f"{path}:{lineno}: duplicate region {r}")
-        table[r] = (lineno, row)
-    n = len(table)
-    for r in table:
-        if not 0 <= r < n:
-            raise DataError(f"{path}:{table[r][0]}: region index out of "
-                            f"range: {r} (I={n})")
-    return table
+def _repeats(keys: np.ndarray):
+    """The stable sort order of ``keys`` and a row mask, true where a key
+    equals one on an earlier row."""
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:]] = keys[order[1:]] == keys[order[:-1]]
+    return order, repeat
+
+
+def _in_range(region: np.ndarray, I: int):
+    """The rule that each region id indexes [0, I)."""
+    return ((region < 0) | (region >= I),
+            lambda k: f"region index out of range: {region[k]} (I={I})")
+
+
+def _region_order(path: str, lines: list, region: np.ndarray, rule):
+    """Check that no id of a region file repeats, that each indexes the
+    file's rows, and ``rule``; return the order that sorts the ids."""
+    order, repeat = _repeats(region)
+    _check_rows(path, lines, [
+        (repeat, lambda k: f"duplicate region {region[k]}"),
+        _in_range(region, len(region)), rule])
+    return order
 
 
 def load_dataset(poi_path: str, traj_path: str, centroid_path: str,
                  targets_path: str | None = None) -> Dataset:
     """Read the CSV bundle; every fact is checked once, here, and a bad one
-    raises a DataError naming its file, and its line where it has one.
+    raises a DataError naming its file, and its line where it has one: in
+    each file, a field that does not parse first, then the first row that
+    breaks a rule, with the first rule it breaks.
 
     T is one past the largest slot of the slotted targets when there are
     any, and a trip slot at or beyond it is an error; without them T is
     inferred from the trips. Each task the targets name must give a value
     for every region, and for every slot 0..T-1 when it is slotted.
     """
-    header, rows = _read_rows(poi_path)
-    category_names = header[1:]
-    table = _region_table(poi_path, rows)
-    I = len(table)
+    header, lines, _, values = _read_table(poi_path)
+    I = len(lines)
     if I == 0:
         raise DataError(f"{poi_path}: no region rows")
-    counts = np.zeros((I, len(category_names)), dtype=np.int64)
-    for r, (lineno, row) in table.items():
-        for c, text in enumerate(row[1:]):
-            v = _to_int(poi_path, lineno, text, f"cat_{c}")
-            if not 0 <= v < 2 ** 63:                # int64 counts
-                raise DataError(f"{poi_path}:{lineno}: POI count {v} is "
-                                f"negative or too large for int64")
-            counts[r, c] = v
+    counts = values[:, 1:]
+    bad = (counts < 0) | (counts >= 2 ** 63)        # int64 counts
+    order = _region_order(poi_path, lines, values[:, 0], (
+        bad.any(axis=1), lambda k: f"POI count {counts[k][bad[k]][0]} is "
+                                   f"negative or too large for int64"))
+    counts = counts[order].astype(np.int64)
 
-    _, rows = _read_rows(traj_path, ["src", "dst", "t_start", "t_end"])
-    trips, trip_lines = [], []
-    for lineno, row in rows:
-        src = _to_int(traj_path, lineno, row[0], "src")
-        dst = _to_int(traj_path, lineno, row[1], "dst")
-        ts = _to_int(traj_path, lineno, row[2], "t_start")
-        te = _to_int(traj_path, lineno, row[3], "t_end")
-        for r in (src, dst):
-            if not 0 <= r < I:
-                raise DataError(f"{traj_path}:{lineno}: region index out of "
-                                f"range: {r} (I={I})")
-        if ts < 0 or te < ts or te >= 2 ** 63:     # int64 slots
-            raise DataError(f"{traj_path}:{lineno}: bad slot range "
-                            f"({ts}, {te})")
-        trips.append((src, dst, ts, te))
-        trip_lines.append(lineno)
-    trajectories = np.array(trips, dtype=np.int64).reshape(-1, 4)
+    _, trip_lines, _, trips = _read_table(traj_path, TRAJ_COLUMNS)
+    src, dst, ts, te = trips.T
+    _check_rows(traj_path, trip_lines, [
+        _in_range(src, I), _in_range(dst, I),
+        ((ts < 0) | (te < ts) | (te >= 2 ** 63),    # int64 slots
+         lambda k: f"bad slot range ({ts[k]}, {te[k]})")])
+    trajectories = trips.astype(np.int64)
 
-    _, rows = _read_rows(centroid_path, ["region", "lat", "lon"])
-    ctable = _region_table(centroid_path, rows)
-    if len(ctable) != I:
+    _, lines, fields, values = _read_table(centroid_path, CENTROID_COLUMNS)
+    centroids = values[:, 1:].astype(float)
+    # NaN fails the comparison, so a NaN or infinite latitude is caught
+    order = _region_order(centroid_path, lines, values[:, 0], (
+        ~((np.abs(centroids[:, 0]) <= 90.0) & np.isfinite(centroids[:, 1])),
+        lambda k: f"centroid needs a latitude in [-90, 90] and a finite "
+                  f"longitude, got ({fields[k, 1]}, {fields[k, 2]})"))
+    if len(lines) != I:
         raise DataError(f"{centroid_path}: {poi_path} has {I} regions but "
-                        f"this file has {len(ctable)}")
-    centroids = np.zeros((I, 2))
-    for r, (lineno, row) in ctable.items():
-        lat = _to_float(centroid_path, lineno, row[1], "lat")
-        lon = _to_float(centroid_path, lineno, row[2], "lon")
-        # NaN fails both comparisons, so a NaN or infinite value is caught
-        if not (-90.0 <= lat <= 90.0 and math.isfinite(lon)):
-            raise DataError(f"{centroid_path}:{lineno}: centroid needs a "
-                            f"latitude in [-90, 90] and a finite longitude, "
-                            f"got ({row[1]}, {row[2]})")
-        centroids[r] = lat, lon
+                        f"this file has {len(lines)}")
+    centroids = centroids[order]
 
-    # (region, task, slot) -> (line, value): one entry per target cell
-    cells: dict[tuple[int, str, int], tuple[int, float]] = {}
-    if targets_path is not None:
-        _, rows = _read_rows(targets_path, ["region", "task", "slot", "value"])
-        for lineno, row in rows:
-            r = _to_int(targets_path, lineno, row[0], "region")
-            if not 0 <= r < I:
-                raise DataError(f"{targets_path}:{lineno}: region index out "
-                                f"of range: {r} (I={I})")
-            task = row[1]
-            if task not in TASKS:
-                raise DataError(f"{targets_path}:{lineno}: unknown task "
-                                f"{task!r} (expected one of {list(TASKS)})")
-            slot = _to_int(targets_path, lineno, row[2], "slot")
-            value = _to_float(targets_path, lineno, row[3], "value")
-            if not math.isfinite(value):
-                raise DataError(f"{targets_path}:{lineno}: non-finite value "
-                                f"{row[3]!r} for task {task!r}")
-            static = task in STATIC_TASKS
-            if static and slot != -1:
-                raise DataError(f"{targets_path}:{lineno}: static task "
-                                f"{task!r} requires slot=-1, got {slot}")
-            if not static and slot < 0:
-                raise DataError(f"{targets_path}:{lineno}: slotted task "
-                                f"{task!r} requires slot >= 0, got {slot}")
-            first = cells.setdefault((r, task, slot), (lineno, value))[0]
-            if first != lineno:
-                raise DataError(f"{targets_path}:{lineno}: region {r} task "
-                                f"{task!r} slot {slot} already set on line "
-                                f"{first}")
-
-    target_slots = [slot for _, task, slot in cells if task in SLOT_TASKS]
-    if target_slots:
-        # slotted targets fix T: a trip past them is a typo, not a longer day
-        T = max(target_slots) + 1
-        late = np.flatnonzero(trajectories[:, 3] >= T)
-        if late.size:
-            k = late[0]
-            raise DataError(f"{traj_path}:{trip_lines[k]}: trip slot "
-                            f"{trajectories[k, 3]} is beyond the T={T} slots "
-                            f"of {targets_path}")
-    else:
-        T = int(trajectories[:, 3].max(initial=0)) + 1
-
-    # every cell is in range and none repeats, so a task covers its grid
-    # exactly when it has one cell per grid point; only a short task's grid
-    # is walked, and only up to its first gap
-    n_cells = Counter(task for _, task, _ in cells)
-    for task in TASKS:
-        static = task in STATIC_TASKS
-        if 0 < n_cells[task] < I * (1 if static else T):
-            slots = [-1] if static else range(T)
-            r, t = next((r, t) for r in range(I) for t in slots
-                        if (r, task, t) not in cells)
-            where = f"region {r}" if static else \
-                f"region {r} slot {t} of the T={T} slots the targets imply"
-            raise DataError(f"{targets_path}: task {task!r} has no value "
-                            f"for {where}")
-
+    T = int(trajectories[:, 3].max(initial=0)) + 1
     targets: dict[str, np.ndarray] = {}
-    for (r, task, slot), (_, value) in cells.items():
-        if task not in targets:
-            targets[task] = np.zeros(I if task in STATIC_TASKS else (I, T))
-        # a static task's one slot is -1
-        targets[task][r if slot < 0 else (r, slot)] = value
+    if targets_path is not None:
+        _, lines, fields, values = _read_table(targets_path, TARGETS_COLUMNS)
+        region, task, slot, value = values.T
+        value = value.astype(float)
+        index = np.select([task == name for name in TASKS],  # into TASKS
+                          list(range(len(TASKS))), -1)
+        static = index >= len(SLOT_TASKS)
+        slotted = (index >= 0) & ~static
+        # slotted targets fix T: a trip past them is a typo, not a longer day
+        T = max(slot[slotted], default=T - 1) + 1
+        # each row that keeps the other rules has a key of its own: its
+        # task, then its cell, numbered region-major over the task's grid,
+        # in Python ints so that a slot past int64 stays exact
+        cell = np.where(static, region, region * T + slot)
+        key = index.astype(object) * (I * T) + cell
+        order, repeat = _repeats(key)
+        _check_rows(targets_path, lines, [
+            _in_range(region, I),
+            (index < 0, lambda k: f"unknown task {task[k]!r} (expected one "
+                                  f"of {list(TASKS)})"),
+            (~np.isfinite(value), lambda k: f"non-finite value "
+             f"{fields[k, 3]!r} for task {task[k]!r}"),
+            (static & (slot != -1), lambda k: f"static task {task[k]!r} "
+             f"requires slot=-1, got {slot[k]}"),
+            (slotted & (slot < 0), lambda k: f"slotted task {task[k]!r} "
+             f"requires slot >= 0, got {slot[k]}"),
+            (repeat, lambda k: f"region {region[k]} task {task[k]!r} slot "
+             f"{slot[k]} already set on line "
+             f"{lines[np.argmax(key == key[k])]}")])
+        _check_rows(traj_path, trip_lines, [(
+            trajectories[:, 3] >= T,
+            lambda k: f"trip slot {trajectories[k, 3]} is beyond the T={T} "
+                      f"slots of {targets_path}")])
 
-    return Dataset(poi=PoiMatrix(counts, category_names),
+        # every cell is in range and none repeats, so a task covers its
+        # grid exactly when it has one cell per grid point; its sorted cells
+        # then run 0, 1, 2, ..., and its first gap is the first they skip
+        for i, name in enumerate(TASKS):
+            rows = order[index[order] == i]
+            width = 1 if name in STATIC_TASKS else T
+            if 0 < len(rows) < I * width:
+                skips = cell[rows] != np.arange(len(rows))
+                r, t = divmod(int(np.append(skips, True).argmax()), width)
+                where = f"region {r}" if name in STATIC_TASKS else \
+                    f"region {r} slot {t} of the T={T} slots the targets imply"
+                raise DataError(f"{targets_path}: task {name!r} has no "
+                                f"value for {where}")
+            if len(rows):
+                targets[name] = value[rows] if name in STATIC_TASKS else \
+                    value[rows].reshape(I, T)
+
+    return Dataset(poi=PoiMatrix(counts, header[1:]),
                    trajectories=trajectories,
                    dist=distance_matrix(centroids),
                    T=T, targets=targets)
@@ -303,9 +292,9 @@ def write_dataset(ds: Dataset, data_dir: str) -> None:
     write_csv(os.path.join(data_dir, POI_FILE),
               ["region"] + list(ds.poi.category_names),
               ([r] + row for r, row in enumerate(ds.poi.counts.tolist())))
-    write_csv(os.path.join(data_dir, TRAJ_FILE),
-              ["src", "dst", "t_start", "t_end"], ds.trajectories.tolist())
-    write_csv(os.path.join(data_dir, CENTROID_FILE), ["region", "lat", "lon"],
+    write_csv(os.path.join(data_dir, TRAJ_FILE), list(TRAJ_COLUMNS),
+              ds.trajectories.tolist())
+    write_csv(os.path.join(data_dir, CENTROID_FILE), list(CENTROID_COLUMNS),
               ([r, lat, lon] for r, (lat, lon)
                in enumerate(ds.dist.centroids.tolist())))
     targets_path = os.path.join(data_dir, TARGETS_FILE)
@@ -317,7 +306,7 @@ def write_dataset(ds: Dataset, data_dir: str) -> None:
             values = ds.targets[task].reshape(ds.n_regions, -1).tolist()
             for r, row in enumerate(values):
                 rows += ([r, task, t, v] for t, v in zip(slots, row))
-        write_csv(targets_path, ["region", "task", "slot", "value"], rows)
+        write_csv(targets_path, list(TARGETS_COLUMNS), rows)
     elif os.path.exists(targets_path):  # an earlier bundle's targets
         os.remove(targets_path)
 

@@ -3,9 +3,13 @@
 The equator-arc haversine value below was computed independently as
 R * pi/180 with R = 6371.0 before being frozen here. The Gini coefficient
 oracle is the mean-absolute-difference formula, implemented in this file
-without reference to the package.
+without reference to the package. ``reference_load`` states the loader's
+checks one row at a time, as plain loops, for the vectorized loader to
+match.
 """
 
+import csv
+import math
 import re
 from pathlib import Path
 
@@ -20,6 +24,133 @@ from regioncl.eval_harness import DENSITY_BINS, density_table
 from regioncl.errors import ConfigError, DataError
 
 EQUATOR_DEGREE_KM = 111.19492664455873
+
+
+def reference_load(poi_path, traj_path, centroid_path, targets_path=None):
+    """The loader's checks one row at a time: in each file the first field
+    that does not parse, then the first row that breaks a rule, with the
+    first rule it breaks; then the checks across files. Headers and row
+    widths are taken as valid."""
+    def parse(path, kinds=None):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        names = header if kinds else \
+            ["region"] + [f"cat_{c}" for c in range(len(header) - 1)]
+        table = []
+        for line, row in enumerate(rows, start=2):
+            values = []
+            for text, name, kind in zip(row, names,
+                                        kinds or [int] * len(header)):
+                try:
+                    values.append(kind(text))
+                except ValueError:
+                    noun = "integer" if kind is int else "number"
+                    raise DataError(f"{path}:{line}: bad {noun} for {name}: "
+                                    f"{text!r}") from None
+            if row:
+                table.append((line, row, values))
+        return header, table
+
+    def fail(path, line, message):
+        raise DataError(f"{path}:{line}: {message}")
+
+    def check_region(path, line, r, n, seen):
+        if r in seen:
+            fail(path, line, f"duplicate region {r}")
+        seen.add(r)
+        if not 0 <= r < n:
+            fail(path, line, f"region index out of range: {r} (I={n})")
+
+    header, poi = parse(poi_path)
+    I = len(poi)
+    if I == 0:
+        raise DataError(f"{poi_path}: no region rows")
+    counts, seen = np.zeros((I, len(header) - 1), dtype=np.int64), set()
+    for line, _, (r, *row) in poi:
+        check_region(poi_path, line, r, I, seen)
+        for v in row:
+            if not 0 <= v < 2 ** 63:
+                fail(poi_path, line, f"POI count {v} is negative or too "
+                                     f"large for int64")
+        counts[r] = row
+
+    _, trips = parse(traj_path, [int] * 4)
+    for line, _, (src, dst, ts, te) in trips:
+        for r in (src, dst):
+            if not 0 <= r < I:
+                fail(traj_path, line, f"region index out of range: {r} "
+                                      f"(I={I})")
+        if ts < 0 or te < ts or te >= 2 ** 63:
+            fail(traj_path, line, f"bad slot range ({ts}, {te})")
+    trajectories = np.array([v for _, _, v in trips],
+                            dtype=np.int64).reshape(-1, 4)
+
+    _, rows = parse(centroid_path, [int, float, float])
+    centroids, seen = np.zeros((max(I, len(rows)), 2)), set()
+    for line, row, (r, lat, lon) in rows:
+        check_region(centroid_path, line, r, len(rows), seen)
+        if not (-90.0 <= lat <= 90.0 and math.isfinite(lon)):
+            fail(centroid_path, line, f"centroid needs a latitude in "
+                                      f"[-90, 90] and a finite longitude, "
+                                      f"got ({row[1]}, {row[2]})")
+        centroids[r] = lat, lon
+    if len(rows) != I:
+        raise DataError(f"{centroid_path}: {poi_path} has {I} regions but "
+                        f"this file has {len(rows)}")
+
+    cells = {}
+    for line, row, (r, task, slot, value) in (
+            parse(targets_path, [int, str, int, float])[1]
+            if targets_path else []):
+        if not 0 <= r < I:
+            fail(targets_path, line, f"region index out of range: {r} "
+                                     f"(I={I})")
+        if task not in rd.TASKS:
+            fail(targets_path, line, f"unknown task {task!r} (expected one "
+                                     f"of {list(rd.TASKS)})")
+        if not math.isfinite(value):
+            fail(targets_path, line, f"non-finite value {row[3]!r} for "
+                                     f"task {task!r}")
+        if task in rd.STATIC_TASKS and slot != -1:
+            fail(targets_path, line, f"static task {task!r} requires "
+                                     f"slot=-1, got {slot}")
+        if task in rd.SLOT_TASKS and slot < 0:
+            fail(targets_path, line, f"slotted task {task!r} requires "
+                                     f"slot >= 0, got {slot}")
+        first = cells.setdefault((r, task, slot), (line, value))[0]
+        if first != line:
+            fail(targets_path, line, f"region {r} task {task!r} slot {slot} "
+                                     f"already set on line {first}")
+
+    slots = [slot for _, task, slot in cells if task in rd.SLOT_TASKS]
+    T = max(slots, default=int(trajectories[:, 3].max(initial=0))) + 1
+    for line, _, (_, _, _, te) in trips:
+        if te >= T:
+            fail(traj_path, line, f"trip slot {te} is beyond the T={T} "
+                                  f"slots of {targets_path}")
+    targets = {}
+    for task in rd.TASKS:
+        static = task in rd.STATIC_TASKS
+        if not any(key[1] == task for key in cells):
+            continue
+        grid = ((r, t) for r in range(I) for t in ([-1] if static
+                                                    else range(T)))
+        gap = next((g for g in grid if (g[0], task, g[1]) not in cells),
+                   None)
+        if gap is not None:
+            where = f"region {gap[0]}" if static else \
+                f"region {gap[0]} slot {gap[1]} of the T={T} slots the " \
+                f"targets imply"
+            raise DataError(f"{targets_path}: task {task!r} has no value "
+                            f"for {where}")
+        targets[task] = np.zeros(I if static else (I, T))
+        for (r, name, slot), (_, value) in cells.items():
+            if name == task:
+                targets[task][r if static else (r, slot)] = value
+    return rd.Dataset(poi=rd.PoiMatrix(counts, header[1:]),
+                      trajectories=trajectories,
+                      dist=rd.distance_matrix(centroids), T=T,
+                      targets=targets)
 
 
 def write(path, text):
@@ -311,6 +442,158 @@ class TestLoad:
                 f"{tgt}: task 'crime' has no value for region 0 slot 1 of "
                 f"the T=100000000001 slots")):
             rd.load_dataset(poi, trj, cen, tgt)
+
+    def test_target_slot_past_int64_is_a_gap(self, tmp_path):
+        """A slot past int64 is a valid slot number: it sets T and leaves
+        a gap, and is not taken for a negative or wrapped one."""
+        poi, trj, cen = two_region_files(tmp_path)
+        tgt = write(tmp_path / "tgt.csv", "region,task,slot,value\n"
+                    "0,crime,100000000000000000000,1.0\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{tgt}: task 'crime' has no value for region 0 slot 0 of "
+                f"the T=100000000000000000001 slots")):
+            rd.load_dataset(poi, trj, cen, tgt)
+
+    @pytest.mark.parametrize("index,row,message", [
+        (0, "1,0,x,0", "bad integer for cat_1: 'x'"),
+        (0, "0,0,4,0", "duplicate region 0"),
+        (1, "0,y,0,0", "bad integer for dst: 'y'"),
+        (2, "1,north,1.0", "bad number for lat: 'north'"),
+        (2, "0,0.0,1.0", "duplicate region 0"),
+        (3, "1,crime,0.5,1.0", "bad integer for slot: '0.5'"),
+        (3, "1,house_price,-1,abc", "bad number for value: 'abc'"),
+    ], ids=["poi-count", "poi-duplicate", "trip-dst", "centroid-lat",
+            "centroid-duplicate", "target-slot", "target-value"])
+    def test_bad_last_row_names_file_line_and_fault(self, tmp_path, index,
+                                                    row, message):
+        files = [*two_region_files(tmp_path), write(
+            tmp_path / "tgt.csv", "region,task,slot,value\n"
+                                  "0,house_price,-1,90.0\n"
+                                  "1,house_price,-1,100.0\n")]
+        lines = Path(files[index]).read_text().splitlines()
+        lines[-1] = row
+        write(Path(files[index]), "\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{files[index]}:{len(lines)}: {message}")):
+            rd.load_dataset(*files)
+
+    @pytest.mark.parametrize("poi,centroids,message", [
+        ("0,-1\n1,0\n1,0\n", "0,0,0\n1,0,0\n2,0,0\n",
+         "poi.csv:2: POI count -1 is negative"),
+        ("0,0\n1,0\n", "0,95,0\n5,0,0\n", "cen.csv:2: centroid needs"),
+        ("0,0\n1,0\n", "0,0,0\n5,0,0\n0,0,0\n",
+         "cen.csv:3: region index out of range: 5 (I=3)"),
+        ("0,0\n1,0\n", "0,0,0\n1,nan,0\n2,0,0\n", "cen.csv:3: centroid needs"),
+    ], ids=["count-before-duplicate", "latitude-before-range",
+            "range-before-duplicate", "coordinate-before-count-mismatch"])
+    def test_first_bad_row_of_a_region_file_is_named(self, tmp_path, poi,
+                                                     centroids, message):
+        """Each row is checked against every rule of its file, and the
+        first row that breaks one is named."""
+        _, trj, _ = two_region_files(tmp_path)
+        files = (write(tmp_path / "poi.csv", "region,cat_0\n" + poi), trj,
+                 write(tmp_path / "cen.csv", "region,lat,lon\n" + centroids))
+        with pytest.raises(DataError, match=re.escape(message)):
+            rd.load_dataset(*files)
+
+    @pytest.mark.parametrize("name,text,message", [
+        ("traj.csv", "src,dst,t_start,t_end\n0,5,0,0\n0,x,0,0\n",
+         "traj.csv:3: bad integer for dst: 'x'"),
+        ("tgt.csv", "region,task,slot,value\n0,rainfall,0,1.0\n"
+                    "1,crime,0,high\n", "tgt.csv:3: bad number for value"),
+        ("tgt.csv", "region,task,slot,value\n0,rainfall,one,1.0\n",
+         "tgt.csv:2: bad integer for slot: 'one'"),
+    ], ids=["trip", "target", "target-same-row"])
+    def test_unparsable_field_beats_an_earlier_bad_row(self, tmp_path, name,
+                                                       text, message):
+        files = [*two_region_files(tmp_path), None]
+        files[1 if name == "traj.csv" else 3] = write(tmp_path / name, text)
+        with pytest.raises(DataError, match=re.escape(message)):
+            rd.load_dataset(*files)
+
+    def test_permuted_rows_load_to_the_same_dataset(self, tmp_path):
+        """Row order carries no meaning but the trips' own order: a bundle
+        with every file's rows shuffled loads to the same arrays, and to
+        the trips in their shuffled order."""
+        ds = rd.synth_dataset(rd.SynthConfig(n_regions=12, n_slots=5,
+                                             n_trips=200, n_clusters=2,
+                                             seed=3))
+        rd.write_dataset(ds, str(tmp_path))
+        rng = np.random.default_rng(0)
+        orders = {}
+        for name in (rd.POI_FILE, rd.TRAJ_FILE, rd.CENTROID_FILE,
+                     rd.TARGETS_FILE):
+            header, *rows = (tmp_path / name).read_text().splitlines()
+            orders[name] = rng.permutation(len(rows))
+            write(tmp_path / name, "\n".join(
+                [header, *(rows[i] for i in orders[name])]) + "\n")
+        assert not np.array_equal(orders[rd.TARGETS_FILE],
+                                  np.arange(len(orders[rd.TARGETS_FILE])))
+        back = rd.load_dataset_dir(str(tmp_path))
+        assert back.T == ds.T
+        assert np.array_equal(back.poi.counts, ds.poi.counts)
+        assert np.array_equal(back.trajectories,
+                              ds.trajectories[orders[rd.TRAJ_FILE]])
+        assert np.array_equal(back.dist.centroids, ds.dist.centroids)
+        assert np.array_equal(back.dist.km, ds.dist.km)
+        assert sorted(back.targets) == sorted(ds.targets)
+        for task in ds.targets:
+            assert np.array_equal(back.targets[task], ds.targets[task]), task
+
+    def test_mutated_bundles_load_as_the_row_by_row_reference(self, tmp_path):
+        """Seeded edits of a valid bundle: a field replaced by a token that
+        breaks some rule or none, a row repeated, a row dropped, up to three
+        per bundle. The loader gives the reference's error text, or its
+        arrays, byte for byte."""
+        tokens = ["x", "-1", "0", "1", "2", "5", "-91", "95", "0.5", "1e999",
+                  "nan", "inf", "9223372036854775808", "100000000000000000000",
+                  "+1", " 2", "1_0", "crime", "traffic", "house_price",
+                  "rainfall"]
+        names = [rd.POI_FILE, rd.TRAJ_FILE, rd.CENTROID_FILE, rd.TARGETS_FILE]
+        rng = np.random.default_rng(0)
+        outcomes = set()
+        for case in range(300):
+            data = tmp_path / str(case)
+            rd.write_dataset(rd.synth_dataset(rd.SynthConfig(
+                n_regions=3, n_categories=2, n_slots=2, n_trips=4,
+                n_clusters=1, seed=case)), str(data))
+            for _ in range(rng.integers(1, 4)):
+                path = data / names[rng.integers(4)]
+                header, *rows = path.read_text().splitlines()
+                i, edit = rng.integers(len(rows)), rng.integers(5)
+                if edit < 3:
+                    fields = rows[i].split(",")
+                    fields[rng.integers(len(fields))] = \
+                        tokens[rng.integers(len(tokens))]
+                    rows[i] = ",".join(fields)
+                elif edit == 3:
+                    rows.insert(rng.integers(len(rows) + 1), rows[i])
+                elif len(rows) > 1:
+                    del rows[i]
+                write(path, "\n".join([header, *rows]) + "\n")
+            files = [str(data / name) for name in names]
+            if case % 4 == 0:
+                files[3] = None
+            try:
+                want = reference_load(*files)
+            except DataError as e:
+                with pytest.raises(DataError) as err:
+                    rd.load_dataset(*files)
+                assert str(err.value) == str(e), case
+                outcomes.add(" ".join(re.sub(r"\S*\.csv\S*|\d+", "",
+                                             str(e)).split()[:2]))
+                continue
+            got = rd.load_dataset(*files)
+            assert got.T == want.T, case
+            for a, b in [(got.poi.counts, want.poi.counts),
+                         (got.trajectories, want.trajectories),
+                         (got.dist.km, want.dist.km),
+                         *((got.targets[t], want.targets[t])
+                           for t in want.targets)]:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), case
+            assert got.targets.keys() == want.targets.keys(), case
+            outcomes.add("loaded")
+        assert len(outcomes) >= 12, outcomes
 
 
 class TestCrimeDensity:
