@@ -10,7 +10,9 @@ same pass (none under ``numcore.no_grad``). The overall
 loss is their convex combination. Rewards score the generated views: R1 is
 a two-valued InfoMin signal (high loss means the views are hard, reward 1;
 otherwise a small xi), R2 is one minus the mean aligned-row cosine (views
-that agree too much earn little). The sampler objective multiplies the
+that agree too much earn little). ``overall_loss_floor`` bounds the overall
+loss from below by row counts alone, so R1 can be read without the loss
+once that bound clears the bar. The sampler objective multiplies the
 combined reward, treated as a constant, onto the two reconstruction losses.
 
 No loss or reward re-checks its views: ``train`` rejects views that would
@@ -20,6 +22,7 @@ share fewer than 2 nodes before any work, and rows of unequal shape fail in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +109,41 @@ def info_bn(h1: Tensor, h1_aug: Tensor, h2: Tensor, h2_aug: Tensor,
 
 def overall_loss(nce: Tensor, bn: Tensor, beta: float) -> Tensor:
     return nc.add(nc.scale(nce, beta), nc.scale(bn, 1.0 - beta))
+
+
+# share of (log m + 2/tau) that overall_loss_floor gives up per row to rounding
+FLOOR_SLACK = 1e-6
+
+
+def overall_loss_floor(n_shared: int, n_views: tuple[int, int], tau: float,
+                       beta: float) -> float:
+    """A lower bound on ``overall_loss`` from row counts alone.
+
+    ``n_shared`` is the number of rows InfoNCE compares (the views' shared
+    nodes) and ``n_views`` the rows of each view, which InfoBN compares with
+    their re-encodes. Every row ``_nce_sum`` compares is a unit row or a
+    zero row (``normalize_rows``), so |a_i . b_j| <= 1 and each of the m
+    logits of row i lies in [-1/tau, 1/tau]. Hence lse_i >= log(m e^(-1/tau))
+    = log m - 1/tau, the diagonal logit is at most 1/tau, and row i costs at
+    least log m - 2/tau; it also costs at least 0, since its diagonal term is
+    one of the m terms of its logsumexp. An m-row sum is therefore at least
+    f(m) = m max(0, log m - 2/tau), and the overall loss at least
+    beta f(n_shared) + (1 - beta) (f(n1) + f(n2)).
+
+    Rounding: each row's cost lies in [0, log m + 2/tau], and the computed
+    loss falls short of its exact value by a few units in the last place
+    (u = 2^-53) of each logit, exp, sum and log: under
+    (m + 6 d + 16) u (1 + log m + 2/tau) per row for rows of width d, plus
+    a relative m u on the m-row sum and the mix. So f takes
+    ``FLOOR_SLACK`` (log m + 2/tau) off each row's log m - 2/tau, more than
+    that whole shortfall while m + 6 d stays below 10^9, and the floor stays
+    below the computed float.
+    """
+    def f(m: int) -> float:
+        scale = math.log(m) + 2.0 / tau
+        return m * max(0.0, math.log(m) - 2.0 / tau - FLOOR_SLACK * scale)
+
+    return beta * f(n_shared) + (1.0 - beta) * (f(n_views[0]) + f(n_views[1]))
 
 
 def reward_r1(loss_value: float, eps_prime: float, xi: float) -> float:

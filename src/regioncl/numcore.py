@@ -10,7 +10,8 @@ Conventions fixed here because tests depend on them:
   * everything is float64, row-major;
   * ops take Tensors; ``constant`` wraps an array as one that records no
     gradient;
-  * relu's derivative at exactly 0 is 0;
+  * relu's derivative at exactly 0 is 0, and a NaN input stays NaN
+    (``np.maximum``), so a NaN pre-activation propagates;
   * softmax subtracts the row max before exponentiating;
   * normalize_rows keeps an all-zero row at zero (with zero gradient);
   * dot_cross_entropy never stores its (n, n) logits: it exponentiates
@@ -157,7 +158,7 @@ class CsrMatrix:
         stay zero."""
         buf = np.empty((self._order.size, 1, x.shape[1]))
         for part, cols, vals in self._groups:
-            np.matmul(vals, x[cols], out=buf[part])
+            np.matmul(vals, x.take(cols, axis=0), out=buf[part])
         out = np.zeros((self.shape[0], x.shape[1]))
         out[self._order] = buf[:, 0]
         return out
@@ -228,12 +229,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return Tensor(np.where(mask, a.data, 0.0), (a,), vjp)
+    y = np.maximum(a.data, 0.0)
+    # y > 0 exactly where a > 0, so the backward reads its mask off y
+    return Tensor(y, (a,), lambda g: (g * (y > 0),))
 
 
 def expit(x: np.ndarray) -> np.ndarray:

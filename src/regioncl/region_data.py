@@ -102,7 +102,14 @@ def _read_table(path: str, columns: dict | None = None):
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: cannot decode the file as "
+                            f"{e.encoding}: {e.reason}") from None
+        except csv.Error as e:
+            raise DataError(f"{path}:{reader.line_num}: {e}") from None
     if not rows:
         raise DataError(f"{path}:1: empty file")
     header = rows.pop(0)

@@ -18,9 +18,15 @@ the sampler step, holds H_tilde and the (E,) edge scores; the VGAE and
 backward (``numcore.checkpoint``), not kept. Likewise each recorded view
 encode keeps only its output, and the encoder backward recomputes it.
 
-Reward convention: computed after the encoder step (re-encoding the same
-views with the same InfoBN drop patterns under the updated weights), since
-the alternation updates samplers against the encoder they will face next.
+Reward convention: computed after the encoder step, from the same views
+under the updated weights, since the alternation updates samplers against
+the encoder they will face next. R1 compares the overall loss with
+``eps_prime``. When ``losses.overall_loss_floor``, a bound from the view
+sizes, tau and beta alone, already exceeds ``eps_prime`` (at tau = 0.5 once
+the views have about 55 rows), R1 is 1 without the loss, and only the two
+plain views that R2 reads are re-encoded; otherwise ``contrastive_loss``
+runs again, re-encoding the views with the same InfoBN drop patterns.
+Either way R1 and R2 carry the bits the full re-forward would give.
 
 Variants used by the evaluation harness:
   FULL        the plain pipeline (default);
@@ -47,8 +53,8 @@ from .hetero_graph import (HeteroGraph, RelationType, build_distance_graph,
                            normalized_adjacency)
 from .hgnn_encoder import EncoderParams, encode, init_encoder, init_features
 from .losses import (LossConfig, ViewEmbeddings, combined_reward, drop_edges,
-                     info_bn, info_nce, overall_loss, reward_r1, reward_r2,
-                     sampler_objective)
+                     info_bn, info_nce, overall_loss, overall_loss_floor,
+                     reward_r1, reward_r2, sampler_objective)
 from .numcore import AdamState, GradientTape, Tensor, adam_step, backward
 from .poi_embedding import (SkipgramConfig, init_attention, init_mlp,
                             pooled_vectors, project_regions, self_attention,
@@ -187,20 +193,29 @@ def view_adjacency(n_nodes: int, nodes: np.ndarray,
     return normalized_adjacency(len(nodes), rank[edges])
 
 
+def encode_views(H0: Tensor, nodes, adjs,
+                 hgnn: EncoderParams) -> ViewEmbeddings:
+    """The two views encoded in order: view k holds the graph rows
+    ``nodes[k]`` of ``H0`` and passes messages over the Â ``adjs[k]``. A
+    view is a relation-agnostic subgraph, so ``encode`` applies only the
+    mobility weights of ``hgnn``."""
+    h1, h2 = (encode({RelationType.MOBILITY: adj}, nc.rows(H0, v), hgnn)
+              for v, adj in zip(nodes, adjs))
+    return ViewEmbeddings(h1=h1, nodes1=nodes[0], h2=h2, nodes2=nodes[1])
+
+
 def contrastive_loss(H0: Tensor, nodes, adjs, hgnn: EncoderParams,
                      loss_cfg: LossConfig):
     """Contrastive losses of two views: (pair, L_NCE, L_BN, L).
 
     View k holds the graph rows ``nodes[k]`` of ``H0``; ``adjs[k]`` is the
-    pair of its Â and the Â of its InfoBN drop. Every view is a
-    relation-agnostic subgraph, so ``encode`` applies only the mobility
-    weights of ``hgnn``.
+    pair of its Â and the Â of its InfoBN drop. The plain views are
+    encoded first, then the drops (``encode_views``).
     """
-    h, h_aug = ([encode({RelationType.MOBILITY: adj[j]}, nc.rows(H0, v), hgnn)
-                 for v, adj in zip(nodes, adjs)] for j in (0, 1))
-    pair = ViewEmbeddings(h1=h[0], nodes1=nodes[0], h2=h[1], nodes2=nodes[1])
+    pair, aug = (encode_views(H0, nodes, [adj[j] for adj in adjs], hgnn)
+                 for j in (0, 1))
     nce = info_nce(pair, loss_cfg.tau)
-    bn = info_bn(h[0], h_aug[0], h[1], h_aug[1], loss_cfg.tau)
+    bn = info_bn(pair.h1, aug.h1, pair.h2, aug.h2, loss_cfg.tau)
     return pair, nce, bn, overall_loss(nce, bn, loss_cfg.beta)
 
 
@@ -264,9 +279,10 @@ def train(dataset: Dataset, cfg: TrainConfig,
         return init_features(E, I, T)
 
     def view_adjacencies(views, bn_drops):
-        # built afresh for each of the epoch's two contrastive_loss calls,
-        # which the benchmark's adjacency call counts expect; building them
-        # once per epoch waits for ROADMAP item 6
+        # built afresh for each pass that encodes the views (the reward's
+        # floor path builds its two plain ones itself), which the
+        # benchmark's adjacency call counts expect; building them once per
+        # epoch waits for ROADMAP item 6
         return [(view_adjacency(n_nodes, v.nodes, v.edges),
                  view_adjacency(n_nodes, v.nodes, kept))
                 for v, kept in zip(views, bn_drops)]
@@ -307,12 +323,27 @@ def train(dataset: Dataset, cfg: TrainConfig,
         if sampling_on:
             # reward from the updated encoder facing the same views
             if cfg.variant != "NO_INFOMIN":
+                floor = overall_loss_floor(
+                    np.intersect1d(*nodes, assume_unique=True).size,
+                    (len(nodes[0]), len(nodes[1])), cfg.loss.tau,
+                    cfg.loss.beta)
                 with nc.no_grad():
-                    post_pair, _, _, post_total = contrastive_loss(
-                        region_stack(), nodes,
-                        view_adjacencies(views, bn_drops), hgnn, cfg.loss)
-                r1 = reward_r1(post_total.item(), cfg.loss.eps_prime,
-                               cfg.loss.xi)
+                    if floor > cfg.loss.eps_prime:
+                        # the loss is above the bar whatever the weights,
+                        # so R1 reads the floor, and only the plain views
+                        # that R2 reads are encoded
+                        post_pair = encode_views(
+                            region_stack(), nodes,
+                            [view_adjacency(n_nodes, v.nodes, v.edges)
+                             for v in views], hgnn)
+                        post_loss = floor
+                    else:
+                        post_pair, _, _, post_total = contrastive_loss(
+                            region_stack(), nodes,
+                            view_adjacencies(views, bn_drops), hgnn,
+                            cfg.loss)
+                        post_loss = post_total.item()
+                r1 = reward_r1(post_loss, cfg.loss.eps_prime, cfg.loss.xi)
                 r2 = reward_r2(post_pair)
                 reward = combined_reward(r1, r2, cfg.loss.w1)
 

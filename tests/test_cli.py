@@ -110,9 +110,15 @@ class TestIngest:
         ("targets.csv", lambda rows: rows[:-1], "has no value for region"),
         ("targets.csv", lambda rows: rows + ["0,crime,100000000000,1.0"],
          "T=100000000001"),
+        # "\udcff" is written as the lone byte 0xff, which is not UTF-8
+        ("targets.csv", lambda rows: [set_field(rows[0], 3, "\udcff")]
+         + rows[1:], "cannot decode"),
+        ("centroids.csv", lambda rows: [set_field(rows[0], 2, "1" * 200_000)]
+         + rows[1:], ":2: field larger than field limit"),
     ], ids=["short-poi-row", "short-trip-row", "short-centroid-row",
             "short-target-row", "poi-without-regions", "poi-count-past-int64",
-            "non-finite-target", "missing-target-cell", "far-target-slot"])
+            "non-finite-target", "missing-target-cell", "far-target-slot",
+            "non-utf8-target", "oversized-centroid-field"])
     def test_malformed_bundle_is_one_error_line_naming_the_file(
             self, data_dir, tmp_path, capsys, name, edit, needle):
         paths = {}
@@ -120,8 +126,9 @@ class TestIngest:
                   "targets.csv"):
             header, *rows = Path(data_dir, f).read_text().splitlines()
             paths[f] = tmp_path / f
-            paths[f].write_text("\n".join([header, *(
-                edit(rows) if f == name else rows)]) + "\n")
+            paths[f].write_bytes(("\n".join([header, *(
+                edit(rows) if f == name else rows)]) + "\n").encode(
+                    "utf-8", "surrogateescape"))
         out = tmp_path / "out"
         assert main(["ingest", "--poi", str(paths["poi.csv"]),
                      "--traj", str(paths["trajectories.csv"]),

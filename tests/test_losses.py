@@ -11,6 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import assert_edges, edge_rows
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from regioncl import losses as ls
@@ -170,6 +172,73 @@ class TestOverallLoss:
         # beta is checked once, where LossConfig is built
         with pytest.raises(ConfigError, match="beta"):
             ls.LossConfig(beta=1.5)
+
+
+def floor_rows(kind: str, m: int, rng) -> tuple:
+    """Two (m, 3) operands of one ``_nce_sum``. "adversarial": a_i = a_0
+    for every i, b_0 = a_0 and b_j = -a_0 for j != 0, so row 0 meets every
+    logit bound; "zeros": random rows with every third row zero."""
+    if kind == "adversarial":
+        u = rng.normal(size=3)
+        return np.tile(u, (m, 1)), np.vstack([u, np.tile(-u, (m - 1, 1))])
+    A, B = rng.normal(size=(m, 3)), rng.normal(size=(m, 3))
+    if kind == "zeros":
+        A[::3] = 0.0
+        B[1::3] = 0.0
+    return A, B
+
+
+class TestOverallLossFloor:
+    @settings(max_examples=60, deadline=None)
+    @given(n1=st.integers(2, 90), n2=st.integers(2, 90),
+           shared=st.floats(0.0, 1.0), tau=st.floats(0.05, 50.0),
+           beta=st.floats(0.0, 1.0),
+           kind=st.sampled_from(["random", "adversarial", "zeros"]),
+           seed=st.integers(0, 2 ** 16))
+    def test_floor_is_at_most_the_computed_loss(self, n1, n2, shared, tau,
+                                                 beta, kind, seed):
+        rng = RNG(seed)
+        ms = 2 + round(shared * (min(n1, n2) - 2))
+        # view 2 starts at view 1's last ms nodes, so they share ms nodes
+        h1, h1_aug = floor_rows(kind, n1, rng)
+        h2, h2_aug = floor_rows(kind, n2, rng)
+        views = ls.ViewEmbeddings(h1=nc.Tensor(h1), nodes1=np.arange(n1),
+                                  h2=nc.Tensor(h2),
+                                  nodes2=np.arange(n1 - ms, n1 - ms + n2))
+        with nc.no_grad():
+            loss = ls.overall_loss(
+                ls.info_nce(views, tau),
+                ls.info_bn(views.h1, nc.Tensor(h1_aug), views.h2,
+                           nc.Tensor(h2_aug), tau), beta).item()
+        assert ls.overall_loss_floor(ms, (n1, n2), tau, beta) <= loss
+
+    def test_adversarial_pair_sits_on_the_bound(self):
+        """Two antipodal rows meet every logit bound at once: each row costs
+        log(1 + e^(-2/tau)), which the floor's log 2 - 2/tau approaches as
+        tau grows; the floor stays below it by its slack and more."""
+        A = np.array([[1.0], [-1.0]])
+        tau = 1e3
+        cost = ls._nce_sum(nc.Tensor(A), nc.Tensor(A.copy()), tau).item()
+        assert cost == pytest.approx(2 * math.log1p(math.exp(-2 / tau)))
+        floor = ls.overall_loss_floor(2, (2, 2), tau, 1.0)
+        assert 0.0 < floor < cost
+        assert cost - floor < 2 * (2 / tau)
+
+    def test_closed_form_and_the_55_row_threshold(self):
+        """f(m) = m max(0, log m - 2/tau) less the slack, mixed by beta; at
+        tau = 0.5 and the default bar 1.2, views of 55 rows stay under it
+        and views of 56 rows clear it."""
+        def f(m, tau):
+            rho = ls.FLOOR_SLACK
+            return m * (math.log(m) * (1 - rho) - 2 / tau * (1 + rho))
+
+        assert ls.overall_loss_floor(300, (310, 320), 0.5, 0.1) \
+            == pytest.approx(0.1 * f(300, 0.5)
+                             + 0.9 * (f(310, 0.5) + f(320, 0.5)), rel=1e-12)
+        assert ls.overall_loss_floor(36, (36, 36), 0.5, 0.1) == 0.0
+        bar = ls.LossConfig().eps_prime
+        assert ls.overall_loss_floor(55, (55, 55), 0.5, 0.1) < bar
+        assert ls.overall_loss_floor(56, (56, 56), 0.5, 0.1) > bar
 
 
 class TestRewards:

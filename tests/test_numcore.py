@@ -81,6 +81,22 @@ class TestForward:
         out = nc.relu(nc.Tensor(np.array([-2.0, 0.0, 3.0]))).data
         assert_allclose(out, [0.0, 0.0, 3.0])
 
+    def test_relu_bits_match_a_positive_mask_and_nan_propagates(self):
+        """max(a, 0) has the bits of where(a > 0, a, 0) for every finite or
+        infinite input, -0.0 included (both give +0.0); a NaN input stays
+        NaN, and its gradient is 0."""
+        x = np.array([[-0.0, 0.0, -2.5, 3.0, np.inf, -np.inf, 5e-324,
+                       -5e-324, np.nan]])
+        tape = nc.GradientTape()
+        p = tape.parameter("x", x)
+        out = nc.relu(p)
+        finite = out.data[:, :-1]
+        assert finite.tobytes() == np.where(x > 0, x, 0.0)[:, :-1].tobytes()
+        assert np.isnan(out.data[0, -1])
+        grads = nc.backward(tape, nc.tsum(nc.mul(out, nc.constant(
+            np.where(np.isnan(x), 0.0, 1.0)))))
+        assert grads["x"].tolist() == [[0, 0, 0, 1, 1, 0, 1, 0, 0]]
+
     def test_sigmoid_extremes_are_finite(self):
         out = nc.expit(np.array([-800.0, 0.0, 800.0]))
         assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-12)

@@ -1,7 +1,7 @@
 """Training loop: determinism, variants, export format."""
 
 import weakref
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,15 @@ from regioncl.view_generator import ViewGenConfig
 def ds8():
     return synth_dataset(SynthConfig(n_regions=8, n_categories=6, n_slots=2,
                                      n_trips=120, n_clusters=2, seed=1))
+
+
+@pytest.fixture(scope="module")
+def ds72():
+    """72 nodes: its views have about 70 rows, so at tau = 0.5 the loss
+    floor (about 35) clears the reward bar; ds8's views (about 20 rows)
+    have a floor of 0."""
+    return synth_dataset(SynthConfig(n_regions=24, n_categories=6, n_slots=2,
+                                     n_trips=400, n_clusters=2, seed=1))
 
 
 def small_cfg(**overrides):
@@ -307,18 +316,52 @@ class TestVariants:
             assert not np.array_equal(model8.H, other.H)
 
 
+class TestRewardFloor:
+    def test_floor_path_gives_the_full_reward_forwards_bits(self, ds72,
+                                                            monkeypatch):
+        """On ds72 the loss floor decides R1, so the reward skips its
+        contrastive_loss; with the floor pinned to 0 it runs it. History
+        and embeddings carry the same bits either way."""
+        calls, contrastive_loss = [], trainer.contrastive_loss
+
+        def spy(*args):
+            calls.append(args)
+            return contrastive_loss(*args)
+
+        monkeypatch.setattr(trainer, "contrastive_loss", spy)
+        floored = train(ds72, small_cfg())
+        assert len(calls) == 3
+        monkeypatch.setattr(trainer, "overall_loss_floor", lambda *a: 0.0)
+        full = train(ds72, small_cfg())
+        assert len(calls) == 3 + 6
+
+        def bits(model):
+            return np.array([astuple(r) for r in model.history]).tobytes()
+
+        assert bits(floored) == bits(full)
+        assert floored.H.tobytes() == full.H.tobytes()
+
+
 class TestForwardOnlyPasses:
     # per encode call of a one-epoch run, in order, whether it keeps a graph:
     # the full-graph encode for the samplers (not under RANDOM_AUG, which
-    # never reads it), 4 view encodes for the step, 4 for the reward (only
-    # with InfoMin), and the export
+    # never reads it), 4 view encodes for the step, those for the reward
+    # (only with InfoMin: 4, or the 2 plain views where the loss floor
+    # decides R1, as on ds72), and the export
     RECORDED = {"FULL": [False] + [True] * 4 + [False] * 4 + [False],
+                "FULL-floor": [False] + [True] * 4 + [False] * 2 + [False],
                 "NO_INFOMIN": [False] + [True] * 4 + [False],
                 "RANDOM_AUG": [True] * 4 + [False]}
 
-    @pytest.mark.parametrize("variant", sorted(RECORDED))
-    def test_only_the_encoder_step_keeps_a_graph(self, ds8, monkeypatch,
-                                                  variant):
+    @staticmethod
+    def run(case, ds8, ds72, epochs):
+        variant, _, floor = case.partition("-")
+        return train(ds72 if floor else ds8,
+                     small_cfg(epochs=epochs, variant=variant))
+
+    @pytest.mark.parametrize("case", sorted(RECORDED))
+    def test_only_the_encoder_step_keeps_a_graph(self, ds8, ds72,
+                                                  monkeypatch, case):
         recorded = []
 
         def spy(*args, **kwargs):
@@ -328,11 +371,11 @@ class TestForwardOnlyPasses:
 
         encode = trainer.encode
         monkeypatch.setattr(trainer, "encode", spy)
-        train(ds8, small_cfg(epochs=1, variant=variant))
-        assert recorded == self.RECORDED[variant]
+        self.run(case, ds8, ds72, epochs=1)
+        assert recorded == self.RECORDED[case]
 
-    @pytest.mark.parametrize("variant", sorted(RECORDED))
-    def test_no_graph_outlives_its_step(self, ds8, monkeypatch, variant):
+    @pytest.mark.parametrize("case", sorted(RECORDED))
+    def test_no_graph_outlives_its_step(self, ds8, ds72, monkeypatch, case):
         """Each sampler graph (its edge scores) is gone when the next views
         are drawn, and each loss graph (its root) when the next backward
         starts or the next views are drawn."""
@@ -364,8 +407,8 @@ class TestForwardOnlyPasses:
         for name in ("generate_views", "_random_aug_views"):
             monkeypatch.setattr(trainer, name,
                                 views_spy(getattr(trainer, name)))
-        train(ds8, small_cfg(epochs=3, variant=variant))
-        steps = 2 if variant != "RANDOM_AUG" else 1
+        self.run(case, ds8, ds72, epochs=3)
+        steps = 2 if case != "RANDOM_AUG" else 1
         assert len(verdicts) == 3 * (1 + steps)
         assert not any(any(v) for v in verdicts), verdicts
 
